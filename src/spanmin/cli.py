@@ -114,11 +114,13 @@ def cmd_check(args) -> int:
     K = spec.build_complex()
     F = spec.initial_faceset(K)
     rep.add("faces", _fmt_faces(F.faces))
-    rows = _constraint_rows(spec, K, F)
-    for idx, kind, k, passed, reason, rank in rows:
-        verdict = "pass" if passed else "fail"
-        rep.add(f"constraint_{idx}", f"{kind} degree={k} {verdict} ({reason})")
-    spanning = all(r[3] for r in rows)
+    constraints = spec.constraint_cycles()
+    statuses = spanning_check(K, F, constraints)
+    for c, s in zip(constraints, statuses):
+        verdict = "pass" if s.passed else "fail"
+        rep.add(f"constraint_{s.index}",
+                f"{c.kind} degree={c.degree} {verdict} ({s.reason})")
+    spanning = all(s.passed for s in statuses)
     rep.add("spanning", "yes" if spanning else "no")
     rep.add("time", f"{time.perf_counter() - t0:.3f}s")
     sys.stdout.write(rep.render())

@@ -10,6 +10,7 @@ cycle's support) before any normal-form computation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import warnings
 from collections import deque
@@ -18,8 +19,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .complexes import Chain, Complex, FaceSet
 from .errors import InvalidInputError, PreconditionError, RealizationError
@@ -44,15 +43,6 @@ class _SdStructure:
             self.offsets.append(self.offsets[-1] + K.n_simplices(k))
         self.total = self.offsets[-1]
 
-        # barycenter coordinates, exact rationals
-        coords: List[Tuple[Fraction, ...]] = []
-        for k in range(K.dim + 1):
-            for s in K.simplices(k):
-                pts = [K.coords[v] for v in s]
-                m = len(pts)
-                coords.append(tuple(sum(col) / m for col in zip(*pts)))
-        self.coords = coords
-
         self.chains: Dict[int, List[Tuple[int, ...]]] = {0: []}
         self.chains[0] = [(i,) for i in range(self.total)]
         for m in range(1, max_dim + 1):
@@ -65,6 +55,13 @@ class _SdStructure:
 
     def sd_id(self, k: int, idx: int) -> int:
         return self.offsets[k] + idx
+
+    def barycenter(self, sdid: int) -> Tuple[Fraction, ...]:
+        """Exact barycenter of the simplex of K behind a subdivision vertex."""
+        k = bisect.bisect_right(self.offsets, sdid) - 1
+        verts = self.K.simplex(k, sdid - self.offsets[k])
+        pts = [self.K.coords[v] for v in verts]
+        return tuple(sum(col) / len(pts) for col in zip(*pts))
 
     def _generate(self) -> None:
         K = self.K
@@ -155,7 +152,7 @@ class ComplementModel:
 
         good = np.frombuffer(bytes(bad), dtype=np.uint8) == 0
         self.good = good
-        self._labels: Optional[np.ndarray] = None
+        self._labels: Optional[List[int]] = None
         self._deg1_cache: Optional[Dict] = None
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
@@ -175,31 +172,10 @@ class ComplementModel:
         """True if the barycenter cell of the (k, idx) simplex avoids |F|."""
         return not self.bad[self.sd.sd_id(k, idx)]
 
-    def _component_labels(self) -> np.ndarray:
+    def _component_labels(self) -> List[int]:
         if self._labels is None:
-            n = self.sd.total
-            if n >= 4096:  # sparse graph machinery pays off only at scale
-                data = np.ones(len(self.edges_a), dtype=np.int8)
-                graph = sparse.coo_matrix(
-                    (data, (self.edges_a, self.edges_b)), shape=(n, n))
-                _, labels = csgraph.connected_components(graph,
-                                                         directed=False)
-                self._labels = labels.astype(np.int64)
-                return self._labels
-            parent = list(range(n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in zip(self.edges_a.tolist(), self.edges_b.tolist()):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-            self._labels = np.array([find(i) for i in range(n)],
-                                    dtype=np.int64)
+            self._labels = _hom._components(self.sd.total, self.edges_a,
+                                            self.edges_b)
         return self._labels
 
     def same_component(self, u: int, v: int) -> bool:
@@ -227,7 +203,7 @@ class ComplementModel:
                     if ok:
                         kept.append(tuple(id_map[v] for v in ch))
                 simplices[m] = kept
-            coords = [self.sd.coords[v] for v in keep_v]
+            coords = [self.sd.barycenter(v) for v in keep_v]
             self._complex = Complex(simplices, coords, validate=False)
             self._id_map = id_map
         return self._complex
@@ -243,59 +219,39 @@ class ComplementModel:
 
     # -- bounding tests -----------------------------------------------------
 
-    def _bounds_raw(self, dim: int, coeffs: Dict[int, int]) -> bool:
-        """True iff the raw-id cycle bounds in the model (no witness)."""
-        if not coeffs:
-            return True
-        if dim == 0:
-            labels = self._component_labels()
-            totals: Dict[int, int] = {}
-            for v, c in coeffs.items():
-                key = int(labels[v])
-                totals[key] = totals.get(key, 0) + c
-            return not any(totals.values())
-        if dim == 1:
-            return self._bounds_deg1(coeffs)
-        # general case: go through the full complex
-        chain = self._raw_to_chain(dim, coeffs)
-        null, _ = _hom.is_null_homologous(chain)
-        return null
-
-    def _raw_to_chain(self, dim: int, coeffs: Dict[int, int]) -> Chain:
-        C = self.complex
-        out: Dict[int, int] = {}
-        if dim == 0:
-            for v, c in coeffs.items():
-                out[C.index((self._id_map[v],))] = c
-        else:
-            raise InvalidInputError("raw chains are tracked by simplex tuples")
-        return Chain(C, dim, out)
-
-    def _edge_chain_to_raw_pairs(self, coeffs: Dict[Tuple[int, int], int]):
-        return coeffs
+    def _bounds_deg0(self, coeffs: Dict[int, int]) -> bool:
+        """True iff the 0-cycle {raw vertex id: coeff} bounds in the model."""
+        labels = self._component_labels()
+        totals: Dict[int, int] = {}
+        for v, c in coeffs.items():
+            totals[labels[v]] = totals.get(labels[v], 0) + c
+        return not any(totals.values())
 
     def _bounds_deg1(self, coeffs: Dict[Tuple[int, int], int]) -> bool:
         """Bounding test for 1-cycles given as {(a,b) raw edge: coeff}.
 
-        Attaching a 2-cell along z quotients H_1 by the class of z, so z
-        bounds exactly when the quotient has the same rank and torsion.  Both
-        groups are computed exactly after a coreduction pass, so the test
-        stays integer-exact on large models.
+        The cycle z is attached as a 2-cell that the coreduction keeps
+        locked: it is never paired, and its edges are never free.  Every
+        step is then also valid for the model without the cell, so one pass
+        gives the core C of the model and the cell's restriction z' to C.
+        H_1 of the model is H_1(C), and killing [z] there gives
+        H_1(C) / [z']; finitely generated abelian groups are Hopfian, so z
+        bounds in the model exactly when z' bounds in C.  One sparse
+        integer solve of the core's boundary against z' decides it.
         """
-        tables = self._deg1_tables()
-        edge_idx = tables["edge_idx"]
-        extra: Dict[int, int] = {}
+        edge_idx = self._deg1_tables()["edge_idx"]
+        lock: Dict[int, int] = {}
         for e, c in coeffs.items():
             if e not in edge_idx:
                 raise RealizationError(f"cycle edge {e} not in the complement")
-            extra[edge_idx[e]] = c
-        plain = self._h1_core(None)
-        attached = self._h1_core(extra)
-        return plain == attached
+            lock[edge_idx[e]] = c
+        _, cols2, edge_pos = self._core(lock)
+        rhs = {edge_pos[e]: c for e, c in lock.items() if e in edge_pos}
+        return _hom._snf_diagonal_sparse(cols2, rhs=rhs).solvable
 
     def _deg1_tables(self) -> Dict:
         """Static incidence tables of the kept 2-skeleton (built once)."""
-        if getattr(self, "_deg1_cache", None) is not None:
+        if self._deg1_cache is not None:
             return self._deg1_cache
         good = self.good
         edges: List[Tuple[int, int]] = list(zip(self.edges_a.tolist(),
@@ -320,14 +276,17 @@ class ComplementModel:
             "verts": [v for v in vert_edges]}
         return self._deg1_cache
 
-    def _h1_core(self, extra: Optional[Dict[int, int]]) -> _hom.HomologyGroup:
-        """H_1 of the model (optionally with one extra 2-cell attached).
+    def _core(self, lock: Optional[Dict[int, int]] = None):
+        """Coreduced 2-skeleton of the model: (boundary-1 columns,
+        boundary-2 columns, {edge id: core row of boundary 2}).
 
         Coreduction: repeatedly delete a cell pair (a, b) where a is the only
         remaining boundary cell of b with unit coefficient; this preserves
-        homology in degrees >= 1.  One vertex per component is deleted to
-        seed the cascade (this only touches degree 0).  The surviving core is
-        handed to the exact normal-form routine.
+        homology in degrees >= 1.  Collapses delete a free face with its
+        only coface.  One vertex per component is deleted to seed the
+        cascade (this only touches degree 0).  The edges of `lock`, a locked
+        2-cell {edge id: coeff}, count it as a coface, so they are never
+        free; the cell itself is never paired and gets no column.
         """
         t = self._deg1_tables()
         edges, tri_bnd = t["edges"], t["tri_bnd"]
@@ -337,16 +296,12 @@ class ComplementModel:
         rm_v: Dict[int, bool] = {}
         rm_e = bytearray(ne)
         rm_t = bytearray(nt)
-        rm_x = False
         bcnt_e = [2] * ne
         bcnt_t = [3] * nt
-        extra = dict(extra) if extra else None
-        bcnt_x = len(extra) if extra else 0
         ccnt_v = {v: len(es) for v, es in vert_edges.items()}
         ccnt_e = [len(edge_tris.get(e, ())) for e in range(ne)]
-        if extra:
-            for e in extra:
-                ccnt_e[e] += 1
+        for e in lock or ():
+            ccnt_e[e] += 1
 
         queue: deque = deque()
 
@@ -359,17 +314,12 @@ class ComplementModel:
                         queue.append(("e", e))
 
         def drop_edge(e: int) -> None:
-            nonlocal bcnt_x
             rm_e[e] = 1
             for ti in edge_tris.get(e, ()):
                 if not rm_t[ti]:
                     bcnt_t[ti] -= 1
                     if bcnt_t[ti] == 1:
                         queue.append(("t", ti))
-            if extra is not None and not rm_x and e in extra:
-                bcnt_x -= 1
-                if bcnt_x == 1:
-                    queue.append(("x", 0))
             for v in edges[e]:
                 if not rm_v.get(v):
                     ccnt_v[v] -= 1
@@ -379,15 +329,6 @@ class ComplementModel:
         def drop_tri(ti: int) -> None:
             rm_t[ti] = 1
             for e in tri_bnd[ti]:
-                if not rm_e[e]:
-                    ccnt_e[e] -= 1
-                    if ccnt_e[e] == 1:
-                        queue.append(("E", e))
-
-        def drop_extra() -> None:
-            nonlocal rm_x
-            rm_x = True
-            for e in extra:
                 if not rm_e[e]:
                     ccnt_e[e] -= 1
                     if ccnt_e[e] == 1:
@@ -405,9 +346,8 @@ class ComplementModel:
         labels = self._component_labels()
         seen = set()
         for v in t["verts"]:
-            lab = int(labels[v])
-            if lab not in seen:
-                seen.add(lab)
+            if labels[v] not in seen:
+                seen.add(labels[v])
                 drop_vertex(v)
 
         while queue:
@@ -425,33 +365,22 @@ class ComplementModel:
                 e = next(e for e in tri_bnd[i] if not rm_e[e])
                 drop_tri(i)
                 drop_edge(e)
-            elif kind == "x":  # coreduction pair (edge, attached cell)
-                if rm_x or extra is None or bcnt_x != 1:
-                    continue
-                e, c = next((e, c) for e, c in extra.items() if not rm_e[e])
-                if abs(c) != 1:
-                    continue  # non-unit coefficient: leave for the core
-                drop_extra()
-                drop_edge(e)
             elif kind == "V":  # collapse pair (vertex, edge)
                 if rm_v.get(i) or ccnt_v.get(i, 0) != 1:
                     continue
                 e = next(e for e in vert_edges[i] if not rm_e[e])
                 drop_vertex(i)
                 drop_edge(e)
-            else:  # "E": collapse pair (edge, 2-cell)
+            else:  # "E": collapse pair (edge, triangle)
                 if rm_e[i] or ccnt_e[i] != 1:
                     continue
                 ti = next((tt for tt in edge_tris.get(i, ())
                            if not rm_t[tt]), None)
-                if ti is not None:
+                if ti is not None:  # else the only coface is the locked cell
                     drop_edge(i)
                     drop_tri(ti)
-                elif extra is not None and not rm_x and abs(extra[i]) == 1:
-                    drop_edge(i)
-                    drop_extra()
 
-        # exact homology of the surviving core with restricted boundaries
+        # boundaries of the surviving core, restricted to surviving cells
         core_v = {v: i for i, v in enumerate(
             w for w in t["verts"] if not rm_v.get(w))}
         core_e = [i for i in range(ne) if not rm_e[i]]
@@ -479,26 +408,21 @@ class ComplementModel:
             col = {i: v for i, v in col.items() if v}
             if col:
                 cols2[j] = col
-        if extra is not None and not rm_x:
-            col = {e_pos[e]: c for e, c in extra.items() if e in e_pos}
-            if col:
-                cols2[len(core_t)] = col
-
-        rank1 = len(_hom._snf_diagonal_sparse(cols1))
-        diag2 = _hom._snf_diagonal_sparse(cols2)
-        rank = (len(core_e) - rank1) - len(diag2)
-        torsion = tuple(d for d in diag2 if d > 1)
-        return _hom.HomologyGroup(k=1, rank=rank, torsion=torsion)
+        return cols1, cols2, e_pos
 
     def homology(self, k: int) -> _hom.HomologyGroup:
         """H_k of the model; degree one goes through the coreduction core."""
         if k == 0:
             labels = self._component_labels()
-            comps = {int(labels[i]) for i in range(self.sd.total)
-                     if self.good[i]}
+            comps = {labels[i] for i in range(self.sd.total) if self.good[i]}
             return _hom.HomologyGroup(k=0, rank=len(comps), torsion=())
         if k == 1 and self.max_dim >= 2:
-            return self._h1_core(None)
+            cols1, cols2, e_pos = self._core()
+            rank1 = len(_hom._snf_diagonal_sparse(cols1))
+            diag2 = _hom._snf_diagonal_sparse(cols2)
+            rank = (len(e_pos) - rank1) - len(diag2)
+            torsion = tuple(d for d in diag2 if d > 1)
+            return _hom.HomologyGroup(k=1, rank=rank, torsion=torsion)
         return _hom.homology_group(self.complex, k)
 
 
@@ -705,7 +629,7 @@ def spanning_check(K: Complex, F: FaceSet,
             out.append(ConstraintStatus(i, False, "degenerate"))
             continue
         if dim == 0:
-            null = model._bounds_raw(0, raw)
+            null = model._bounds_deg0(raw)
         elif dim == 1:
             null = model._bounds_deg1(raw)
         else:

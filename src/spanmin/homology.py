@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from .complexes import Chain, Complex, boundary, boundary_matrix
+from .complexes import Chain, Complex, boundary
 from .errors import InvalidInputError, PreconditionError
 
 Matrix = List[List[int]]
@@ -201,17 +203,77 @@ def _snf_diagonal(M: np.ndarray) -> List[int]:
     return _snf_diagonal_sparse(cols)
 
 
-def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]]) -> List[int]:
-    """Invariant factors from sparse dict-of-dict columns.
+class Elimination(list):
+    """Invariant factors of a set of columns (the list itself), plus the
+    verdict on an optional right-hand side z.
+
+    `solvable` tells whether z is an integer combination of the columns
+    (None when no right-hand side was given); `witness` is one such
+    combination {column: coefficient} when it was asked for.
+    """
+
+    solvable: Optional[bool] = None
+    witness: Optional[Dict[int, int]] = None
+
+
+def _sub_multiple(dst: Dict[int, int], src: Dict[int, int], q: int) -> None:
+    """dst -= q * src on sparse integer vectors."""
+    for i, v in src.items():
+        nv = dst.get(i, 0) - q * v
+        if nv:
+            dst[i] = nv
+        else:
+            dst.pop(i, None)
+
+
+def _divisibility_chain(diag: List[int]) -> List[int]:
+    """Rewrite a multiset of positive integers as a divisibility chain.
+
+    A 1 divides everything, so only the other entries need the pairwise
+    gcd/lcm pass.
+    """
+    ones = [d for d in diag if d == 1]
+    rest = [d for d in diag if d > 1]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(rest)):
+            for b in range(a + 1, len(rest)):
+                g = math.gcd(rest[a], rest[b])
+                l = rest[a] * rest[b] // g
+                if (g, l) != (rest[a], rest[b]):
+                    rest[a], rest[b] = g, l
+                    changed = True
+    return ones + sorted(rest)
+
+
+def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]],
+                         rhs: Optional[Dict[int, int]] = None,
+                         witness: bool = False) -> Elimination:
+    """Invariant factors from sparse dict-of-dict columns, and optionally
+    the integer solve of sum_j x_j cols[j] = rhs.
 
     Elimination prefers unit pivots with the least fill.  Returns the
     nonzero diagonal as a divisibility chain.
+
+    The right-hand side z takes every row operation but is never a pivot.
+    When a pivot p is retired its column is p e_i, so z is reduced by
+    z[i] / p times that column.  A remainder there can never be cleared (no
+    later operation touches a retired row), so the elimination stops with
+    the answer no and the invariants retired so far.  Otherwise z lies in
+    the span over Z exactly when nothing of it is left at the end.  With
+    `witness`, every column keeps its history as a combination of the
+    original columns, and the reductions of z add up to a solution x.
     """
     cols = {j: dict(col) for j, col in cols.items() if col}
     rows: Dict[int, set] = {}
     for j, col in cols.items():
         for i in col:
             rows.setdefault(i, set()).add(j)
+    z = None if rhs is None else {i: v for i, v in rhs.items() if v}
+    hist = ({j: {j: 1} for j in cols} if witness and z is not None
+            else None)
+    x: Dict[int, int] = {}
 
     # unit-entry candidates in a lazy heap keyed by a fill estimate; entries
     # are re-validated on pop, so stale scores are harmless
@@ -226,6 +288,13 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]]) -> List[int]:
     def push_unit(i: int, j: int) -> None:
         fill = (len(rows[i]) - 1) * (len(cols[j]) - 1)
         heapq.heappush(heap, (fill, i, j))
+
+    def result(diag: List[int], solvable: Optional[bool]) -> Elimination:
+        out = Elimination(_divisibility_chain(diag))
+        out.solvable = solvable
+        if solvable and hist is not None:
+            out.witness = x
+        return out
 
     diag: List[int] = []
     while cols:
@@ -251,90 +320,72 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]]) -> List[int]:
                     key = (abs(v), (len(rows[i]) - 1) * cl)
                     if best is None or key < best[0]:
                         best = (key, i, j)
-            if best is None:
-                break
             _, i0, j0 = best
-        p = cols[j0][i0]
+        col0 = cols[j0]
+        p = col0[i0]
 
-        # eliminate pivot row across other columns (column ops)
+        # eliminate pivot row across other columns (column ops); a column
+        # is deleted the moment it becomes empty
         for j in list(rows[i0]):
             if j == j0:
                 continue
-            a = cols[j].get(i0, 0)
-            if a == 0:
+            colj = cols[j]
+            q = colj[i0] // p
+            if not q:
                 continue
-            q, r = divmod(a, p)
-            if q:
-                colj = cols[j]
-                col0 = cols[j0]
-                for i, v in col0.items():
-                    nv = colj.get(i, 0) - q * v
-                    if nv:
-                        colj[i] = nv
-                        rows.setdefault(i, set()).add(j)
-                        if abs(nv) == 1:
-                            push_unit(i, j)
-                    elif i in colj:
-                        del colj[i]
-                        rows[i].discard(j)
-                if not colj:
-                    del cols[j]
-        # if remainders survive the pivot stays non-unit; handle by swapping
-        # a remainder entry into pivot position and repeating
-        rem = [j for j in rows.get(i0, set()) if j != j0 and cols[j].get(i0, 0)]
-        if rem:
-            continue  # pivot choice next round will see the smaller remainder
-        # eliminate pivot column down the rows (row ops)
-        col0 = cols[j0]
-        targets = [i for i in col0 if i != i0]
+            for i, v in col0.items():
+                nv = colj.get(i, 0) - q * v
+                if nv:
+                    colj[i] = nv
+                    rows.setdefault(i, set()).add(j)
+                    if abs(nv) == 1:
+                        push_unit(i, j)
+                elif i in colj:
+                    del colj[i]
+                    rows[i].discard(j)
+            if hist is not None:
+                _sub_multiple(hist[j], hist[j0], q)
+            if not colj:
+                del cols[j]
+        # if remainders survive the pivot stays non-unit; the pivot choice
+        # next round sees the smaller remainder
+        if len(rows[i0]) > 1:
+            continue
+        # row i0 now holds only the pivot, so a row op "row i -= q row i0"
+        # changes column j0 and the right-hand side alone
+        zi0 = z.get(i0, 0) if z else 0
         pending = False
-        for i in targets:
-            b = col0[i]
-            q, r = divmod(b, p)
-            if q:
-                for j in list(rows[i0]):
-                    v0 = cols[j].get(i0, 0)
-                    if not v0:
-                        continue
-                    nv = cols[j].get(i, 0) - q * v0
-                    if nv:
-                        cols[j][i] = nv
-                        rows.setdefault(i, set()).add(j)
-                        if abs(nv) == 1:
-                            push_unit(i, j)
-                    elif i in cols[j]:
-                        del cols[j][i]
-                        rows[i].discard(j)
+        for i in [i for i in col0 if i != i0]:
+            q, r = divmod(col0[i], p)
+            if zi0:
+                nz = z.get(i, 0) - q * zi0
+                if nz:
+                    z[i] = nz
+                else:
+                    z.pop(i, None)
             if r:
+                col0[i] = r
                 pending = True
+                if abs(r) == 1:
+                    push_unit(i, j0)
+            else:
+                del col0[i]
+                rows[i].discard(j0)
         if pending:
             continue
         # pivot row/column clean: retire it
         diag.append(abs(p))
         del cols[j0]
-        rows[i0].discard(j0)
-        for j in list(rows.get(i0, set())):
-            # row i0 should be clean now
-            if cols.get(j, {}).get(i0):
-                raise AssertionError("pivot row not cleared")
-        rows.pop(i0, None)
-        # purge empty columns
-        for j in [j for j, c in cols.items() if not c]:
-            del cols[j]
-
-    # enforce the divisibility chain on the multiset of invariants
-    diag = [d for d in diag if d]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                g = math.gcd(diag[a], diag[b])
-                l = diag[a] * diag[b] // g if g else 0
-                if (g, l) != (diag[a], diag[b]):
-                    diag[a], diag[b] = g, l
-                    changed = True
-    return sorted(diag)
+        del rows[i0]
+        if zi0:
+            q, r = divmod(z.pop(i0), p)
+            if r:
+                return result(diag, False)
+            if hist is not None:
+                _sub_multiple(x, hist[j0], -q)
+        if hist is not None:
+            del hist[j0]
+    return result(diag, None if z is None else not z)
 
 
 @dataclass(frozen=True)
@@ -353,22 +404,40 @@ class HomologyGroup:
         return f"H_{self.k} = " + (" + ".join(parts) if parts else "0")
 
 
-def _components(K: Complex) -> List[int]:
-    """Union-find component label per vertex of the 1-skeleton."""
-    n = K.n_simplices(0)
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> List[int]:
+    """Component label per vertex of the graph on range(n) with edges
+    a[i]-b[i] (integer arrays)."""
+    if n >= 4096:  # sparse graph machinery pays off only at scale
+        graph = sparse.coo_matrix(
+            (np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+        return csgraph.connected_components(graph, directed=False)[1].tolist()
     parent = list(range(n))
 
-    def find(x):
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for (a, b) in K.simplices(1):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for u, v in zip(a.tolist(), b.tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
     return [find(i) for i in range(n)]
+
+
+def _boundary_columns(K: Complex, k: int) -> Dict[int, Dict[int, int]]:
+    """Sparse columns {k-simplex: {(k-1)-face: sign}} of the k-th boundary."""
+    lower = K._index.get(k - 1, {})
+    cols: Dict[int, Dict[int, int]] = {}
+    for j, s in enumerate(K.simplices(k)):
+        col = {}
+        sign = 1
+        for i in range(len(s)):
+            col[lower[s[:i] + s[i + 1:]]] = sign
+            sign = -sign
+        cols[j] = col
+    return cols
 
 
 def homology_group(K: Complex, k: int) -> HomologyGroup:
@@ -381,20 +450,13 @@ def homology_group(K: Complex, k: int) -> HomologyGroup:
 
     nk = K.n_simplices(k)
     if k == 0:
-        labels = _components(K)
-        rank = len(set(labels))
-        result = HomologyGroup(k=0, rank=rank, torsion=())
+        E = np.array(K.simplices(1), dtype=np.int64).reshape(-1, 2)
+        labels = _components(nk, E[:, 0], E[:, 1])
+        result = HomologyGroup(k=0, rank=len(set(labels)), torsion=())
     else:
-        rank_dk = 0
-        if nk:
-            dk = boundary_matrix(K, k)
-            rank_dk = len(_snf_diagonal(dk))
-        if k + 1 <= K.dim and K.n_simplices(k + 1):
-            diag = _snf_diagonal(boundary_matrix(K, k + 1))
-        else:
-            diag = []
-        rank_dk1 = len(diag)
-        rank = (nk - rank_dk) - rank_dk1
+        rank_dk = len(_snf_diagonal_sparse(_boundary_columns(K, k)))
+        diag = _snf_diagonal_sparse(_boundary_columns(K, k + 1))
+        rank = (nk - rank_dk) - len(diag)
         torsion = tuple(d for d in diag if d > 1)
         result = HomologyGroup(k=k, rank=rank, torsion=torsion)
     K.cache[key] = result
@@ -406,37 +468,35 @@ def is_cycle(z: Chain) -> bool:
 
 
 def _solve_zero_cycle(z: Chain) -> Tuple[bool, Optional[Chain]]:
-    """Bounding test for 0-cycles via components and explicit edge paths."""
+    """Bounding test for 0-cycles via a BFS forest and its tree paths."""
     K = z.complex
-    labels = _components(K)
-    totals: Dict[int, int] = {}
-    for i, c in z.coeffs.items():
-        v = K.simplex(0, i)[0]
-        totals[labels[v]] = totals.get(labels[v], 0) + c
-    if any(totals.values()):
-        return False, None
-
-    # BFS forest; witness is a sum of tree paths, one per charged vertex
     n = K.n_simplices(0)
     pred: List[Optional[Tuple[int, int]]] = [None] * n  # vertex -> (parent, edge idx)
-    order: List[int] = []
-    seen = [False] * n
+    root_of = [-1] * n  # the forest's roots label the components
     adj: Dict[int, List[Tuple[int, int]]] = {}
     for e, (a, b) in enumerate(K.simplices(1)):
         adj.setdefault(a, []).append((b, e))
         adj.setdefault(b, []).append((a, e))
     for root in range(n):
-        if seen[root]:
+        if root_of[root] >= 0:
             continue
-        seen[root] = True
+        root_of[root] = root
         stack = [root]
         while stack:
             u = stack.pop()
             for (w, e) in adj.get(u, ()):
-                if not seen[w]:
-                    seen[w] = True
+                if root_of[w] < 0:
+                    root_of[w] = root
                     pred[w] = (u, e)
                     stack.append(w)
+    totals: Dict[int, int] = {}
+    for i, c in z.coeffs.items():
+        r = root_of[K.simplex(0, i)[0]]
+        totals[r] = totals.get(r, 0) + c
+    if any(totals.values()):
+        return False, None
+
+    # witness: a sum of tree paths, one per charged vertex
     coeffs: Dict[int, int] = {}
     for i, c in z.coeffs.items():
         v = K.simplex(0, i)[0]
@@ -455,8 +515,9 @@ def is_null_homologous(z: Chain, K: Optional[Complex] = None
                        ) -> Tuple[bool, Optional[Chain]]:
     """Decide [z] = 0 in H_k(K, Z); on success return x with boundary(x) = z.
 
-    The witness solve goes through the Smith normal form of the next boundary
-    matrix, so the answer is exact over the integers (torsion included).
+    For k >= 1 this is the sparse integer solve of boundary(x) = z over the
+    columns of the next boundary operator, so the answer is exact over the
+    integers (torsion included).
     """
     K = K or z.complex
     if K is not z.complex:
@@ -468,44 +529,8 @@ def is_null_homologous(z: Chain, K: Optional[Complex] = None
         return True, Chain(K, k + 1, {})
     if k == 0:
         return _solve_zero_cycle(z)
-    if k + 1 > K.dim or not K.n_simplices(k + 1):
+    sol = _snf_diagonal_sparse(_boundary_columns(K, k + 1), rhs=z.coeffs,
+                               witness=True)
+    if not sol.solvable:
         return False, None
-
-    key = ("snf_full", k + 1)
-    if key in K.cache:
-        snf = K.cache[key]
-    else:
-        snf = smith_normal_form(boundary_matrix(K, k + 1))
-        K.cache[key] = snf
-
-    m = K.n_simplices(k)
-    n = K.n_simplices(k + 1)
-    # rhs in the transformed basis: w = U z
-    w = [0] * m
-    for i in range(m):
-        Ui = snf.U[i]
-        acc = 0
-        for j, c in z.coeffs.items():
-            acc += Ui[j] * c
-        w[i] = acc
-    r = min(m, n)
-    y = [0] * n
-    for i in range(m):
-        d = snf.D[i][i] if i < r else 0
-        if d:
-            q, rem = divmod(w[i], d)
-            if rem:
-                return False, None
-            y[i] = q
-        elif w[i]:
-            return False, None
-    coeffs: Dict[int, int] = {}
-    for j in range(n):
-        Vr = snf.V[j]
-        acc = 0
-        for i in range(r):
-            if y[i]:
-                acc += Vr[i] * y[i]
-        if acc:
-            coeffs[j] = acc
-    return True, Chain(K, k + 1, coeffs)
+    return True, Chain(K, k + 1, sol.witness)

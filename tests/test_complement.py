@@ -1,14 +1,17 @@
 """Complement models, constraint realization, spanning and competitor checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from spanmin import (ConstraintCycle, FaceSet, InvalidInputError,
-                     PreconditionError, RealizationError, Region,
+from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
+                     PreconditionError, RealizationError, Region, boundary,
                      build_grid_complex, competitor_check,
                      complement_subcomplex, free_collapse_candidates,
-                     is_spanning, realize_constraint, spanning_check)
-from spanmin.complement import ComplementModel
+                     is_null_homologous, is_spanning, realize_constraint,
+                     spanning_check)
+from spanmin.complement import ComplementModel, _realize_raw
 from spanmin.problems import generate_faceset, linking_loops
 
 
@@ -192,6 +195,147 @@ def test_union_find_oracle_agreement():
         v = model.sd.sd_id(0, K.grid.vertex_at((3, 3)))
         separated = not model.same_component(u, v)
         assert status.passed == separated
+
+
+def rectangle_loop(axes, lo, hi, base):
+    """Closed lattice loop around the rectangle lo..hi in the plane of two
+    axes through the lattice point `base`, in unit steps."""
+    a, b = axes
+
+    def at(u, v):
+        p = list(base)
+        p[a], p[b] = u, v
+        return tuple(p)
+
+    return ConstraintCycle(kind="loop", points=tuple(
+        [at(u, lo[1]) for u in range(lo[0], hi[0])]
+        + [at(hi[0], v) for v in range(lo[1], hi[1])]
+        + [at(u, hi[1]) for u in range(hi[0], lo[0], -1)]
+        + [at(lo[0], v) for v in range(hi[1], lo[1], -1)]))
+
+
+def box_loops(box):
+    """Every lattice rectangle loop in every coordinate plane of the box."""
+    n = len(box)
+    loops = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            rest = [ax for ax in range(n) if ax not in (a, b)]
+            bases = itertools.product(*[range(box[ax] + 1) for ax in rest])
+            for fixed in bases:
+                base = [0] * n
+                for ax, c in zip(rest, fixed):
+                    base[ax] = c
+                for x0, x1 in itertools.combinations(range(box[a] + 1), 2):
+                    for y0, y1 in itertools.combinations(range(box[b] + 1), 2):
+                        loops.append(rectangle_loop((a, b), (x0, y0),
+                                                    (x1, y1), base))
+    return loops
+
+
+def lattice_faces(K, corners):
+    """Indices of the simplices of K with the given lattice vertices."""
+    return tuple(K.index(tuple(sorted(K.grid.vertex_at(p) for p in c)))
+                 for c in corners)
+
+
+def tube_corners():
+    """Triangles of the tube [0,3] x [1,2] x [1,2] around the x axis (its
+    four side walls, open at both ends) in the 3^3 grid."""
+    out = []
+    for x in range(3):
+        for fixed_ax, c, free_ax in ((1, 1, 2), (1, 2, 2), (2, 1, 1),
+                                     (2, 2, 1)):
+            def at(dx, t):
+                p = [x + dx, 0, 0]
+                p[fixed_ax], p[free_ax] = c, 1 + t
+                return tuple(p)
+            # the grid splits each square along its main diagonal
+            out.append((at(0, 0), at(1, 0), at(1, 1)))
+            out.append((at(0, 0), at(0, 1), at(1, 1)))
+    return out
+
+
+def meridians(box, xs):
+    """Loops around the x axis: the outlines of the cross-sections at xs."""
+    return [rectangle_loop((1, 2), (0, 0), (box[1], box[2]), (x, 0, 0))
+            for x in xs]
+
+
+DEG1_CASES = {
+    # interior edge in a square: the outer loop goes around it
+    "2d-edge": ((3, 3), 1, [((1, 1), (2, 1))],
+                [rectangle_loop((0, 1), (0, 0), (3, 3), (0, 0))]),
+    # an edge path across the cube from face to face
+    "3d-wire": ((2, 2, 2), 1, [((0, 1, 1), (1, 1, 1)),
+                               ((1, 1, 1), (2, 1, 1))],
+                meridians((2, 2, 2), (0, 1, 2))),
+    # a tube of triangles open at both ends
+    "3d-tube": ((3, 3, 3), 2, tube_corners(), meridians((3, 3, 3), (0, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEG1_CASES))
+def test_deg1_fast_path_matches_full_complex_oracle(case):
+    # the coreduced locked-cell solve against the plain sparse solve on the
+    # whole complement complex, with a witness check on every yes
+    box, d, corners, linked = DEG1_CASES[case]
+    rng = np.random.default_rng(31)
+    K = build_grid_complex(len(box), list(box))
+    base = lattice_faces(K, corners)
+    loops = box_loops(box)
+    verdicts = set()
+    for trial in range(4):
+        extra = rng.choice(K.n_simplices(d), size=trial % 3,
+                           replace=False).tolist()
+        faces = tuple(extra) + (base if trial % 2 == 0 else ())
+        model = complement_subcomplex(K, FaceSet(K, d, faces), max_dim=2)
+        picked = [loops[i] for i in rng.choice(len(loops), size=2,
+                                               replace=False)]
+        for loop in linked + picked:
+            try:
+                _, raw = _realize_raw(loop, model)
+            except RealizationError:
+                continue
+            fast = model._bounds_deg1(raw)
+            chain = realize_constraint(loop, model)
+            null, witness = is_null_homologous(chain)
+            assert fast == null
+            if null:
+                assert boundary(witness) == chain
+            verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+def sphere_cycle(K):
+    """The boundary sphere of a 3D box as a degree-2 `cycle` constraint:
+    the boundary of the sum of all tetrahedra, each oriented by the sign of
+    its determinant."""
+    pts = K.grid.points
+    coeffs = {}
+    for j, s in enumerate(K.simplices(3)):
+        p0 = np.array(pts[s[0]])
+        det = np.linalg.det([np.array(pts[v]) - p0 for v in s[1:]])
+        coeffs[j] = 1 if det > 0 else -1
+    z = boundary(Chain(K, 3, coeffs))
+    return ConstraintCycle(kind="cycle", degree=2, items=tuple(
+        (tuple(pts[v] for v in K.simplex(2, i)), c)
+        for i, c in sorted(z.coeffs.items())))
+
+
+def test_degree2_cycle_constraint_sphere():
+    K = build_grid_complex(3, [3, 3, 3])
+    sphere = sphere_cycle(K)
+    assert len(sphere.items) == 6 * 9 * 2
+    edge = lattice_faces(K, [((1, 1, 1), (2, 1, 1))])
+    [status] = spanning_check(K, FaceSet(K, 1, edge), [sphere])
+    assert status.passed and status.reason == "nontrivial"
+    empty = FaceSet(K, 1, ())
+    [status] = spanning_check(K, empty, [sphere])
+    assert not status.passed and status.reason == "null-homologous"
+    chain = realize_constraint(sphere, complement_subcomplex(K, empty))
+    null, witness = is_null_homologous(chain)
+    assert null and boundary(witness) == chain
 
 
 # -- regions and competitor checks ---------------------------------------------
