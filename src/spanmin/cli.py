@@ -94,10 +94,10 @@ def cmd_homology(args) -> int:
 
 def _constraint_rows(spec: ProblemSpec, K, F):
     constraints = spec.constraint_cycles()
-    statuses = spanning_check(K, F, constraints)
     from .complement import ComplementModel
     degrees = {c.degree for c in constraints}
     model = ComplementModel(K, F, max_dim=(max(degrees) + 1) if degrees else 1)
+    statuses = model.check(constraints)
     ranks = {k: model.homology(k).rank for k in degrees}
     rows = []
     for c, s in zip(constraints, statuses):

@@ -5,7 +5,9 @@ subcomplex of the once-barycentrically-subdivided ambient complex spanned by
 the cells whose closure misses |F|.  Constraint cycles are realized as
 combinatorial chains in that model and tested for null-homology.  Large
 models are shrunk by homotopy-preserving elementary collapses (locking the
-cycle's support) before any normal-form computation.
+cycle's support) before any normal-form computation.  Degree 0 never
+needs the subdivision: components are read off the dual graph of K (top
+simplices joined across (n-1)-faces outside F).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,9 +41,7 @@ class _SdStructure:
     def __init__(self, K: Complex, max_dim: int):
         self.K = K
         self.max_dim = max_dim
-        self.offsets = [0]
-        for k in range(K.dim + 1):
-            self.offsets.append(self.offsets[-1] + K.n_simplices(k))
+        self.offsets = _dual_graph(K).offsets
         self.total = self.offsets[-1]
 
         self.chains: Dict[int, List[Tuple[int, ...]]] = {0: []}
@@ -126,10 +127,82 @@ def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
     return cached
 
 
+class _DualGraph:
+    """Per-complex tables of the complement model: subdivision-id offsets,
+    the dual graph (top simplices of K joined across its interior
+    (n-1)-faces), one top simplex containing each simplex, and the face
+    closure of each d-simplex.
+
+    In a triangulated box the open star of a simplex outside cl F is a
+    connected set that misses |F| and meets every top simplex containing
+    the simplex, and those top simplices are joined through the
+    (n-1)-faces containing it, none of which lies in cl F (Kaczynski,
+    Mischaikow, Mrozek, Computational Homology, 2004).  So the components
+    of the box minus |F| are the components of this graph less its edges
+    across faces of F, and a simplex outside cl F lies in the component
+    of any top simplex containing it.
+    """
+
+    def __init__(self, K: Complex):
+        self.K = K
+        n = K.dim
+        self.offsets = [0]  # subdivision ids: simplices of K, dim by dim
+        for k in range(n + 1):
+            self.offsets.append(self.offsets[-1] + K.n_simplices(k))
+        self.n_top = K.n_simplices(n)
+        face: List[int] = []
+        a: List[int] = []
+        b: List[int] = []
+        for f, tops in enumerate(K.cofacets(n - 1)):
+            for t in tops[1:]:
+                face.append(f)
+                a.append(tops[0])
+                b.append(t)
+        self.face = np.array(face, dtype=np.int64)
+        self.a = np.array(a, dtype=np.int64)
+        self.b = np.array(b, dtype=np.int64)
+        # one top simplex containing each simplex of K, by subdivision id
+        rows = [list(range(self.n_top))]
+        for k in range(n - 1, -1, -1):
+            up = rows[0]
+            row = []
+            for cof in K.cofacets(k):
+                if not cof:
+                    raise PreconditionError(
+                        "complement models need a pure complex")
+                row.append(up[cof[0]])
+            rows.insert(0, row)
+        self.top_of = [t for row in rows for t in row]
+        self._closure: Dict[int, np.ndarray] = {}
+
+    def closure(self, d: int) -> np.ndarray:
+        """Row per d-simplex: the subdivision ids of all its faces."""
+        if d not in self._closure:
+            rows = []
+            for t in self.K.simplices(d):
+                rows.append([self.offsets[r - 1] + self.K._index[r - 1][sub]
+                             for r in range(1, d + 2)
+                             for sub in itertools.combinations(t, r)])
+            self._closure[d] = np.array(rows, dtype=np.int64).reshape(
+                len(rows), 2 ** (d + 1) - 1)
+        return self._closure[d]
+
+
+def _dual_graph(K: Complex) -> _DualGraph:
+    cached = K.cache.get("dual")
+    if cached is None:
+        cached = K.cache["dual"] = _DualGraph(K)
+    return cached
+
+
 # -- the complement model ---------------------------------------------------
 
 class ComplementModel:
-    """Homotopy model of box-minus-|F|, with fast bounding tests."""
+    """Homotopy model of box-minus-|F|, with fast bounding tests.
+
+    Degree 0 is decided on the dual graph of K; the subdivision arrays
+    (`sd`, `bad`, `good`, the kept edges) are built on first use.
+    """
 
     def __init__(self, K: Complex, F: FaceSet, max_dim: int):
         if F.complex is not K:
@@ -137,50 +210,69 @@ class ComplementModel:
         self.K = K
         self.F = F
         self.max_dim = max_dim
-        self.sd = _sd_structure(K, max_dim)
-
-        bad = bytearray(self.sd.total)
-        d = F.dim
-        for f in F.faces:
-            t = K.simplex(d, f)
-            for r in range(1, len(t) + 1):
-                off = self.sd.offsets[r - 1]
-                idx = K._index[r - 1]
-                for sub in itertools.combinations(t, r):
-                    bad[off + idx[sub]] = 1
-        self.bad = bad
-
-        good = np.frombuffer(bytes(bad), dtype=np.uint8) == 0
-        self.good = good
-        self._labels: Optional[List[int]] = None
+        self.dual = _dual_graph(K)
         self._deg1_cache: Optional[Dict] = None
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
 
-        if self.sd.edge_arrays is not None:
-            a, b = self.sd.edge_arrays
-            keep = good[a] & good[b]
-            self.edges_a = a[keep]
-            self.edges_b = b[keep]
-        else:
-            self.edges_a = np.zeros(0, dtype=np.int64)
-            self.edges_b = np.zeros(0, dtype=np.int64)
+    @cached_property
+    def sd(self) -> _SdStructure:
+        return _sd_structure(self.K, self.max_dim)
+
+    @cached_property
+    def bad(self) -> np.ndarray:
+        """True per subdivision id whose simplex lies in cl F."""
+        bad = np.zeros(self.dual.offsets[-1], dtype=bool)
+        if self.F.faces:
+            bad[self.dual.closure(self.F.dim)[list(self.F.faces)]] = True
+        return bad
+
+    @cached_property
+    def good(self) -> np.ndarray:
+        return ~self.bad
+
+    @cached_property
+    def _kept_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self.sd.edge_arrays is None:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        a, b = self.sd.edge_arrays
+        keep = self.good[a] & self.good[b]
+        return a[keep], b[keep]
+
+    @property
+    def edges_a(self) -> np.ndarray:
+        return self._kept_edges[0]
+
+    @property
+    def edges_b(self) -> np.ndarray:
+        return self._kept_edges[1]
 
     # raw ids below are subdivision-vertex ids (simplices of K)
 
     def is_clear(self, k: int, idx: int) -> bool:
         """True if the barycenter cell of the (k, idx) simplex avoids |F|."""
-        return not self.bad[self.sd.sd_id(k, idx)]
+        return not self.bad[self.dual.offsets[k] + idx]
 
-    def _component_labels(self) -> List[int]:
-        if self._labels is None:
-            self._labels = _hom._components(self.sd.total, self.edges_a,
-                                            self.edges_b)
-        return self._labels
+    @cached_property
+    def _top_labels(self) -> List[int]:
+        """Component label per top simplex: the dual graph less its edges
+        across faces of F."""
+        dual, F = self.dual, self.F
+        a, b = dual.a, dual.b
+        if F.dim == self.K.dim - 1 and F.faces:
+            cut = np.zeros(self.K.n_simplices(F.dim), dtype=bool)
+            cut[list(F.faces)] = True
+            keep = ~cut[dual.face]
+            a, b = a[keep], b[keep]
+        return _hom._components(dual.n_top, a, b)
+
+    def _label(self, sdid: int) -> int:
+        """Component label of a subdivision id outside cl F."""
+        return self._top_labels[self.dual.top_of[sdid]]
 
     def same_component(self, u: int, v: int) -> bool:
-        labels = self._component_labels()
-        return labels[u] == labels[v]
+        return self._label(u) == self._label(v)
 
     # -- full Complex view (lazy) -------------------------------------------
 
@@ -221,10 +313,10 @@ class ComplementModel:
 
     def _bounds_deg0(self, coeffs: Dict[int, int]) -> bool:
         """True iff the 0-cycle {raw vertex id: coeff} bounds in the model."""
-        labels = self._component_labels()
         totals: Dict[int, int] = {}
         for v, c in coeffs.items():
-            totals[labels[v]] = totals.get(labels[v], 0) + c
+            label = self._label(v)
+            totals[label] = totals.get(label, 0) + c
         return not any(totals.values())
 
     def _bounds_deg1(self, coeffs: Dict[Tuple[int, int], int]) -> bool:
@@ -343,11 +435,11 @@ class ComplementModel:
         for v, c in ccnt_v.items():
             if c == 1:
                 queue.append(("V", v))
-        labels = self._component_labels()
         seen = set()
         for v in t["verts"]:
-            if labels[v] not in seen:
-                seen.add(labels[v])
+            label = self._label(v)
+            if label not in seen:
+                seen.add(label)
                 drop_vertex(v)
 
         while queue:
@@ -410,12 +502,37 @@ class ComplementModel:
                 cols2[j] = col
         return cols1, cols2, e_pos
 
+    def check(self, constraints: Sequence[ConstraintCycle]
+              ) -> List[ConstraintStatus]:
+        """Per-constraint spanning verdicts in this model."""
+        out: List[ConstraintStatus] = []
+        for i, c in enumerate(constraints):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    dim, raw = _realize_raw(c, self)
+            except RealizationError:
+                out.append(ConstraintStatus(i, False, "contact"))
+                continue
+            if not raw:
+                out.append(ConstraintStatus(i, False, "degenerate"))
+                continue
+            if dim == 0:
+                null = self._bounds_deg0(raw)
+            elif dim == 1:
+                null = self._bounds_deg1(raw)
+            else:
+                chain = realize_constraint(c, self)
+                null, _ = _hom.is_null_homologous(chain)
+            out.append(ConstraintStatus(
+                i, not null, "nontrivial" if not null else "null-homologous"))
+        return out
+
     def homology(self, k: int) -> _hom.HomologyGroup:
         """H_k of the model; degree one goes through the coreduction core."""
-        if k == 0:
-            labels = self._component_labels()
-            comps = {labels[i] for i in range(self.sd.total) if self.good[i]}
-            return _hom.HomologyGroup(k=0, rank=len(comps), torsion=())
+        if k == 0:  # no top simplex lies in cl F
+            rank = len(set(self._top_labels))
+            return _hom.HomologyGroup(k=0, rank=rank, torsion=())
         if k == 1 and self.max_dim >= 2:
             cols1, cols2, e_pos = self._core()
             rank1 = len(_hom._snf_diagonal_sparse(cols1))
@@ -481,6 +598,20 @@ def _lattice_vertex(K: Complex, p: Sequence[int]) -> int:
         raise RealizationError(str(exc)) from exc
 
 
+def support_vertices(K: Complex,
+                     constraints: Sequence[ConstraintCycle]) -> set:
+    """Vertices of K on the constraints' cycles.  A face set with one of
+    them in its closure puts that constraint in contact."""
+    out = set()
+    for c in constraints:
+        for p in c.points + tuple(q for pts, _ in c.items for q in pts):
+            try:
+                out.add(_lattice_vertex(K, p))
+            except RealizationError:
+                pass  # such a constraint fails for every face set alike
+    return out
+
+
 def _perm_sign(perm: Sequence[int]) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -508,7 +639,7 @@ def _subdivide_simplex(model: ComplementModel, verts: Tuple[int, ...],
     K = model.K
     k = len(verts) - 1
     index = K._index
-    offsets = model.sd.offsets
+    offsets = model.dual.offsets
     for perm in itertools.permutations(range(k + 1)):
         sgn = _perm_sign(perm)
         chain_ids = []
@@ -532,11 +663,10 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
     if spec.kind == "point-pair":
         ids = []
         for p in spec.points:
-            v = _lattice_vertex(K, p)
-            sdid = model.sd.sd_id(0, v)
-            if model.bad[sdid]:
+            v = _lattice_vertex(K, p)  # a vertex's subdivision id is v
+            if not model.is_clear(0, v):
                 raise RealizationError(f"point {p} lies on the removed set")
-            ids.append(sdid)
+            ids.append(v)
         if ids[0] == ids[1]:
             warnings.warn("degenerate point pair (identical points)")
             return 0, {}
@@ -615,29 +745,7 @@ def spanning_check(K: Complex, F: FaceSet,
     if max_dim is None:
         degs = [c.degree for c in constraints] or [0]
         max_dim = max(degs) + 1
-    model = ComplementModel(K, F, max_dim)
-    out: List[ConstraintStatus] = []
-    for i, c in enumerate(constraints):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dim, raw = _realize_raw(c, model)
-        except RealizationError:
-            out.append(ConstraintStatus(i, False, "contact"))
-            continue
-        if not raw:
-            out.append(ConstraintStatus(i, False, "degenerate"))
-            continue
-        if dim == 0:
-            null = model._bounds_deg0(raw)
-        elif dim == 1:
-            null = model._bounds_deg1(raw)
-        else:
-            chain = realize_constraint(c, model)
-            null, _ = _hom.is_null_homologous(chain)
-        out.append(ConstraintStatus(i, not null,
-                                    "nontrivial" if not null else "null-homologous"))
-    return out
+    return ComplementModel(K, F, max_dim).check(constraints)
 
 
 def is_spanning(K: Complex, F: FaceSet,

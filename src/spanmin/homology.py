@@ -412,18 +412,19 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> List[int]:
             (np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
         return csgraph.connected_components(graph, directed=False)[1].tolist()
     parent = list(range(n))
-
-    def find(x: int) -> int:
+    for u, v in zip(a.tolist(), b.tolist()):  # finds inlined: path halving
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+    labels = []
+    for x in range(n):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in zip(a.tolist(), b.tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return [find(i) for i in range(n)]
+            parent[x] = x = parent[parent[x]]
+        labels.append(x)
+    return labels
 
 
 def _boundary_columns(K: Complex, k: int) -> Dict[int, Dict[int, int]]:

@@ -9,8 +9,8 @@ in R^4.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .complexes import Complex, FaceSet
-from .complement import ConstraintCycle, Region, is_spanning
+from .complement import (ConstraintCycle, Region, is_spanning,
+                         support_vertices)
 from .errors import (InfeasibleError, InvalidInputError, PoolTooLargeError,
                      PreconditionError)
 from . import grassmann
@@ -106,15 +107,25 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
 
     Subsets are popped from a heap in (cost, lexicographic face tuple) order;
     the first feasible subset is the global optimum with deterministic ties.
+    The search runs over P0, the pool faces that share no vertex with a
+    constraint's cycle: any other face puts that cycle in contact, so it is
+    in no feasible set.  Adding faces only shrinks the complement, so when
+    P0 itself does not span, no subset does; that one check (not counted
+    in `evaluations`) then raises InfeasibleError.
     """
-    pool = list(candidate_pool.faces)
-    if len(pool) > EXHAUSTIVE_POOL_CAP:
+    if len(candidate_pool.faces) > EXHAUSTIVE_POOL_CAP:
         raise PoolTooLargeError(
-            f"pool of {len(pool)} faces exceeds the cap of "
+            f"pool of {len(candidate_pool.faces)} faces exceeds the cap of "
             f"{EXHAUSTIVE_POOL_CAP}; use minimize_local")
-    vols = _face_volumes(K, candidate_pool.dim)
-    costs = [float(weight.at(f) * vols[f]) for f in pool]
     d = candidate_pool.dim
+    touched = support_vertices(K, constraints)
+    pool = [f for f in candidate_pool.faces
+            if touched.isdisjoint(K.simplex(d, f))]
+    if not is_spanning(K, FaceSet(K, d, tuple(pool)), constraints):
+        raise InfeasibleError(
+            "no subset of the candidate pool satisfies the constraints")
+    vols = _face_volumes(K, d)
+    costs = [float(weight.at(f) * vols[f]) for f in pool]
 
     heap: List[Tuple[float, Tuple[int, ...], int]] = [(0.0, (), -1)]
     evaluations = 0
@@ -132,27 +143,69 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     raise InfeasibleError("no subset of the candidate pool satisfies the constraints")
 
 
-def _exchange_moves(current: Tuple[int, ...], pool: Sequence[int],
-                    costs: Dict[int, float]) -> List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]]:
-    """All measure-non-increasing exchanges with at most two faces each way.
+class _Moves:
+    """Improving exchanges in (delta, removed, added) order.
 
-    Returns (delta, removed, added) sorted by (delta, removed, added) so the
-    descent is deterministic.
+    Held as index arrays into the removal and addition combinations; a
+    move's face tuples are built only when it is read.
+    """
+
+    def __init__(self, delta: np.ndarray, rem: np.ndarray, add: np.ndarray):
+        self.delta, self.rem, self.add = delta, rem, add
+
+    def __len__(self) -> int:
+        return len(self.delta)
+
+    def __getitem__(self, i: int
+                    ) -> Tuple[float, Tuple[int, ...], Tuple[int, ...]]:
+        return (float(self.delta[i]), _unpad(self.rem[i]),
+                _unpad(self.add[i]))
+
+
+def _unpad(row: np.ndarray) -> Tuple[int, ...]:
+    return tuple(f for f in row.tolist() if f >= 0)
+
+
+@functools.lru_cache(maxsize=128)
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j in itertools.combinations order (read-only)."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _combos(faces: Sequence[int], costs: Dict[int, float],
+            empty: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Subsets of one or two faces in combination order, after the empty
+    one if asked: rows (f, -1) / (f, g) and their cost sums c1 + c2."""
+    f = np.array(faces, dtype=np.int64)
+    c = np.array([costs[x] for x in faces], dtype=float)
+    i, j = _pairs(len(f))
+    head = np.full(int(empty), -1, dtype=np.int64)
+    first = np.concatenate((head, f, f[i]))
+    second = np.concatenate((head, np.full(len(f), -1), f[j]))
+    sums = np.concatenate((np.zeros(int(empty)), c, c[i] + c[j]))
+    return np.stack((first, second), axis=1), sums
+
+
+def _exchange_moves(current: Tuple[int, ...], pool: Sequence[int],
+                    costs: Dict[int, float]) -> _Moves:
+    """All strictly improving exchanges with at most two faces each way.
+
+    Ordered by (delta, removed, added) so the descent is deterministic;
+    rows are padded with -1, which keeps tuple order since (a,) < (a, b).
     """
     cur = set(current)
-    outside = [f for f in pool if f not in cur]
-    moves = []
-    for r in range(1, 3):
-        for rem in itertools.combinations(sorted(cur), r):
-            dec = sum(costs[f] for f in rem)
-            moves.append((-dec, rem, ()))
-            for a in range(1, 3):
-                for add in itertools.combinations(outside, a):
-                    delta = sum(costs[f] for f in add) - dec
-                    if delta <= 1e-12:
-                        moves.append((delta, rem, add))
-    moves.sort()
-    return moves
+    rem, rem_sum = _combos(sorted(cur), costs, empty=False)
+    add, add_sum = _combos([f for f in pool if f not in cur], costs,
+                           empty=True)
+    delta = add_sum[None, :] - rem_sum[:, None]
+    ri, ai = np.nonzero(delta < -1e-12)
+    delta = delta[ri, ai]
+    order = np.lexsort((add[ai, 1], add[ai, 0], rem[ri, 1], rem[ri, 0],
+                        delta))
+    return _Moves(delta[order], rem[ri[order]], add[ai[order]])
 
 
 def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
@@ -209,16 +262,18 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
         nonlocal evaluations
         while evaluations < budget:
             moves = _exchange_moves(state, pool_faces, costs)
-            moves = [m for m in moves if m[0] < -1e-12]
-            if len(moves) > max_candidates:
-                head = moves[:max_candidates // 2]
-                tail = rng.sample(moves[max_candidates // 2:],
+            # index lists: sample and shuffle draw by length alone
+            order = list(range(len(moves)))
+            if len(order) > max_candidates:
+                head = order[:max_candidates // 2]
+                tail = rng.sample(order[max_candidates // 2:],
                                   max_candidates - len(head))
-                moves = sorted(head + tail)
+                order = sorted(head + tail)
             if shuffled:
-                rng.shuffle(moves)
+                rng.shuffle(order)
             progressed = False
-            for delta, rem, add in moves:
+            for i in order:
+                delta, rem, add = moves[i]
                 if region is not None and not all(
                         region.contains_face(K, d, f) for f in rem + add):
                     continue

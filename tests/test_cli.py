@@ -154,3 +154,37 @@ def test_seed_override_in_report(problem_file, capsys):
                                     problem_file(SEPARATION), "--seed", "42"])
     assert code == 0
     assert "seed: 42" in out
+
+
+LINKED_PLANES = """\
+n 4
+d 2
+box 2 2 2 2
+init generator two-planes-orthogonal
+constraint loop 0 0 0 0 ; 0 0 1 0 ; 0 0 2 0 ; 0 0 2 1 ; 0 0 2 2 ; 0 0 1 2 ; 0 0 0 2 ; 0 0 0 1
+constraint loop 0 0 0 0 ; 1 0 0 0 ; 2 0 0 0 ; 2 1 0 0 ; 2 2 0 0 ; 1 2 0 0 ; 0 2 0 0 ; 0 1 0 0
+constraint point-pair 0 0 0 0 ; 2 2 2 2
+"""
+
+
+def test_export_csv_from_one_model(problem_file, tmp_path, capsys,
+                                   monkeypatch):
+    from spanmin.complement import ComplementModel
+    built = []
+    init = ComplementModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComplementModel, "__init__", counted)
+    csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, ["export", "--input",
+                                  problem_file(LINKED_PLANES),
+                                  "--csv-out", str(csv)])
+    assert code == 0 and len(built) == 1
+    assert csv.read_text() == (
+        "index,kind,degree,verdict,reason,homology_rank\n"
+        "0,loop,1,pass,nontrivial,2\n"
+        "1,loop,1,pass,nontrivial,2\n"
+        "2,point-pair,0,fail,null-homologous,1\n")

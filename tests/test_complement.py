@@ -418,3 +418,86 @@ def test_collapse_candidates_respect_region():
     R = Region(lo=(1, 0), hi=(2, 0))
     moves = free_collapse_candidates(F, region=R)
     assert all(f == faces[1] for f, _ in moves)
+
+
+# -- degree 0 on the dual graph against the subdivision ------------------------
+
+def subdivision_oracle(K, F):
+    """(good mask, component label per subdivision id) from a union-find
+    over the whole subdivision graph, outside cl F."""
+    from spanmin.complement import _sd_structure
+    from spanmin.homology import _components
+    sd = _sd_structure(K, 1)
+    good = np.ones(sd.total, dtype=bool)
+    for f in F.faces:
+        t = K.simplex(F.dim, f)
+        for r in range(1, len(t) + 1):
+            for sub in itertools.combinations(t, r):
+                good[sd.sd_id(r - 1, K.index(sub))] = False
+    a, b = sd.edge_arrays
+    keep = good[a] & good[b]
+    return good, _components(sd.total, a[keep], b[keep])
+
+
+DEG0_CASES = [((3, 3), 1, 9), ((3, 3), 0, 4), ((2, 2, 2), 2, 30),
+              ((2, 2, 2), 1, 12), ((2, 2, 1, 1), 3, 60), ((2, 2, 1, 1), 2, 40)]
+
+
+@pytest.mark.parametrize("box,d,size", DEG0_CASES)
+def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
+    rng = np.random.default_rng(sum(box) * 10 + d)
+    K = build_grid_complex(len(box), list(box))
+    points = list(K.grid.points)
+    seen_verdicts = set()
+    for trial in range(6):
+        n_faces = int(rng.integers(0, size + 1)) if trial else 0
+        faces = rng.choice(K.n_simplices(d), size=n_faces, replace=False)
+        faces = tuple(faces.tolist())
+        if trial == 1 and d == len(box) - 1:  # the wall x0 = 1
+            faces = tuple(i for i, s in enumerate(K.simplices(d))
+                           if all(points[v][0] == 1 for v in s))
+        F = FaceSet(K, d, faces)
+        good, oracle = subdivision_oracle(K, F)
+        model = complement_subcomplex(K, F, max_dim=1)
+        # the same partition of the subdivision vertices outside cl F
+        assert np.array_equal(model.good, good)
+        ids = np.flatnonzero(good).tolist()
+        pairs = {(oracle[u], model._label(u)) for u in ids}
+        n_comp = len({oracle[u] for u in ids})
+        assert len(pairs) == n_comp == len({model._label(u) for u in ids})
+        assert model.homology(0).rank == n_comp
+        # point pairs: boundary points, contact points, degenerate pairs
+        on_f = sorted({v for f in F.faces for v in K.simplex(d, f)})
+        picks = [tuple(rng.choice(len(points), size=2).tolist())
+                 for _ in range(12)]
+        picks += [(v, int(rng.integers(len(points)))) for v in on_f[:3]]
+        picks += [(0, len(points) - 1), (5, 5)]
+        cons = [ConstraintCycle(kind="point-pair",
+                                points=(points[u], points[v]))
+                for u, v in picks]
+        statuses = spanning_check(K, F, cons)
+        for (u, v), st in zip(picks, statuses):
+            if not (good[u] and good[v]):
+                want = "contact"
+            elif u == v:
+                want = "degenerate"
+            elif oracle[u] == oracle[v]:
+                want = "null-homologous"
+            else:
+                want = "nontrivial"
+            assert st.reason == want
+            assert st.passed == (want == "nontrivial")
+            seen_verdicts.add(want)
+    assert {"contact", "degenerate", "null-homologous"} <= seen_verdicts
+    if d == len(box) - 1:
+        assert "nontrivial" in seen_verdicts
+
+
+def test_point_pair_check_builds_no_subdivision():
+    K = build_grid_complex(2, [4, 4])
+    F = generate_faceset("separating-row", K, 1)
+    cons = [ConstraintCycle(kind="point-pair", points=((2, 0), (2, 4))),
+            ConstraintCycle(kind="point-pair", points=((0, 0), (4, 1)))]
+    assert [s.passed for s in spanning_check(K, F, cons)] == [True, False]
+    assert is_spanning(K, F, cons[:1])
+    assert "dual" in K.cache and "sd" not in K.cache

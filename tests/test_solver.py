@@ -248,3 +248,41 @@ def test_plane_region_validation():
         PlaneRegion("box", (0, 0, 1))
     disk = PlaneRegion("disk", (0.0, 0.0, 2.0))
     assert disk.bbox() == (-2.0, -2.0, 2.0, 2.0)
+
+
+def test_exhaustive_infeasible_pool_decided_by_one_check(monkeypatch):
+    # 30 edges below the row y = 3 that joins the two points: no subset
+    # separates them, and 2^30 subsets are never enumerated
+    import spanmin.solver as solver
+    K = build_grid_complex(2, [6, 6])
+    cons = [ConstraintCycle(kind="point-pair", points=((0, 3), (6, 3)))]
+    pts = K.grid.points
+    low = [i for i, s in enumerate(K.simplices(1))
+           if all(pts[v][1] <= 2 for v in s)]
+    pool = FaceSet(K, 1, low[:30])
+    calls = []
+    real = solver.is_spanning
+
+    def counted(K, F, constraints):
+        calls.append(F.faces)
+        return real(K, F, constraints)
+
+    monkeypatch.setattr(solver, "is_spanning", counted)
+    with pytest.raises(InfeasibleError):
+        minimize_exhaustive(K, cons, WeightField.uniform(1.0), pool)
+    assert calls == [pool.faces]
+
+
+def test_exhaustive_skips_faces_touching_a_constraint():
+    # pool edges at a constrained point never enter the search; the optimum
+    # and the heap pops over the remaining pool are unchanged
+    K, cons = separation_instance()
+    near = FaceSet(K, 1, [i for i, s in enumerate(K.simplices(1))
+                          if K.grid.vertex_at((1, 0)) in s])
+    row = generate_faceset("separating-row", K, 1)
+    alone = minimize_exhaustive(K, cons, WeightField.uniform(1.0), row)
+    mixed = minimize_exhaustive(K, cons, WeightField.uniform(1.0),
+                                row.union(near.faces))
+    assert mixed.faces.faces == alone.faces.faces == row.faces
+    assert mixed.objective == alone.objective == 2.0
+    assert mixed.evaluations == alone.evaluations
