@@ -52,10 +52,6 @@ def _load_spec(args) -> ProblemSpec:
         updates["seed"] = args.seed
     if args.budget is not None:
         updates["budget"] = args.budget
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.raster is not None:
-        updates["raster"] = args.raster
     if updates:
         from dataclasses import replace
         spec = replace(spec, **updates)
@@ -255,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", help="problem file")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--raster", type=int, default=None)
     common.add_argument("--exhaustive", action="store_true",
                         help="force the exhaustive solver")
     common.add_argument("--mesh-out", default=None)

@@ -1,13 +1,18 @@
 """Complement models and homological spanning / competitor checks.
 
-The complement of a face set F inside the box is modeled by the full
-subcomplex of the once-barycentrically-subdivided ambient complex spanned by
-the cells whose closure misses |F|.  Constraint cycles are realized as
-combinatorial chains in that model and tested for null-homology.  Large
-models are shrunk by homotopy-preserving elementary collapses (locking the
-cycle's support) before any normal-form computation.  Degree 0 never
-needs the subdivision: components are read off the dual graph of K (top
-simplices joined across (n-1)-faces outside F).
+Questions about the complement of a face set F inside the box B = |K| are
+decided on the simplices of K itself.  Lefschetz duality gives
+H_k(B - |F|) = H^{n-k}(K, cl F u dK) (Hatcher, Algebraic Topology, 3.3;
+Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004): the relative
+cochains are the simplices outside cl F u dK, and their coboundaries are
+K's boundary columns transposed.  Degree 0 is the dual graph of K (top
+simplices joined across (n-1)-faces outside F).  A degree-1 cycle is pushed
+onto a closed path in that graph, whose signed crossings form a relative
+(n-1)-cocycle, and it bounds exactly when that cocycle is a coboundary.
+
+The full subcomplex of the barycentric subdivision on the simplices outside
+cl F is a homotopy model of the same complement.  It is built only for the
+public `complex` view and for constraint cycles of degree 2 and above.
 """
 
 from __future__ import annotations
@@ -130,8 +135,9 @@ def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
 class _DualGraph:
     """Per-complex tables of the complement model: subdivision-id offsets,
     the dual graph (top simplices of K joined across its interior
-    (n-1)-faces), one top simplex containing each simplex, and the face
-    closure of each d-simplex.
+    (n-1)-faces), one top simplex containing each simplex, the face
+    closure of each d-simplex and, built on first use, the dK mask and the
+    signed facet crossings of the top simplices.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -187,6 +193,71 @@ class _DualGraph:
                 len(rows), 2 ** (d + 1) - 1)
         return self._closure[d]
 
+    @cached_property
+    def on_boundary(self) -> np.ndarray:
+        """True per subdivision id whose simplex lies in dK: the faces of
+        the (n-1)-simplices with a single coface."""
+        n = self.K.dim
+        outer = [f for f, tops in enumerate(self.K.cofacets(n - 1))
+                 if len(tops) == 1]
+        mask = np.zeros(self.offsets[-1], dtype=bool)
+        if outer:
+            mask[self.closure(n - 1)[outer]] = True
+        return mask
+
+    @cached_property
+    def crossings(self) -> List[List[Tuple[int, int, int]]]:
+        """Per top simplex t and vertex slot i: the facet f opposite vertex
+        i, the top across f (-1 on dK) and the sign -[t:f] eps_t of a
+        crossing out of t through f.
+
+        eps_t, the sign of t's determinant, orients t.  The two tops on a
+        face induce opposite orientations on it, so the signed crossings of
+        a dual path from t0 to t1 sum to an (n-1)-cochain z with
+        delta(z) = eps_t1 t1* - eps_t0 t0*; along a closed path z is a
+        cocycle.
+        """
+        K, n = self.K, self.K.dim
+        T = np.array(K.simplices(n), dtype=np.int64)
+        X = K.coords_float()
+        eps = np.sign(np.linalg.det(X[T[:, 1:]] - X[T[:, :1]]))
+        index, cof = K._index[n - 1], K.cofacets(n - 1)
+        out = []
+        for t, (verts, e) in enumerate(zip(K.simplices(n), eps.tolist())):
+            row = []
+            for i in range(n + 1):
+                f = index[verts[:i] + verts[i + 1:]]
+                across = next((u for u in cof[f] if u != t), -1)
+                row.append((f, across, int(e) * (-1) ** (i + 1)))
+            out.append(row)
+        return out
+
+    def star_path(self, sdid: int, t0: int, t1: int
+                  ) -> List[Tuple[int, int]]:
+        """Signed crossings (facet, sign) of a dual-graph path from top t0
+        to top t1, both containing the simplex behind `sdid`, that stays
+        among the tops containing it (breadth first)."""
+        k = bisect.bisect_right(self.offsets, sdid) - 1
+        inside = set(self.K.simplex(k, sdid - self.offsets[k]))
+        tops = self.K.simplices(self.K.dim)
+        prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
+        queue = deque([t0])
+        while t1 not in prev:
+            t = queue.popleft()
+            for v, (f, u, s) in zip(tops[t], self.crossings[t]):
+                # the facet opposite v contains the simplex iff v is not
+                # one of its vertices
+                if u >= 0 and v not in inside and u not in prev:
+                    prev[u] = (t, f, s)
+                    queue.append(u)
+        path = []
+        step = prev[t1]
+        while step is not None:
+            t, f, s = step
+            path.append((f, s))
+            step = prev[t]
+        return path
+
 
 def _dual_graph(K: Complex) -> _DualGraph:
     cached = K.cache.get("dual")
@@ -198,10 +269,11 @@ def _dual_graph(K: Complex) -> _DualGraph:
 # -- the complement model ---------------------------------------------------
 
 class ComplementModel:
-    """Homotopy model of box-minus-|F|, with fast bounding tests.
+    """The complement of |F| in the box of K, with fast bounding tests.
 
-    Degree 0 is decided on the dual graph of K; the subdivision arrays
-    (`sd`, `bad`, `good`, the kept edges) are built on first use.
+    Degrees 0 and 1 and all homology are decided on K's dual graph and
+    relative cochains; the subdivision arrays (`sd`, `good`, the kept
+    edges) are built on first use.
     """
 
     def __init__(self, K: Complex, F: FaceSet, max_dim: int):
@@ -211,7 +283,7 @@ class ComplementModel:
         self.F = F
         self.max_dim = max_dim
         self.dual = _dual_graph(K)
-        self._deg1_cache: Optional[Dict] = None
+        self._deltas: Dict[int, Dict[int, Dict[int, int]]] = {}
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
 
@@ -322,185 +394,47 @@ class ComplementModel:
     def _bounds_deg1(self, coeffs: Dict[Tuple[int, int], int]) -> bool:
         """Bounding test for 1-cycles given as {(a,b) raw edge: coeff}.
 
-        The cycle z is attached as a 2-cell that the coreduction keeps
-        locked: it is never paired, and its edges are never free.  Every
-        step is then also valid for the model without the cell, so one pass
-        gives the core C of the model and the cell's restriction z' to C.
-        H_1 of the model is H_1(C), and killing [z] there gives
-        H_1(C) / [z']; finitely generated abelian groups are Hopfian, so z
-        bounds in the model exactly when z' bounds in C.  One sparse
-        integer solve of the core's boundary against z' decides it.
+        The cycle is pushed onto the dual graph: a subdivision vertex a goes
+        to the top simplex top_of[a], and an edge a < b to a path between
+        the tops of a and b through the open star of a, which is
+        contractible and misses |F|.  The crossings of those paths, signed
+        by `_DualGraph.crossings`, form a relative (n-1)-cocycle z of
+        (K, cl F u dK), and the cycle bounds in the complement exactly when
+        z = delta(y) for a relative (n-2)-cochain y: one sparse integer
+        solve over the columns of delta_{n-2}.
         """
-        edge_idx = self._deg1_tables()["edge_idx"]
-        lock: Dict[int, int] = {}
-        for e, c in coeffs.items():
-            if e not in edge_idx:
-                raise RealizationError(f"cycle edge {e} not in the complement")
-            lock[edge_idx[e]] = c
-        _, cols2, edge_pos = self._core(lock)
-        rhs = {edge_pos[e]: c for e, c in lock.items() if e in edge_pos}
-        return _hom._snf_diagonal_sparse(cols2, rhs=rhs).solvable
+        dual = self.dual
+        top_of = dual.top_of
+        z: Dict[int, int] = {}
+        for (a, b), c in coeffs.items():
+            for f, s in dual.star_path(a, top_of[a], top_of[b]):
+                z[f] = z.get(f, 0) + s * c
+        return _hom._snf_diagonal_sparse(self._delta(self.K.dim - 2),
+                                         rhs=z).solvable
 
-    def _deg1_tables(self) -> Dict:
-        """Static incidence tables of the kept 2-skeleton (built once)."""
-        if self._deg1_cache is not None:
-            return self._deg1_cache
-        good = self.good
-        edges: List[Tuple[int, int]] = list(zip(self.edges_a.tolist(),
-                                                self.edges_b.tolist()))
-        edge_idx = {e: i for i, e in enumerate(edges)}
-        vert_edges: Dict[int, List[int]] = {}
-        for i, (a, b) in enumerate(edges):
-            vert_edges.setdefault(a, []).append(i)
-            vert_edges.setdefault(b, []).append(i)
-        tri_bnd: List[Tuple[int, int, int]] = []  # edge ids of (bc, ac, ab)
-        edge_tris: Dict[int, List[int]] = {}
-        for (a, b, c) in self.sd.chains.get(2, ()):
-            if good[a] and good[b] and good[c]:
-                t = len(tri_bnd)
-                e_bc, e_ac, e_ab = edge_idx[(b, c)], edge_idx[(a, c)], edge_idx[(a, b)]
-                tri_bnd.append((e_bc, e_ac, e_ab))
-                for e in (e_bc, e_ac, e_ab):
-                    edge_tris.setdefault(e, []).append(t)
-        self._deg1_cache = {
-            "edges": edges, "edge_idx": edge_idx, "vert_edges": vert_edges,
-            "tri_bnd": tri_bnd, "edge_tris": edge_tris,
-            "verts": [v for v in vert_edges]}
-        return self._deg1_cache
+    @cached_property
+    def _outside(self) -> List[bool]:
+        """True per subdivision id whose simplex lies outside cl F u dK,
+        i.e. carries a relative cochain of (K, cl F u dK)."""
+        return (~(self.bad | self.dual.on_boundary)).tolist()
 
-    def _core(self, lock: Optional[Dict[int, int]] = None):
-        """Coreduced 2-skeleton of the model: (boundary-1 columns,
-        boundary-2 columns, {edge id: core row of boundary 2}).
-
-        Coreduction: repeatedly delete a cell pair (a, b) where a is the only
-        remaining boundary cell of b with unit coefficient; this preserves
-        homology in degrees >= 1.  Collapses delete a free face with its
-        only coface.  One vertex per component is deleted to seed the
-        cascade (this only touches degree 0).  The edges of `lock`, a locked
-        2-cell {edge id: coeff}, count it as a coface, so they are never
-        free; the cell itself is never paired and gets no column.
-        """
-        t = self._deg1_tables()
-        edges, tri_bnd = t["edges"], t["tri_bnd"]
-        vert_edges, edge_tris = t["vert_edges"], t["edge_tris"]
-        ne, nt = len(edges), len(tri_bnd)
-
-        rm_v: Dict[int, bool] = {}
-        rm_e = bytearray(ne)
-        rm_t = bytearray(nt)
-        bcnt_e = [2] * ne
-        bcnt_t = [3] * nt
-        ccnt_v = {v: len(es) for v, es in vert_edges.items()}
-        ccnt_e = [len(edge_tris.get(e, ())) for e in range(ne)]
-        for e in lock or ():
-            ccnt_e[e] += 1
-
-        queue: deque = deque()
-
-        def drop_vertex(v: int) -> None:
-            rm_v[v] = True
-            for e in vert_edges.get(v, ()):
-                if not rm_e[e]:
-                    bcnt_e[e] -= 1
-                    if bcnt_e[e] == 1:
-                        queue.append(("e", e))
-
-        def drop_edge(e: int) -> None:
-            rm_e[e] = 1
-            for ti in edge_tris.get(e, ()):
-                if not rm_t[ti]:
-                    bcnt_t[ti] -= 1
-                    if bcnt_t[ti] == 1:
-                        queue.append(("t", ti))
-            for v in edges[e]:
-                if not rm_v.get(v):
-                    ccnt_v[v] -= 1
-                    if ccnt_v[v] == 1:
-                        queue.append(("V", v))
-
-        def drop_tri(ti: int) -> None:
-            rm_t[ti] = 1
-            for e in tri_bnd[ti]:
-                if not rm_e[e]:
-                    ccnt_e[e] -= 1
-                    if ccnt_e[e] == 1:
-                        queue.append(("E", e))
-
-        # seed the collapse cascade with already-free faces, then delete one
-        # vertex per component of the kept 1-skeleton (degree-0 bookkeeping
-        # only) to start the coreduction cascade
-        for e in range(ne):
-            if ccnt_e[e] == 1:
-                queue.append(("E", e))
-        for v, c in ccnt_v.items():
-            if c == 1:
-                queue.append(("V", v))
-        seen = set()
-        for v in t["verts"]:
-            label = self._label(v)
-            if label not in seen:
-                seen.add(label)
-                drop_vertex(v)
-
-        while queue:
-            kind, i = queue.popleft()
-            if kind == "e":  # coreduction pair (vertex, edge)
-                if rm_e[i] or bcnt_e[i] != 1:
-                    continue
-                a, b = edges[i]
-                v = a if not rm_v.get(a) else b
-                drop_edge(i)
-                drop_vertex(v)
-            elif kind == "t":  # coreduction pair (edge, triangle)
-                if rm_t[i] or bcnt_t[i] != 1:
-                    continue
-                e = next(e for e in tri_bnd[i] if not rm_e[e])
-                drop_tri(i)
-                drop_edge(e)
-            elif kind == "V":  # collapse pair (vertex, edge)
-                if rm_v.get(i) or ccnt_v.get(i, 0) != 1:
-                    continue
-                e = next(e for e in vert_edges[i] if not rm_e[e])
-                drop_vertex(i)
-                drop_edge(e)
-            else:  # "E": collapse pair (edge, triangle)
-                if rm_e[i] or ccnt_e[i] != 1:
-                    continue
-                ti = next((tt for tt in edge_tris.get(i, ())
-                           if not rm_t[tt]), None)
-                if ti is not None:  # else the only coface is the locked cell
-                    drop_edge(i)
-                    drop_tri(ti)
-
-        # boundaries of the surviving core, restricted to surviving cells
-        core_v = {v: i for i, v in enumerate(
-            w for w in t["verts"] if not rm_v.get(w))}
-        core_e = [i for i in range(ne) if not rm_e[i]]
-        e_pos = {e: i for i, e in enumerate(core_e)}
-        core_t = [ti for ti in range(nt)
-                  if not rm_t[ti] and bcnt_t[ti] > 0]
-
-        cols1: Dict[int, Dict[int, int]] = {}
-        for j, e in enumerate(core_e):
-            a, b = edges[e]
-            col: Dict[int, int] = {}
-            if a in core_v:
-                col[core_v[a]] = -1
-            if b in core_v:
-                col[core_v[b]] = col.get(core_v[b], 0) + 1
-            if col:
-                cols1[j] = col
-        cols2: Dict[int, Dict[int, int]] = {}
-        for j, ti in enumerate(core_t):
-            e_bc, e_ac, e_ab = tri_bnd[ti]
-            col = {}
-            for e, s in ((e_bc, 1), (e_ac, -1), (e_ab, 1)):
-                if e in e_pos:
-                    col[e_pos[e]] = col.get(e_pos[e], 0) + s
-            col = {i: v for i, v in col.items() if v}
-            if col:
-                cols2[j] = col
-        return cols1, cols2, e_pos
+    def _delta(self, r: int) -> Dict[int, Dict[int, int]]:
+        """Columns {r-simplex: {(r+1)-coface: sign}} of the relative
+        coboundary delta_r, the transpose of K's boundary columns of
+        dimension r+1 on the simplices outside cl F u dK (empty outside
+        0..n-1)."""
+        if r not in self._deltas:
+            cols: Dict[int, Dict[int, int]] = {}
+            if 0 <= r < self.K.dim:
+                keep = self._outside
+                lo, up = self.dual.offsets[r], self.dual.offsets[r + 1]
+                for j, col in _hom._boundary_columns(self.K, r + 1).items():
+                    if keep[up + j]:
+                        for i, s in col.items():
+                            if keep[lo + i]:
+                                cols.setdefault(i, {})[j] = s
+            self._deltas[r] = cols
+        return self._deltas[r]
 
     def check(self, constraints: Sequence[ConstraintCycle]
               ) -> List[ConstraintStatus]:
@@ -529,26 +463,39 @@ class ComplementModel:
         return out
 
     def homology(self, k: int) -> _hom.HomologyGroup:
-        """H_k of the model; degree one goes through the coreduction core."""
+        """H_k of the complement of |F|.
+
+        Degree 0 counts the components of the dual graph.  Degree k >= 1
+        is H^{n-k}(K, cl F u dK) by Lefschetz duality: with m = n - k and
+        A_m the m-simplices outside cl F u dK, the rank is
+        |A_m| - rank delta_m - rank delta_{m-1}, and the torsion is the
+        non-unit invariants of delta_{m-1}.
+        """
+        n = self.K.dim
+        if not 0 <= k <= n:
+            raise InvalidInputError(
+                f"homology dimension {k} out of range 0..{n}")
         if k == 0:  # no top simplex lies in cl F
             rank = len(set(self._top_labels))
             return _hom.HomologyGroup(k=0, rank=rank, torsion=())
-        if k == 1 and self.max_dim >= 2:
-            cols1, cols2, e_pos = self._core()
-            rank1 = len(_hom._snf_diagonal_sparse(cols1))
-            diag2 = _hom._snf_diagonal_sparse(cols2)
-            rank = (len(e_pos) - rank1) - len(diag2)
-            torsion = tuple(d for d in diag2 if d > 1)
-            return _hom.HomologyGroup(k=1, rank=rank, torsion=torsion)
-        return _hom.homology_group(self.complex, k)
+        m = n - k
+        rank_m = len(_hom._snf_diagonal_sparse(self._delta(m)))
+        diag = _hom._snf_diagonal_sparse(self._delta(m - 1))
+        offsets = self.dual.offsets
+        n_cochains = sum(self._outside[offsets[m]:offsets[m + 1]])
+        rank = n_cochains - rank_m - len(diag)
+        torsion = tuple(d for d in diag if d > 1)
+        return _hom.HomologyGroup(k=k, rank=rank, torsion=torsion)
 
 
 def complement_subcomplex(K: Complex, F: FaceSet,
                           max_dim: Optional[int] = None) -> ComplementModel:
     """Model of the open complement of |F| inside the box of K.
 
-    `max_dim` truncates the model's skeleton; homology in degree g only needs
-    dimension g+1, which keeps four-dimensional models tractable.
+    `max_dim` truncates the skeleton of the subdivision behind the
+    `complex` view; testing a degree-g `cycle` constraint there needs
+    max_dim >= g+1.  `homology` and the checks of degree 0 and 1 do not
+    read it.
     """
     if max_dim is None:
         max_dim = K.dim

@@ -17,8 +17,6 @@ comment.  Keys:
     region 0 0 ; 3 3        competitor-check sub-box (lo ; hi)
     seed 7
     budget 10000
-    tol 1e-9
-    raster 1024
 
 Named generators expand to face sets on the problem's own grid:
 ``separating-row`` (horizontal 1-faces across the middle of a 2D box),
@@ -59,8 +57,6 @@ class ProblemSpec:
     region: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
     seed: int = 0
     budget: int = 10000
-    tol: float = 1e-9
-    raster: int = 1024
 
     def build_complex(self) -> Complex:
         return build_grid_complex(self.n, self.box, self.scale)
@@ -258,10 +254,6 @@ def parse_problem(text: str) -> ProblemSpec:
                 fields["seed"] = int(arg)
             elif key == "budget":
                 fields["budget"] = int(arg)
-            elif key == "tol":
-                fields["tol"] = float(arg)
-            elif key == "raster":
-                fields["raster"] = int(arg)
             else:
                 errors.append(f"line {lineno}: unknown key '{key}'")
         except ValueError:
@@ -301,8 +293,6 @@ def parse_problem(text: str) -> ProblemSpec:
                       f"(known: {', '.join(GENERATORS)})")
     if fields.get("budget", 10000) < 0:
         errors.append("budget must be nonnegative")
-    if fields.get("raster", 1024) < 1:
-        errors.append("raster resolution must be positive")
 
     if errors:
         raise ProblemFormatError(errors)
@@ -333,6 +323,4 @@ def serialize_problem(spec: ProblemSpec) -> str:
                    + " ".join(str(c) for c in hi))
     out.append(f"seed {spec.seed}")
     out.append(f"budget {spec.budget}")
-    out.append(f"tol {spec.tol!r}")
-    out.append(f"raster {spec.raster}")
     return "\n".join(out) + "\n"

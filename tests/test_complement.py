@@ -9,8 +9,8 @@ from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
                      PreconditionError, RealizationError, Region, boundary,
                      build_grid_complex, competitor_check,
                      complement_subcomplex, free_collapse_candidates,
-                     is_null_homologous, is_spanning, realize_constraint,
-                     spanning_check)
+                     homology_group, is_null_homologous, is_spanning,
+                     realize_constraint, spanning_check)
 from spanmin.complement import ComplementModel, _realize_raw
 from spanmin.problems import generate_faceset, linking_loops
 
@@ -262,30 +262,49 @@ def meridians(box, xs):
             for x in xs]
 
 
+def two_planes_clutter(K):
+    """The two orthogonal coordinate planes of a 4D box plus four seeded
+    2-faces that share no vertex with the linking loops."""
+    two = generate_faceset("two-planes-orthogonal", K, 2).faces
+    on_loops = {K.grid.vertex_at(p) for c in linking_loops(K.grid.box)
+                for p in c.points}
+    candidates = [i for i, s in enumerate(K.simplices(2))
+                  if i not in two and not on_loops & set(s)]
+    rng = np.random.default_rng(7)
+    return two + tuple(rng.choice(candidates, size=4, replace=False).tolist())
+
+
 DEG1_CASES = {
+    # (box, face dim, base faces, loops linking them, trials)
     # interior edge in a square: the outer loop goes around it
-    "2d-edge": ((3, 3), 1, [((1, 1), (2, 1))],
-                [rectangle_loop((0, 1), (0, 0), (3, 3), (0, 0))]),
+    "2d-edge": ((3, 3), 1, lambda K: lattice_faces(K, [((1, 1), (2, 1))]),
+                [rectangle_loop((0, 1), (0, 0), (3, 3), (0, 0))], 4),
     # an edge path across the cube from face to face
-    "3d-wire": ((2, 2, 2), 1, [((0, 1, 1), (1, 1, 1)),
-                               ((1, 1, 1), (2, 1, 1))],
-                meridians((2, 2, 2), (0, 1, 2))),
+    "3d-wire": ((2, 2, 2), 1,
+                lambda K: lattice_faces(K, [((0, 1, 1), (1, 1, 1)),
+                                            ((1, 1, 1), (2, 1, 1))]),
+                meridians((2, 2, 2), (0, 1, 2)), 4),
     # a tube of triangles open at both ends
-    "3d-tube": ((3, 3, 3), 2, tube_corners(), meridians((3, 3, 3), (0, 2))),
+    "3d-tube": ((3, 3, 3), 2, lambda K: lattice_faces(K, tube_corners()),
+                meridians((3, 3, 3), (0, 2)), 4),
+    # two planes and clutter, linked by loops on the boundary of the box;
+    # one trial, since each full-complex solve in 4D takes seconds
+    "4d-planes": ((2, 2, 2, 2), 2, two_planes_clutter,
+                  linking_loops((2, 2, 2, 2)), 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DEG1_CASES))
 def test_deg1_fast_path_matches_full_complex_oracle(case):
-    # the coreduced locked-cell solve against the plain sparse solve on the
+    # the dual-graph cocycle solve against the plain sparse solve on the
     # whole complement complex, with a witness check on every yes
-    box, d, corners, linked = DEG1_CASES[case]
+    box, d, base_faces, linked, trials = DEG1_CASES[case]
     rng = np.random.default_rng(31)
     K = build_grid_complex(len(box), list(box))
-    base = lattice_faces(K, corners)
+    base = base_faces(K)
     loops = box_loops(box)
     verdicts = set()
-    for trial in range(4):
+    for trial in range(trials):
         extra = rng.choice(K.n_simplices(d), size=trial % 3,
                            replace=False).tolist()
         faces = tuple(extra) + (base if trial % 2 == 0 else ())
@@ -305,6 +324,47 @@ def test_deg1_fast_path_matches_full_complex_oracle(case):
                 assert boundary(witness) == chain
             verdicts.add(fast)
     assert verdicts == {True, False}
+
+
+HOMOLOGY_CASES = [((3, 3), 0), ((3, 3), 1), ((2, 2, 2), 1), ((2, 2, 2), 2),
+                  ((1, 1, 1, 1), 1), ((1, 1, 1, 1), 2), ((1, 1, 1, 1), 3)]
+
+
+@pytest.mark.parametrize("box,d", HOMOLOGY_CASES)
+def test_duality_homology_matches_subdivision_oracle(box, d):
+    # H_k from K's relative cochains against H_k of the whole complement
+    # complex in the subdivision, rank and torsion, for k = 1..n-1
+    n = len(box)
+    rng = np.random.default_rng(sum(box) * 10 + d)
+    K = build_grid_complex(n, list(box))
+    # the boundary of a (d+1)-face of the middle top simplex through its
+    # long diagonal (in the unit 4D box the only edge inside the box)
+    top = K.simplex(n, K.n_simplices(n) // 2)
+    sphere = tuple(K.index(s) for s in itertools.combinations(
+        top[:d + 1] + top[-1:], d + 1))
+    ranks = []
+    for trial in range(4):
+        extra = rng.choice(K.n_simplices(d), size=int(rng.integers(0, 2 * n)),
+                           replace=False).tolist()
+        faces = tuple(extra) + (sphere if trial % 2 == 0 else ())
+        model = complement_subcomplex(K, FaceSet(K, d, faces))
+        for k in range(1, n):
+            h, want = model.homology(k), homology_group(model.complex, k)
+            assert (h.rank, h.torsion) == (want.rank, want.torsion)
+            ranks.append(h.rank)
+    if d > 0:  # a point's complement in the square is only an annulus
+        assert any(ranks)
+
+
+def test_homology_ignores_truncated_skeleton():
+    # a model truncated to its 1-skeleton still reports the complement's
+    # homology, not that of the truncated subdivision
+    K = build_grid_complex(2, [3, 3])
+    model = complement_subcomplex(K, FaceSet(K, 1, ()), max_dim=1)
+    assert model.homology(1).is_trivial()
+    assert model.homology(2).is_trivial()
+    with pytest.raises(InvalidInputError):
+        model.homology(3)
 
 
 def sphere_cycle(K):
@@ -501,3 +561,16 @@ def test_point_pair_check_builds_no_subdivision():
     assert [s.passed for s in spanning_check(K, F, cons)] == [True, False]
     assert is_spanning(K, F, cons[:1])
     assert "dual" in K.cache and "sd" not in K.cache
+    # loop checks and homology in degree >= 1 go through K's cochains
+    K = build_grid_complex(2, [3, 3])
+    F = FaceSet(K, 1, lattice_faces(K, [((1, 1), (2, 1))]))
+    loop = rectangle_loop((0, 1), (0, 0), (3, 3), (0, 0))
+    [status] = spanning_check(K, F, [loop])
+    assert status.passed
+    assert complement_subcomplex(K, F).homology(1).rank == 1
+    assert "sd" not in K.cache
+    K4 = build_grid_complex(4, [2, 2, 2, 2])
+    F4 = generate_faceset("two-planes-orthogonal", K4, 2)
+    assert is_spanning(K4, F4, linking_loops(K4.grid.box))
+    assert complement_subcomplex(K4, F4, max_dim=2).homology(1).rank == 2
+    assert "dual" in K4.cache and "sd" not in K4.cache

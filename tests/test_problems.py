@@ -84,6 +84,13 @@ def test_parse_unknown_generator():
     assert any("unknown generator" in m for m in exc.value.violations)
 
 
+@pytest.mark.parametrize("line", ["tol 1e-9", "raster 1024"])
+def test_parse_rejects_removed_keys(line):
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(MINIMAL + line + "\n")
+    assert any("unknown key" in m for m in exc.value.violations)
+
+
 def test_round_trip_minimal():
     spec = parse_problem(MINIMAL)
     assert parse_problem(serialize_problem(spec)) == spec
@@ -111,9 +118,7 @@ def test_round_trip_randomized():
             region=((tuple(0 for _ in range(n)), box)
                     if rng.random() < 0.5 else None),
             seed=rng.randrange(100),
-            budget=rng.randrange(20000),
-            tol=rng.choice([1e-9, 1e-7]),
-            raster=rng.choice([256, 1024]))
+            budget=rng.randrange(20000))
         assert parse_problem(serialize_problem(spec)) == spec
 
 
