@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complexes import Chain, Complex, FaceSet
+from .complexes import Chain, Complex, FaceSet, canonical_vertices
 from .errors import InvalidInputError, PreconditionError, RealizationError
 from . import homology as _hom
 
@@ -605,7 +605,8 @@ def _subdivide_simplex(model: ComplementModel, verts: Tuple[int, ...],
 
 
 def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
-    """Raw realization: (degree, coeffs keyed by raw-id simplex tuple)."""
+    """Raw realization: (degree, coeffs keyed by raw-id simplex tuple, or by
+    raw vertex id in degree 0)."""
     K = model.K
     if spec.kind == "point-pair":
         ids = []
@@ -645,11 +646,12 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
         canon = tuple(sorted(vids))
         if len(canon) != spec.degree + 1 or not K.contains(canon):
             raise RealizationError(f"cycle item {verts_pts} is not a grid simplex")
-        sgn = 1
         # orientation sign of the given vertex order
-        from .complexes import canonical_vertices
         _, sgn = canonical_vertices(vids)
         _subdivide_simplex(model, canon, sgn * int(coeff), out)
+    if spec.degree == 0:
+        # 0-chains are keyed by vertex id, as for point pairs
+        return 0, {key[0]: c for key, c in out.items()}
     return spec.degree, out
 
 

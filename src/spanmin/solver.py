@@ -397,7 +397,7 @@ def _rasterize_area(triangles: np.ndarray, region: PlaneRegion,
         j1 = min(res, int(np.ceil((ty1 - y0) / hy + 0.5)))
         if i0 >= i1 or j0 >= j1:
             continue
-        X, Y = np.meshgrid(xs[i0:i1], ys[j0:j1], indexing="ij")
+        X, Y = xs[i0:i1, None], ys[None, j0:j1]
         eps = 1e-12
         s0 = (b[0] - a[0]) * (Y - a[1]) - (b[1] - a[1]) * (X - a[0])
         s1 = (c[0] - b[0]) * (Y - b[1]) - (c[1] - b[1]) * (X - b[0])
@@ -406,8 +406,7 @@ def _rasterize_area(triangles: np.ndarray, region: PlaneRegion,
             s0, s1, s2 = -s0, -s1, -s2
         covered[i0:i1, j0:j1] |= (s0 >= -eps) & (s1 >= -eps) & (s2 >= -eps)
 
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    inside = region.mask(X, Y)
+    inside = region.mask(xs[:, None], ys[None, :])
     return float(np.count_nonzero(covered & inside)) * hx * hy
 
 

@@ -162,6 +162,25 @@ def test_spanning_check_degenerate_reason():
     assert not status.passed and status.reason == "degenerate"
 
 
+def test_degree0_cycle_matches_point_pair():
+    K = build_grid_complex(2, [2, 2])
+    F = separating_row(K)
+    cases = [(FaceSet(K, 1, ()), ((0, 0), (2, 2)), "null-homologous"),
+             (F, ((0, 0), (0, 2)), "nontrivial"),
+             (F, ((0, 1), (2, 2)), "contact")]
+    for faces, (p, q), reason in cases:
+        pair = ConstraintCycle(kind="point-pair", points=(p, q))
+        cycle = ConstraintCycle(kind="cycle", degree=0,
+                                items=(((q,), 1), ((p,), -1)))
+        assert spanning_check(K, faces, [pair, cycle]) == spanning_check(
+            K, faces, [pair, pair])
+        assert spanning_check(K, faces, [cycle])[0].reason == reason
+        if reason != "contact":
+            model = complement_subcomplex(K, faces, max_dim=1)
+            assert (realize_constraint(cycle, model).coeffs
+                    == realize_constraint(pair, model).coeffs)
+
+
 def test_4d_linking_loop_spanning():
     K = build_grid_complex(4, [2, 2, 2, 2])
     F = generate_faceset("two-planes-orthogonal", K, 2)

@@ -9,10 +9,37 @@ from spanmin import (InvalidInputError, PlanePair, PreconditionError,
                      characteristic_angles, equality_family, is_simple,
                      plane_projection_norm, projected_area_sums,
                      verify_projection_bounds, wedge)
-from spanmin.grassmann import (plucker_form, projection_sums,
-                               sample_simple_unit, two_vector_norm)
+from spanmin.grassmann import (BASIS_PAIRS, SAMPLE_CHUNK,
+                               induced_projection_matrix, plucker_form,
+                               projection_sums, sample_simple_unit,
+                               two_vector_norm)
 
 E = np.eye(4)
+
+
+def reference_induced_matrix(frame):
+    """Column (i, j) is p(e_i) ^ p(e_j), p = F^T F the projection onto the plane."""
+    frame = np.asarray(frame, dtype=float)
+    p = frame.T @ frame
+    return np.stack([wedge(p[:, i], p[:, j]) for (i, j) in BASIS_PAIRS],
+                    axis=1)
+
+
+def reference_sums(pair, xis):
+    L1, L2 = (reference_induced_matrix(pair.frame1),
+              reference_induced_matrix(pair.frame2))
+    return (np.linalg.norm(xis @ L1.T, axis=-1)
+            + np.linalg.norm(xis @ L2.T, axis=-1))
+
+
+def random_pairs(rng, count):
+    pairs = [PlanePair.orthogonal(), PlanePair.from_angles(0.35, 1.05),
+             PlanePair.from_angles(0.0, 0.0)]
+    for _ in range(count):
+        P = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        Q = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        pairs.append(PlanePair(frame1=P, frame2=Q))
+    return pairs
 
 
 def test_wedge_basis_pairs():
@@ -188,3 +215,52 @@ def test_projected_area_sums_rejects_degenerate():
     tri = np.zeros((3, 4))
     with pytest.raises(InvalidInputError):
         projected_area_sums([tri], PlanePair.orthogonal())
+
+
+# -- rank-one kernel against the column-wise induced matrix --------------------
+
+def test_induced_matrix_matches_columnwise_reference():
+    rng = np.random.default_rng(11)
+    for pair in random_pairs(rng, 20):
+        for frame in (pair.frame1, pair.frame2):
+            L = induced_projection_matrix(frame)
+            assert np.max(np.abs(L - reference_induced_matrix(frame))) <= 1e-15
+            assert np.array_equal(L, L.T)
+            assert np.max(np.abs(L @ L - L)) <= 1e-15
+            assert np.linalg.matrix_rank(L) == 1
+
+
+def test_projection_sums_match_reference():
+    rng = np.random.default_rng(12)
+    simple = wedge(rng.standard_normal((500, 4)), rng.standard_normal((500, 4)))
+    general = rng.standard_normal((500, 6))
+    assert not is_simple(general[0])
+    for pair in random_pairs(rng, 10):
+        for xis in (simple, general):
+            got = projection_sums(pair, xis)
+            assert np.max(np.abs(got - reference_sums(pair, xis))) <= 1e-14
+        xi = general[0]
+        for frame in (pair.frame1, pair.frame2):
+            ref = np.linalg.norm(reference_induced_matrix(frame) @ xi)
+            assert abs(plane_projection_norm(frame, xi) - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK,
+                                     SAMPLE_CHUNK + 1])
+def test_verify_projection_bounds_matches_reference_max(samples):
+    rng = np.random.default_rng(13)
+    pair_list = random_pairs(rng, 1)
+    fam = np.array([equality_family(pair_list[0], a)
+                    for a in np.linspace(0, math.pi / 2, 9)])
+    cases = [(pair_list[0], None), (pair_list[0], fam),
+             (pair_list[1], 2.0 * rng.standard_normal((7, 6))),
+             (pair_list[3], None)]
+    for seed, (pair, include) in enumerate(cases, start=samples):
+        ref = reference_sums(
+            pair, sample_simple_unit(np.random.default_rng(seed), samples))
+        if include is not None:
+            ref = np.concatenate([ref, reference_sums(pair, include)])
+        report = verify_projection_bounds(pair, samples=samples, seed=seed,
+                                          include=include)
+        assert abs(report.max_sum - float(np.max(ref))) <= 1e-14
+        assert report.samples == samples and report.seed == seed

@@ -11,6 +11,7 @@ from spanmin import (ConstraintCycle, FaceSet, InfeasibleError,
                      minimize_exhaustive, minimize_local,
                      projection_lower_bound, weighted_measure)
 from spanmin.problems import generate_faceset
+from spanmin.solver import _rasterize_area
 
 
 def edge_index(K, a, b):
@@ -239,6 +240,82 @@ def test_projection_bound_requires_dim2():
         projection_lower_bound(FaceSet(K, 1, ()), E12, E34,
                                (PlaneRegion("disk", (0, 0, 1)),
                                 PlaneRegion("disk", (0, 0, 1))))
+
+
+def reference_rasterize_area(triangles, region, resolution):
+    """The rasterizer on full meshgrids: the reference for the broadcast one."""
+    x0, y0, x1, y1 = region.bbox()
+    if x1 <= x0 or y1 <= y0:
+        return 0.0
+    res = int(resolution)
+    hx = (x1 - x0) / res
+    hy = (y1 - y0) / res
+    xs = x0 + (np.arange(res) + 0.5) * hx
+    ys = y0 + (np.arange(res) + 0.5) * hy
+    covered = np.zeros((res, res), dtype=bool)
+    for tri in triangles:
+        a, b, c = tri
+        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if abs(area2) < 1e-12:
+            continue
+        tx0, tx1 = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+        ty0, ty1 = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
+        i0 = max(0, int(np.floor((tx0 - x0) / hx - 0.5)))
+        i1 = min(res, int(np.ceil((tx1 - x0) / hx + 0.5)))
+        j0 = max(0, int(np.floor((ty0 - y0) / hy - 0.5)))
+        j1 = min(res, int(np.ceil((ty1 - y0) / hy + 0.5)))
+        if i0 >= i1 or j0 >= j1:
+            continue
+        X, Y = np.meshgrid(xs[i0:i1], ys[j0:j1], indexing="ij")
+        eps = 1e-12
+        s0 = (b[0] - a[0]) * (Y - a[1]) - (b[1] - a[1]) * (X - a[0])
+        s1 = (c[0] - b[0]) * (Y - b[1]) - (c[1] - b[1]) * (X - b[0])
+        s2 = (a[0] - c[0]) * (Y - c[1]) - (a[1] - c[1]) * (X - c[0])
+        if area2 < 0:
+            s0, s1, s2 = -s0, -s1, -s2
+        covered[i0:i1, j0:j1] |= (s0 >= -eps) & (s1 >= -eps) & (s2 >= -eps)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    inside = region.mask(X, Y)
+    return float(np.count_nonzero(covered & inside)) * hx * hy
+
+
+def raster_triangle_sets(rng):
+    """Random, degenerate, out-of-box and lattice triangles in the plane."""
+    sets = [rng.uniform(-3.0, 3.0, size=(12, 3, 2)) for _ in range(4)]
+    sets.append(rng.uniform(-0.2, 0.2, size=(6, 3, 2)) + rng.uniform(-2, 2, 2))
+    p, q = rng.uniform(-2, 2, size=(2, 2))
+    sets.append(np.array([
+        [p, q, 2 * q - p],                  # collinear
+        [p, p, q],                          # repeated vertex
+        [p, p + 1e-7, p + [0.0, 1e-7]],     # area below the cut
+        [[5, 5], [6, 5], [5, 6]],           # beyond the box
+        [[-9, -9], [-8, -9], [-9, -8]],     # before the box
+        [[-9, 0], [9, 0.5], [0, 9]],        # larger than the box
+    ], dtype=float))
+    lattice = []
+    for k in range(-2, 2):
+        for l in range(-2, 2):
+            lattice.append([[k, l], [k + 1, l], [k + 1, l + 1]])
+            lattice.append([[k + 1, l + 1], [k, l + 1], [k, l]])
+    lattice += [[[0, 0], [2, 0], [0, 2]], [[-2, -2], [2, 2], [-2, 2]]]
+    sets.append(np.array(lattice, dtype=float))
+    sets.append(np.array(lattice[::3], dtype=float)[:, ::-1])
+    return sets
+
+
+def test_rasterizer_matches_meshgrid_reference():
+    rng = np.random.default_rng(31)
+    regions = [PlaneRegion("box", (-2.0, -2.0, 2.0, 2.0)),
+               PlaneRegion("box", (0.0, -1.0, 2.0, 1.0)),
+               PlaneRegion("disk", (0.0, 0.0, 2.0)),
+               PlaneRegion("disk", (0.5, -0.5, 1.5))]
+    for tris in raster_triangle_sets(rng):
+        for region in regions:
+            for res in (1, 7, 8, 33, 64):
+                got = _rasterize_area(tris, region, res)
+                assert got == reference_rasterize_area(tris, region, res)
+    empty = np.zeros((0, 3, 2))
+    assert _rasterize_area(empty, regions[2], 8) == 0.0
 
 
 def test_plane_region_validation():
