@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from . import grassmann
@@ -46,15 +47,8 @@ def _load_spec(args) -> ProblemSpec:
         raise ProblemFormatError(["--input FILE is required"])
     with open(args.input) as fh:
         spec = parse_problem(fh.read())
-    # flag overrides
-    updates = {}
     if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.budget is not None:
-        updates["budget"] = args.budget
-    if updates:
-        from dataclasses import replace
-        spec = replace(spec, **updates)
+        spec = replace(spec, seed=args.seed)
     return spec
 
 
@@ -125,6 +119,8 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _load_spec(args)
+    if args.budget is not None:
+        spec = replace(spec, budget=args.budget)
     rep = RunReport()
     _report_header(rep, "solve", spec)
     t0 = time.perf_counter()
@@ -247,24 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homological spanning checks and weighted-measure "
                     "minimization on grid complexes.")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="problem file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--exhaustive", action="store_true",
-                        help="force the exhaustive solver")
-    common.add_argument("--mesh-out", default=None)
-    common.add_argument("--csv-out", default=None)
+    # each subcommand takes only the flags it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
+    problem = argparse.ArgumentParser(add_help=False, parents=[seed])
+    problem.add_argument("--input", help="problem file")
+    artifacts = argparse.ArgumentParser(add_help=False)
+    artifacts.add_argument("--mesh-out", default=None)
+    artifacts.add_argument("--csv-out", default=None)
 
-    sub.add_parser("homology", parents=[common]).set_defaults(fn=cmd_homology)
-    sub.add_parser("check", parents=[common]).set_defaults(fn=cmd_check)
-    sub.add_parser("solve", parents=[common]).set_defaults(fn=cmd_solve)
-    lem = sub.add_parser("lemmas", parents=[common])
+    sub.add_parser("homology", parents=[problem]).set_defaults(fn=cmd_homology)
+    sub.add_parser("check", parents=[problem]).set_defaults(fn=cmd_check)
+    solve = sub.add_parser("solve", parents=[problem, artifacts])
+    solve.add_argument("--budget", type=int, default=None)
+    solve.add_argument("--exhaustive", action="store_true",
+                       help="force the exhaustive solver")
+    solve.set_defaults(fn=cmd_solve)
+    lem = sub.add_parser("lemmas", parents=[seed])
     lem.add_argument("--pair", default="orthogonal",
                      help="'orthogonal' or 'theta,phi' (radians)")
     lem.add_argument("--samples", type=int, default=100000)
     lem.set_defaults(fn=cmd_lemmas)
-    sub.add_parser("export", parents=[common]).set_defaults(fn=cmd_export)
+    sub.add_parser("export", parents=[problem, artifacts]).set_defaults(
+        fn=cmd_export)
     return p
 
 

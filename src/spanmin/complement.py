@@ -6,9 +6,12 @@ H_k(B - |F|) = H^{n-k}(K, cl F u dK) (Hatcher, Algebraic Topology, 3.3;
 Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004): the relative
 cochains are the simplices outside cl F u dK, and their coboundaries are
 K's boundary columns transposed.  Degree 0 is the dual graph of K (top
-simplices joined across (n-1)-faces outside F).  A degree-1 cycle is pushed
-onto a closed path in that graph, whose signed crossings form a relative
-(n-1)-cocycle, and it bounds exactly when that cocycle is a coboundary.
+simplices joined across (n-1)-faces outside F): a point pair is separated
+exactly when no path in it joins the two top simplices holding its points,
+which `spanning_predicate` decides per face tuple with nothing rebuilt
+between calls.  A degree-1 cycle is pushed onto a closed path in that
+graph, whose signed crossings form a relative (n-1)-cocycle, and it bounds
+exactly when that cocycle is a coboundary.
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  It is built only for the
@@ -24,7 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -136,8 +140,8 @@ class _DualGraph:
     """Per-complex tables of the complement model: subdivision-id offsets,
     the dual graph (top simplices of K joined across its interior
     (n-1)-faces), one top simplex containing each simplex, the face
-    closure of each d-simplex and, built on first use, the dK mask and the
-    signed facet crossings of the top simplices.
+    closure of each d-simplex and, built on first use, the dK mask, the
+    signed facet crossings of the top simplices and their adjacency lists.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -180,6 +184,33 @@ class _DualGraph:
             rows.insert(0, row)
         self.top_of = [t for row in rows for t in row]
         self._closure: Dict[int, np.ndarray] = {}
+
+    @cached_property
+    def adjacency(self) -> List[List[Tuple[int, int]]]:
+        """Per top simplex: (facet, top across it) for each interior facet."""
+        adj: List[List[Tuple[int, int]]] = [[] for _ in range(self.n_top)]
+        for f, a, b in zip(self.face.tolist(), self.a.tolist(),
+                           self.b.tolist()):
+            adj[a].append((f, b))
+            adj[b].append((f, a))
+        return adj
+
+    def reachable(self, t0: int, t1: int, cut: Container[int]) -> bool:
+        """True iff a dual-graph path joins tops t0 and t1 without crossing
+        a facet in `cut` (depth first, stopping at t1)."""
+        if t0 == t1:
+            return True
+        adj = self.adjacency
+        seen = {t0}
+        stack = [t0]
+        while stack:
+            for f, u in adj[stack.pop()]:
+                if u not in seen and f not in cut:
+                    if u == t1:
+                        return True
+                    seen.add(u)
+                    stack.append(u)
+        return False
 
     def closure(self, d: int) -> np.ndarray:
         """Row per d-simplex: the subdivision ids of all its faces."""
@@ -329,7 +360,8 @@ class ComplementModel:
     @cached_property
     def _top_labels(self) -> List[int]:
         """Component label per top simplex: the dual graph less its edges
-        across faces of F."""
+        across faces of F.  Read by `homology(0)` and explicit degree-0
+        `cycle` constraints; point pairs are decided by `_pair_reason`."""
         dual, F = self.dual, self.F
         a, b = dual.a, dual.b
         if F.dim == self.K.dim - 1 and F.faces:
@@ -440,11 +472,17 @@ class ComplementModel:
               ) -> List[ConstraintStatus]:
         """Per-constraint spanning verdicts in this model."""
         out: List[ConstraintStatus] = []
+        faces = self.F.faces
+        cut = _cut(self.K, self.F.dim, faces)
         for i, c in enumerate(constraints):
+            if c.kind == "point-pair":
+                pair = _resolve_pair(self.K, c, self.F.dim)
+                reason = _pair_reason(self.dual, pair, faces, cut)
+                out.append(ConstraintStatus(i, reason == "nontrivial",
+                                            reason))
+                continue
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    dim, raw = _realize_raw(c, self)
+                dim, raw = _realize_raw(c, self)
             except RealizationError:
                 out.append(ConstraintStatus(i, False, "contact"))
                 continue
@@ -559,6 +597,54 @@ def support_vertices(K: Complex,
     return out
 
 
+@dataclass(frozen=True)
+class _PointPair:
+    """A point-pair constraint resolved on K for d-face sets: its two vertex
+    ids (None when a point is off the grid), a top simplex holding each and
+    the d-faces whose closure holds either point."""
+
+    ids: Optional[Tuple[int, int]]
+    tops: Tuple[int, ...] = ()
+    touching: FrozenSet[int] = frozenset()
+
+
+def _resolve_pair(K: Complex, spec: ConstraintCycle, d: int) -> _PointPair:
+    try:
+        ids = tuple(_lattice_vertex(K, p) for p in spec.points)
+    except RealizationError:
+        return _PointPair(None)
+    touching = set()
+    for v in ids:  # a vertex's index among the 0-simplices is v
+        star = {v}
+        for k in range(d):
+            cof = K.cofacets(k)
+            star = {c for s in star for c in cof[s]}
+        touching |= star
+    top_of = _dual_graph(K).top_of
+    return _PointPair(ids, (top_of[ids[0]], top_of[ids[1]]),
+                      frozenset(touching))
+
+
+def _cut(K: Complex, d: int, faces: Tuple[int, ...]) -> Container[int]:
+    """The facets a dual-graph path may not cross: F when d = n-1."""
+    return set(faces) if d == K.dim - 1 else ()
+
+
+def _pair_reason(dual: _DualGraph, pair: _PointPair, faces: Tuple[int, ...],
+                 cut: Container[int]) -> str:
+    """The one point-pair decision: 'contact' when a point is off the grid
+    or in cl F, then 'degenerate' for identical points, then
+    'null-homologous' when a dual path joins the two tops, else
+    'nontrivial'."""
+    if pair.ids is None or not pair.touching.isdisjoint(faces):
+        return "contact"
+    if pair.ids[0] == pair.ids[1]:
+        return "degenerate"
+    if dual.reachable(pair.tops[0], pair.tops[1], cut):
+        return "null-homologous"
+    return "nontrivial"
+
+
 def _perm_sign(perm: Sequence[int]) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -616,7 +702,6 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
                 raise RealizationError(f"point {p} lies on the removed set")
             ids.append(v)
         if ids[0] == ids[1]:
-            warnings.warn("degenerate point pair (identical points)")
             return 0, {}
         return 0, {ids[1]: 1, ids[0]: -1}
 
@@ -635,8 +720,6 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
                 raise RealizationError(f"loop hop {p}->{q} is not a grid edge")
             sgn = 1 if u < v else -1
             _subdivide_simplex(model, pair, sgn, out)
-        if not out:
-            warnings.warn("degenerate loop (edges cancel)")
         return 1, {(a, b): c for (a, b), c in out.items()}
 
     # explicit cycle
@@ -655,9 +738,16 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
     return spec.degree, out
 
 
+_DEGENERATE = {"point-pair": "degenerate point pair (identical points)",
+               "loop": "degenerate loop (edges cancel)"}
+
+
 def realize_constraint(spec: ConstraintCycle, model: ComplementModel) -> Chain:
-    """Realize a constraint as a chain on the complement complex."""
+    """Realize a constraint as a chain on the complement complex; warns when
+    a point pair or loop realizes as the zero chain."""
     dim, raw = _realize_raw(spec, model)
+    if not raw and spec.kind in _DEGENERATE:
+        warnings.warn(_DEGENERATE[spec.kind])
     C = model.complex
     remap = model._id_map
     coeffs: Dict[int, int] = {}
@@ -699,7 +789,43 @@ def spanning_check(K: Complex, F: FaceSet,
 
 def is_spanning(K: Complex, F: FaceSet,
                 constraints: Sequence[ConstraintCycle]) -> bool:
-    return all(s.passed for s in spanning_check(K, F, constraints))
+    """True iff F passes every constraint (see `spanning_predicate`)."""
+    if F.complex is not K:
+        raise PreconditionError("face set belongs to a different complex")
+    return spanning_predicate(K, constraints, F.dim)(F.faces)
+
+
+def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
+                       d: int) -> Callable[[Tuple[int, ...]], bool]:
+    """`is_spanning` for d-face sets of K, as a function of the face tuple.
+
+    Built once per solve: each point pair is resolved here to its vertices,
+    a top simplex holding each and the d-faces whose closure holds either
+    point.  A call then decides every pair by a dual-graph search that stops
+    at the second top (cutting the faces when d = n-1), with no face set or
+    model built.  Other constraints go to one `ComplementModel` per call,
+    only when every pair passes.
+    """
+    if not 0 <= d < K.dim:
+        raise InvalidInputError(
+            f"face dimension {d} must lie strictly below {K.dim}")
+    dual = _dual_graph(K)
+    pairs = [_resolve_pair(K, c, d) for c in constraints
+             if c.kind == "point-pair"]
+    rest = [c for c in constraints if c.kind != "point-pair"]
+    max_dim = max([c.degree for c in constraints] or [0]) + 1
+
+    def spans(faces: Tuple[int, ...]) -> bool:
+        cut = _cut(K, d, faces)
+        for pair in pairs:
+            if _pair_reason(dual, pair, faces, cut) != "nontrivial":
+                return False
+        if not rest:
+            return True
+        model = ComplementModel(K, FaceSet(K, d, faces), max_dim)
+        return all(s.passed for s in model.check(rest))
+
+    return spans
 
 
 # -- sub-box regions and competitor checks ----------------------------------

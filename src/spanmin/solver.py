@@ -20,12 +20,13 @@ import numpy as np
 
 from .complexes import Complex, FaceSet
 from .complement import (ConstraintCycle, Region, is_spanning,
-                         support_vertices)
+                         spanning_predicate, support_vertices)
 from .errors import (InfeasibleError, InvalidInputError, PoolTooLargeError,
                      PreconditionError)
 from . import grassmann
 
 EXHAUSTIVE_POOL_CAP = 30
+EXHAUSTIVE_EVALUATION_CAP = 100_000
 
 
 class WeightField:
@@ -111,7 +112,10 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     constraint's cycle: any other face puts that cycle in contact, so it is
     in no feasible set.  Adding faces only shrinks the complement, so when
     P0 itself does not span, no subset does; that one check (not counted
-    in `evaluations`) then raises InfeasibleError.
+    in `evaluations`) then raises InfeasibleError.  Candidates are decided
+    on face tuples by one `spanning_predicate` built for the solve; a
+    search that pops more than EXHAUSTIVE_EVALUATION_CAP subsets raises
+    PoolTooLargeError.
     """
     if len(candidate_pool.faces) > EXHAUSTIVE_POOL_CAP:
         raise PoolTooLargeError(
@@ -124,6 +128,7 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     if not is_spanning(K, FaceSet(K, d, tuple(pool)), constraints):
         raise InfeasibleError(
             "no subset of the candidate pool satisfies the constraints")
+    spans = spanning_predicate(K, constraints, d)
     vols = _face_volumes(K, d)
     costs = [float(weight.at(f) * vols[f]) for f in pool]
 
@@ -131,10 +136,13 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     evaluations = 0
     while heap:
         cost, faces, last = heapq.heappop(heap)
-        F = FaceSet(K, d, faces)
         evaluations += 1
-        if is_spanning(K, F, constraints):
-            return SolveResult(faces=F, objective=cost,
+        if evaluations > EXHAUSTIVE_EVALUATION_CAP:
+            raise PoolTooLargeError(
+                f"exhaustive search passed {EXHAUSTIVE_EVALUATION_CAP} "
+                f"evaluations; use minimize_local")
+        if spans(faces):
+            return SolveResult(faces=FaceSet(K, d, faces), objective=cost,
                                certificate={"method": "exhaustive",
                                             "lower_bound": cost},
                                evaluations=evaluations, accepted=0, seed=None)
@@ -221,7 +229,9 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     random pool faces and descends again.  The incumbent is replaced only by
     strictly better feasible sets, so the accepted-objective history is
     non-increasing.  The budget bounds the number of spanning evaluations;
-    runs are deterministic for a fixed seed.
+    runs are deterministic for a fixed seed.  Candidates are decided on face
+    tuples by one `spanning_predicate` built for the solve, and a FaceSet is
+    built only for the result.
     """
     if not is_spanning(K, init, constraints):
         raise PreconditionError("initial face set violates the constraints")
@@ -248,12 +258,12 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     accepted = 0
     max_candidates = 4000
     verdicts: Dict[Tuple[int, ...], bool] = {init.faces: True}
+    spans = spanning_predicate(K, constraints, d)
 
     def feasible(faces: Tuple[int, ...]) -> bool:
         hit = verdicts.get(faces)
         if hit is None:
-            hit = is_spanning(K, FaceSet(K, d, faces), constraints)
-            verdicts[faces] = hit
+            hit = verdicts[faces] = spans(faces)
         return hit
 
     def descend(state, value, shuffled=False):

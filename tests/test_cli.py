@@ -97,6 +97,21 @@ def test_lemmas_bad_pair_flag(capsys):
     assert "theta,phi" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--exhaustive"],
+    ["lemmas", "--input", "problem.txt"],
+    ["check", "--input", "problem.txt", "--budget", "5"],
+    ["homology", "--input", "problem.txt", "--csv-out", "out.csv"],
+    ["export", "--input", "problem.txt", "--exhaustive"],
+])
+def test_unread_flags_rejected(argv, capsys):
+    # each subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_parse_errors_reported(problem_file, capsys):
     code, out, err = run_cli(capsys, ["check", "--input",
                                       problem_file("n 9\nd 9\n")])

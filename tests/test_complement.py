@@ -1,6 +1,7 @@
 """Complement models, constraint realization, spanning and competitor checks."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
                      build_grid_complex, competitor_check,
                      complement_subcomplex, free_collapse_candidates,
                      homology_group, is_null_homologous, is_spanning,
-                     realize_constraint, spanning_check)
+                     realize_constraint, spanning_check, spanning_predicate)
 from spanmin.complement import ComplementModel, _realize_raw
 from spanmin.problems import generate_faceset, linking_loops
 
@@ -160,6 +161,22 @@ def test_spanning_check_degenerate_reason():
     degenerate = ConstraintCycle(kind="point-pair", points=((0, 0), (0, 0)))
     [status] = spanning_check(K, FaceSet(K, 1, ()), [degenerate])
     assert not status.passed and status.reason == "degenerate"
+
+
+def test_checks_emit_no_warning_realization_does():
+    K = build_grid_complex(2, [2, 2])
+    empty = FaceSet(K, 1, ())
+    pair = ConstraintCycle(kind="point-pair", points=((0, 0), (0, 0)))
+    loop = ConstraintCycle(kind="loop", points=((0, 0), (1, 0)))  # cancels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        statuses = spanning_check(K, empty, [pair, loop])
+        assert not is_spanning(K, empty, [pair])
+    assert [s.reason for s in statuses] == ["degenerate", "degenerate"]
+    model = complement_subcomplex(K, empty, max_dim=2)
+    for c in (pair, loop):
+        with pytest.warns(UserWarning, match="degenerate"):
+            assert realize_constraint(c, model).is_zero()
 
 
 def test_degree0_cycle_matches_point_pair():
@@ -554,7 +571,9 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
                                 points=(points[u], points[v]))
                 for u, v in picks]
         statuses = spanning_check(K, F, cons)
-        for (u, v), st in zip(picks, statuses):
+        for (u, v), c, st in zip(picks, cons, statuses):
+            assert spanning_predicate(K, [c], d)(F.faces) == st.passed
+            assert is_spanning(K, F, [c]) == st.passed
             if not (good[u] and good[v]):
                 want = "contact"
             elif u == v:
@@ -566,6 +585,16 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
             assert st.reason == want
             assert st.passed == (want == "nontrivial")
             seen_verdicts.add(want)
+        # mixed lists (a pair plus a loop) and an off-grid point
+        loop = rectangle_loop((0, 1), (0, 0), box[:2], (0,) * len(box))
+        off = ConstraintCycle(kind="point-pair", points=(
+            points[0], (-1,) + points[0][1:]))
+        model = ComplementModel(K, F, max_dim=2)
+        assert [s.reason for s in model.check([off])] == ["contact"]
+        for mixed in ([cons[0], loop], [loop, cons[-2]], [cons[-2], off]):
+            want = all(s.passed for s in model.check(mixed))
+            assert spanning_predicate(K, mixed, d)(F.faces) == want
+            assert is_spanning(K, F, mixed) == want
     assert {"contact", "degenerate", "null-homologous"} <= seen_verdicts
     if d == len(box) - 1:
         assert "nontrivial" in seen_verdicts

@@ -363,3 +363,58 @@ def test_exhaustive_skips_faces_touching_a_constraint():
     assert mixed.faces.faces == alone.faces.faces == row.faces
     assert mixed.objective == alone.objective == 2.0
     assert mixed.evaluations == alone.evaluations
+
+
+# -- pinned search trajectories ------------------------------------------------
+
+# Instances of the criterion-4 loop: a 4x4 grid, the point pair (2,0)-(2,4),
+# and a pool of the middle row plus band edges.  Each row holds the pool, the
+# local-search seed, and (faces, objective, evaluations, accepted, history)
+# of the exhaustive search and of the local search with budget 10,000, as
+# the solvers gave them when every candidate built its own complement model.
+PINNED = [
+    ((3, 7, 18, 20, 23, 31, 33, 34, 43, 44, 46, 49), 534836507,
+     ((7, 20, 33, 46), 4.0, 336, 0, ()),
+     ((7, 20, 33, 46), 4.0, 7533, 1, (13.656854249492381, 4.000000000000002))),
+    ((4, 6, 7, 10, 17, 20, 23, 29, 32, 33, 36, 43, 44, 46, 47), 28162508,
+     ((7, 20, 33, 46), 4.0, 1043, 0, ()),
+     ((7, 20, 33, 46), 4.0, 10000, 2,
+      (15.828427124746192, 5.000000000000002, 4.0))),
+    ((3, 5, 7, 8, 10, 16, 18, 20, 29, 30, 31, 33, 36, 42, 45, 46, 49, 54),
+     449804157,
+     ((7, 20, 33, 46), 4.0, 1389, 0, ()),
+     ((7, 20, 33, 46), 4.0, 10000, 1, (19.656854249492383, 4.000000000000002))),
+]
+
+
+def band_instance(pool_faces):
+    K = build_grid_complex(2, [4, 4])
+    cons = [ConstraintCycle(kind="point-pair", points=((2, 0), (2, 4)))]
+    return K, cons, FaceSet(K, 1, pool_faces)
+
+
+def trajectory(res):
+    return (res.faces.faces, res.objective, res.evaluations, res.accepted,
+            res.history)
+
+
+@pytest.mark.parametrize("pool_faces,seed,exhaustive,local", PINNED)
+def test_search_trajectories_pinned(pool_faces, seed, exhaustive, local):
+    K, cons, pool = band_instance(pool_faces)
+    w = WeightField.uniform(1.0)
+    assert trajectory(minimize_exhaustive(K, cons, w, pool)) == exhaustive
+    res = minimize_local(K, cons, w, init=pool, budget=10_000, seed=seed,
+                         pool=pool)
+    assert trajectory(res) == local
+
+
+def test_exhaustive_evaluation_cap(monkeypatch):
+    # the first pinned pool spans, but its optimum is the 336th subset popped
+    import spanmin.solver as solver
+    K, cons, pool = band_instance(PINNED[0][0])
+    w = WeightField.uniform(1.0)
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 100)
+    with pytest.raises(PoolTooLargeError):
+        minimize_exhaustive(K, cons, w, pool)
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 336)
+    assert minimize_exhaustive(K, cons, w, pool).evaluations == 336
