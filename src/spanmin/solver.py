@@ -2,19 +2,18 @@
 
 Three routes: an exhaustive oracle over small candidate pools (subsets are
 enumerated lazily in cost order, so the first feasible one is optimal), a
-deformation-based local search built from measure-non-increasing exchange
+deformation-based local search built from strictly improving exchange
 moves, and a projection-based certified lower bound for two-dimensional sets
 in R^4.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,69 +150,59 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     raise InfeasibleError("no subset of the candidate pool satisfies the constraints")
 
 
-class _Moves:
-    """Improving exchanges in (delta, removed, added) order.
+class _MoveTable(NamedTuple):
+    """Every subset of at most two of the n pool positions, in lexicographic
+    tuple order: (), (0,), (0, 1), ..., (0, n-1), (1,), (1, 2), ...
 
-    Held as index arrays into the removal and addition combinations; a
-    move's face tuples are built only when it is read.
+    A row is its two members (a single's second member is its first, the
+    empty set's are the sentinel position n) and its cost sum, c_a for a
+    single and c_a + c_b for a pair.  `removable` marks the rows an exchange
+    may take out of a state.
     """
 
-    def __init__(self, delta: np.ndarray, rem: np.ndarray, add: np.ndarray):
-        self.delta, self.rem, self.add = delta, rem, add
-
-    def __len__(self) -> int:
-        return len(self.delta)
-
-    def __getitem__(self, i: int
-                    ) -> Tuple[float, Tuple[int, ...], Tuple[int, ...]]:
-        return (float(self.delta[i]), _unpad(self.rem[i]),
-                _unpad(self.add[i]))
+    first: np.ndarray
+    second: np.ndarray
+    sums: np.ndarray
+    removable: np.ndarray
 
 
-def _unpad(row: np.ndarray) -> Tuple[int, ...]:
-    return tuple(f for f in row.tolist() if f >= 0)
+def _move_table(costs: Sequence[float], movable: Sequence[bool]) -> _MoveTable:
+    n = len(costs)
+    # pairs a <= b in row-major order, (a, a) standing for (a,)
+    first, second = np.triu_indices(n)
+    first = np.concatenate(([n], first))
+    second = np.concatenate(([n], second))
+    c = np.append(np.asarray(costs, dtype=float), 0.0)
+    sums = np.where(first == second, c[first], c[first] + c[second])
+    mov = np.append(np.asarray(movable, dtype=bool), False)
+    return _MoveTable(first, second, sums, mov[first] & mov[second])
 
 
-@functools.lru_cache(maxsize=128)
-def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j in itertools.combinations order (read-only)."""
-    i, j = np.triu_indices(n, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
-
-
-def _combos(faces: Sequence[int], costs: Dict[int, float],
-            empty: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Subsets of one or two faces in combination order, after the empty
-    one if asked: rows (f, -1) / (f, g) and their cost sums c1 + c2."""
-    f = np.array(faces, dtype=np.int64)
-    c = np.array([costs[x] for x in faces], dtype=float)
-    i, j = _pairs(len(f))
-    head = np.full(int(empty), -1, dtype=np.int64)
-    first = np.concatenate((head, f, f[i]))
-    second = np.concatenate((head, np.full(len(f), -1), f[j]))
-    sums = np.concatenate((np.zeros(int(empty)), c, c[i] + c[j]))
-    return np.stack((first, second), axis=1), sums
-
-
-def _exchange_moves(current: Tuple[int, ...], pool: Sequence[int],
-                    costs: Dict[int, float]) -> _Moves:
+def _exchange_moves(table: _MoveTable, state: int) -> List[List[int]]:
     """All strictly improving exchanges with at most two faces each way.
 
-    Ordered by (delta, removed, added) so the descent is deterministic;
-    rows are padded with -1, which keeps tuple order since (a,) < (a, b).
+    `state` is a bitmask over pool positions.  Removal rows are removable
+    rows inside the state, addition rows the empty set and the rows outside
+    it.  Returns moves [removed first, removed second, added first, added
+    second] of pool positions, ordered by (delta, removed, added) so the
+    descent is deterministic.
     """
-    cur = set(current)
-    rem, rem_sum = _combos(sorted(cur), costs, empty=False)
-    add, add_sum = _combos([f for f in pool if f not in cur], costs,
-                           empty=True)
-    delta = add_sum[None, :] - rem_sum[:, None]
+    first, second, sums, removable = table
+    size = int(first[0]) + 1  # pool positions and the sentinel
+    inside = np.unpackbits(
+        np.frombuffer(state.to_bytes((size + 7) // 8, "little"), np.uint8),
+        count=size, bitorder="little").view(bool)
+    a, b = inside[first], inside[second]
+    rem = np.flatnonzero(a & b & removable)
+    add = np.flatnonzero(~(a | b))
+    delta = sums[add] - sums[rem][:, None]
+    # row-major nonzero lists (removed, added) in table order, so a stable
+    # sort on delta alone gives (delta, removed, added)
     ri, ai = np.nonzero(delta < -1e-12)
-    delta = delta[ri, ai]
-    order = np.lexsort((add[ai, 1], add[ai, 0], rem[ri, 1], rem[ri, 0],
-                        delta))
-    return _Moves(delta[order], rem[ri[order]], add[ai[order]])
+    order = np.argsort(delta[ri, ai], kind="stable")
+    rem, add = rem[ri[order]], add[ai[order]]
+    return np.array((first[rem], second[rem], first[add],
+                     second[add])).T.tolist()
 
 
 def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
@@ -222,16 +211,22 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
                    region: Optional[Region] = None) -> SolveResult:
     """Budgeted local search: steepest descent with seeded restarts.
 
-    Descent moves are free-face collapses and small add/remove exchanges; a
-    move is applied only if it strictly decreases the objective and the
-    result still passes the spanning check.  When descent converges and
-    budget remains, the search restarts from the incumbent enlarged by a few
-    random pool faces and descends again.  The incumbent is replaced only by
-    strictly better feasible sets, so the accepted-objective history is
-    non-increasing.  The budget bounds the number of spanning evaluations;
-    runs are deterministic for a fixed seed.  Candidates are decided on face
-    tuples by one `spanning_predicate` built for the solve, and a FaceSet is
-    built only for the result.
+    Descent moves are exchanges of at most two faces out for at most two
+    in; the removal-only exchanges are the collapses.  A move is applied
+    only if it strictly decreases the objective and the result still
+    passes the spanning check.  When descent converges and budget remains,
+    the search restarts from the incumbent enlarged by a few random pool
+    faces, or from the whole pool, and descends in a seeded random order
+    (the k-th move tried is drawn from the untried ones).  The incumbent is
+    replaced only by strictly better feasible sets, so the
+    accepted-objective history is non-increasing.  The budget bounds the
+    number of spanning evaluations; runs are deterministic for a fixed
+    seed.  With a region, pool faces outside it are dropped and init faces
+    outside it are never removed.
+
+    One move table over the sorted pool is built per solve, states are
+    bitmasks over pool positions, and verdicts are cached by state; a face
+    tuple is built only for a `spanning_predicate` call and the result.
     """
     if not is_spanning(K, init, constraints):
         raise PreconditionError("initial face set violates the constraints")
@@ -245,25 +240,44 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     if region is not None:
         pool_faces = [f for f in pool_faces if region.contains_face(K, d, f)]
     pool_faces = sorted(set(pool_faces) | set(init.faces))
+    # init faces outside the region stay in every state
+    movable = [region is None or region.contains_face(K, d, f)
+               for f in pool_faces]
 
     vols = _face_volumes(K, d)
-    costs = {f: float(weight.at(f) * vols[f]) for f in pool_faces}
+    costs = [float(weight.at(f) * vols[f]) for f in pool_faces]
+    table = _move_table(costs, movable)
+    # states are bitmasks over pool positions; position len(pool) is the
+    # table's sentinel, with no bit and no cost
+    bits = [1 << p for p in range(len(pool_faces))] + [0]
+    padded = costs + [0.0]
     rng = random.Random(seed)
 
-    current = init.faces
-    obj = float(sum(costs[f] for f in current))
-    best_faces, best_obj = current, obj
+    def faces_of(state: int) -> Tuple[int, ...]:
+        return tuple(f for f, bit in zip(pool_faces, bits) if state & bit)
+
+    def cost_of(state: int) -> float:
+        return float(sum(c for c, bit in zip(costs, bits) if state & bit))
+
+    def row_sum(f: int, g: int) -> float:
+        # the table's sums, so deltas match its ordering bit for bit
+        return padded[f] if f == g else padded[f] + padded[g]
+
+    init_faces = set(init.faces)
+    current = sum(bit for f, bit in zip(pool_faces, bits) if f in init_faces)
+    obj = cost_of(current)
+    best, best_obj = current, obj
     history = [obj]
     evaluations = 0
     accepted = 0
     max_candidates = 4000
-    verdicts: Dict[Tuple[int, ...], bool] = {init.faces: True}
+    verdicts: Dict[int, bool] = {current: True}
     spans = spanning_predicate(K, constraints, d)
 
-    def feasible(faces: Tuple[int, ...]) -> bool:
-        hit = verdicts.get(faces)
+    def feasible(state: int) -> bool:
+        hit = verdicts.get(state)
         if hit is None:
-            hit = verdicts[faces] = spans(faces)
+            hit = verdicts[state] = spans(faces_of(state))
         return hit
 
     def descend(state, value, shuffled=False):
@@ -271,26 +285,25 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
         seeded random order (used by restarts to reach different basins)."""
         nonlocal evaluations
         while evaluations < budget:
-            moves = _exchange_moves(state, pool_faces, costs)
-            # index lists: sample and shuffle draw by length alone
+            moves = _exchange_moves(table, state)
             order = list(range(len(moves)))
             if len(order) > max_candidates:
                 head = order[:max_candidates // 2]
                 tail = rng.sample(order[max_candidates // 2:],
                                   max_candidates - len(head))
                 order = sorted(head + tail)
-            if shuffled:
-                rng.shuffle(order)
             progressed = False
-            for i in order:
-                delta, rem, add = moves[i]
-                if region is not None and not all(
-                        region.contains_face(K, d, f) for f in rem + add):
-                    continue
-                cand = tuple(sorted((set(state) - set(rem)) | set(add)))
+            for k in range(len(order)):
+                if shuffled:
+                    # partial Fisher-Yates: draw only the moves tried
+                    j = rng.randrange(k, len(order))
+                    order[k], order[j] = order[j], order[k]
+                rf, rs, af, ag = moves[order[k]]
+                cand = state & ~(bits[rf] | bits[rs]) | bits[af] | bits[ag]
                 evaluations += 1
                 if feasible(cand):
-                    state, value = cand, value + delta
+                    state = cand
+                    value += row_sum(af, ag) - row_sum(rf, rs)
                     progressed = True
                     break
                 if evaluations >= budget:
@@ -301,7 +314,7 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
 
     current, obj = descend(current, obj)
     if obj < best_obj - 1e-12:
-        best_faces, best_obj = current, obj
+        best, best_obj = current, obj
         history.append(obj)
         accepted += 1
 
@@ -311,35 +324,33 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     stall = 0
     max_stall = 60
     restart = 0
-    full_pool = tuple(pool_faces)
+    full_pool = (1 << len(pool_faces)) - 1
     while evaluations < budget - 1 and stall < max_stall:
         restart += 1
         if restart % 2 == 0:
             # independent restart: shuffled descent from the whole pool
             cand = full_pool
         else:
-            outside = [f for f in pool_faces if f not in best_faces]
+            outside = [bit for bit in bits[:-1] if not best & bit]
             if not outside:
                 break
             kick = rng.sample(outside, min(len(outside), rng.randint(1, 4)))
-            cand = tuple(sorted(set(best_faces) | set(kick)))
+            cand = best | sum(kick)
         evaluations += 1
         if not feasible(cand):
             stall += 1
             continue
-        value = float(sum(costs[f] for f in cand))
-        state, value = descend(cand, value, shuffled=True)
+        state, value = descend(cand, cost_of(cand), shuffled=True)
         if value < best_obj - 1e-12:
-            best_faces, best_obj = state, value
+            best, best_obj = state, value
             history.append(value)
             accepted += 1
             stall = 0
         else:
             stall += 1
 
-    best = FaceSet(K, d, best_faces)
-    obj = float(sum(costs[f] for f in best_faces))
-    return SolveResult(faces=best, objective=obj,
+    return SolveResult(faces=FaceSet(K, d, faces_of(best)),
+                       objective=cost_of(best),
                        certificate={"method": "local", "lower_bound": None},
                        evaluations=evaluations, accepted=accepted, seed=seed,
                        history=tuple(history))

@@ -75,6 +75,31 @@ def test_solve_exhaustive_optimum(problem_file, capsys):
     assert "certificate_method: exhaustive" in out
 
 
+LOCAL_ROUTE = """\
+n 2
+d 1
+box 3 3
+init generator separating-row
+constraint point-pair 2 0 ; 1 3
+region 0 0 ; 3 3
+seed 3
+"""
+
+
+def test_solve_local_route_report_pinned(problem_file, capsys):
+    # the region holds all 33 edges, above the exhaustive cap of 30, so
+    # the report is the local search's; the search stops on stalled
+    # restarts before its budget of 10,000
+    code, out, _ = run_cli(capsys, ["solve", "--input",
+                                    problem_file(LOCAL_ROUTE)])
+    assert code == 0
+    assert strip_time(out) == "\n".join([
+        "command: solve", "n: 2", "d: 1", "box: 3 3", "seed: 3",
+        "status: ok", "objective: 2.41421356237", "faces: 12 24",
+        "certificate_lower_bound: None", "certificate_method: local",
+        "evaluations: 7891"])
+
+
 def test_solve_infeasible_exit_2(problem_file, capsys):
     text = "n 2\nd 1\nbox 2 2\ninit faces 4 11\n" \
            "constraint point-pair 1 0 ; 1 2\nregion 2 0 ; 2 2\n"

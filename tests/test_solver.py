@@ -370,16 +370,17 @@ def test_exhaustive_skips_faces_touching_a_constraint():
 # Instances of the criterion-4 loop: a 4x4 grid, the point pair (2,0)-(2,4),
 # and a pool of the middle row plus band edges.  Each row holds the pool, the
 # local-search seed, and (faces, objective, evaluations, accepted, history)
-# of the exhaustive search and of the local search with budget 10,000, as
-# the solvers gave them when every candidate built its own complement model.
+# of the exhaustive search and of the local search with budget 10,000.  The
+# exhaustive rows date from when every candidate built its own complement
+# model; the local rows are from the descent that draws its moves lazily.
 PINNED = [
     ((3, 7, 18, 20, 23, 31, 33, 34, 43, 44, 46, 49), 534836507,
      ((7, 20, 33, 46), 4.0, 336, 0, ()),
-     ((7, 20, 33, 46), 4.0, 7533, 1, (13.656854249492381, 4.000000000000002))),
+     ((7, 20, 33, 46), 4.0, 7792, 1, (13.656854249492381, 4.000000000000002))),
     ((4, 6, 7, 10, 17, 20, 23, 29, 32, 33, 36, 43, 44, 46, 47), 28162508,
      ((7, 20, 33, 46), 4.0, 1043, 0, ()),
      ((7, 20, 33, 46), 4.0, 10000, 2,
-      (15.828427124746192, 5.000000000000002, 4.0))),
+      (15.828427124746192, 5.000000000000002, 4.000000000000002))),
     ((3, 5, 7, 8, 10, 16, 18, 20, 29, 30, 31, 33, 36, 42, 45, 46, 49, 54),
      449804157,
      ((7, 20, 33, 46), 4.0, 1389, 0, ()),
