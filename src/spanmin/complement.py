@@ -138,10 +138,11 @@ def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
 
 class _DualGraph:
     """Per-complex tables of the complement model: subdivision-id offsets,
-    the dual graph (top simplices of K joined across its interior
-    (n-1)-faces), one top simplex containing each simplex, the face
-    closure of each d-simplex and, built on first use, the dK mask, the
-    signed facet crossings of the top simplices and their adjacency lists.
+    one top simplex containing each simplex, the face closure of each
+    d-simplex and, built on first use, the dK mask, the signed facet
+    crossings of the top simplices and the dual graph: adjacency lists of
+    the top simplices of K joined across its interior (n-1)-faces, read
+    by the early-exit `reachable` and by `homology._spanning_forest`.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -160,17 +161,6 @@ class _DualGraph:
         for k in range(n + 1):
             self.offsets.append(self.offsets[-1] + K.n_simplices(k))
         self.n_top = K.n_simplices(n)
-        face: List[int] = []
-        a: List[int] = []
-        b: List[int] = []
-        for f, tops in enumerate(K.cofacets(n - 1)):
-            for t in tops[1:]:
-                face.append(f)
-                a.append(tops[0])
-                b.append(t)
-        self.face = np.array(face, dtype=np.int64)
-        self.a = np.array(a, dtype=np.int64)
-        self.b = np.array(b, dtype=np.int64)
         # one top simplex containing each simplex of K, by subdivision id
         rows = [list(range(self.n_top))]
         for k in range(n - 1, -1, -1):
@@ -187,12 +177,13 @@ class _DualGraph:
 
     @cached_property
     def adjacency(self) -> List[List[Tuple[int, int]]]:
-        """Per top simplex: (facet, top across it) for each interior facet."""
+        """Per top simplex: (facet, top across it) for each interior facet,
+        in facet order."""
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(self.n_top)]
-        for f, a, b in zip(self.face.tolist(), self.a.tolist(),
-                           self.b.tolist()):
-            adj[a].append((f, b))
-            adj[b].append((f, a))
+        for f, tops in enumerate(self.K.cofacets(self.K.dim - 1)):
+            for t in tops[1:]:
+                adj[tops[0]].append((f, t))
+                adj[t].append((f, tops[0]))
         return adj
 
     def reachable(self, t0: int, t1: int, cut: Container[int]) -> bool:
@@ -359,17 +350,12 @@ class ComplementModel:
 
     @cached_property
     def _top_labels(self) -> List[int]:
-        """Component label per top simplex: the dual graph less its edges
-        across faces of F.  Read by `homology(0)` and explicit degree-0
-        `cycle` constraints; point pairs are decided by `_pair_reason`."""
-        dual, F = self.dual, self.F
-        a, b = dual.a, dual.b
-        if F.dim == self.K.dim - 1 and F.faces:
-            cut = np.zeros(self.K.n_simplices(F.dim), dtype=bool)
-            cut[list(F.faces)] = True
-            keep = ~cut[dual.face]
-            a, b = a[keep], b[keep]
-        return _hom._components(dual.n_top, a, b)
+        """Component label per top simplex: its root in the spanning forest
+        of the dual graph less its edges across faces of F.  Read by
+        `homology(0)` and explicit degree-0 `cycle` constraints; point
+        pairs are decided by `_pair_reason`."""
+        cut = _cut(self.K, self.F.dim, self.F.faces)
+        return _hom._spanning_forest(self.dual.adjacency, cut)[0]
 
     def _label(self, sdid: int) -> int:
         """Component label of a subdivision id outside cl F."""
@@ -481,6 +467,11 @@ class ComplementModel:
                 out.append(ConstraintStatus(i, reason == "nontrivial",
                                             reason))
                 continue
+            if c.degree >= 2 and self.max_dim < c.degree + 1:
+                # a g-cycle bounds only through the (g+1)-simplices
+                raise PreconditionError(
+                    f"a degree-{c.degree} cycle needs max_dim >= "
+                    f"{c.degree + 1}, got {self.max_dim}")
             try:
                 dim, raw = _realize_raw(c, self)
             except RealizationError:
@@ -532,8 +523,8 @@ def complement_subcomplex(K: Complex, F: FaceSet,
 
     `max_dim` truncates the skeleton of the subdivision behind the
     `complex` view; testing a degree-g `cycle` constraint there needs
-    max_dim >= g+1.  `homology` and the checks of degree 0 and 1 do not
-    read it.
+    max_dim >= g+1, and `check` raises `PreconditionError` otherwise.
+    `homology` and the checks of degree 0 and 1 do not read it.
     """
     if max_dim is None:
         max_dim = K.dim
@@ -572,6 +563,9 @@ class ConstraintCycle:
         else:
             if self.degree is None:
                 raise InvalidInputError("general cycle needs an explicit degree")
+            if self.degree < 0:
+                raise InvalidInputError(
+                    f"cycle degree {self.degree} is negative")
 
 
 def _lattice_vertex(K: Complex, p: Sequence[int]) -> int:
@@ -745,6 +739,10 @@ _DEGENERATE = {"point-pair": "degenerate point pair (identical points)",
 def realize_constraint(spec: ConstraintCycle, model: ComplementModel) -> Chain:
     """Realize a constraint as a chain on the complement complex; warns when
     a point pair or loop realizes as the zero chain."""
+    if spec.degree > model.max_dim:
+        raise PreconditionError(
+            f"a degree-{spec.degree} constraint needs max_dim >= "
+            f"{spec.degree}, got {model.max_dim}")
     dim, raw = _realize_raw(spec, model)
     if not raw and spec.kind in _DEGENERATE:
         warnings.warn(_DEGENERATE[spec.kind])

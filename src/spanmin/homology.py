@@ -10,11 +10,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Container, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .complexes import Chain, Complex, boundary
 from .errors import InvalidInputError, PreconditionError
@@ -404,27 +402,46 @@ class HomologyGroup:
         return f"H_{self.k} = " + (" + ".join(parts) if parts else "0")
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> List[int]:
-    """Component label per vertex of the graph on range(n) with edges
-    a[i]-b[i] (integer arrays)."""
-    if n >= 4096:  # sparse graph machinery pays off only at scale
-        graph = sparse.coo_matrix(
-            (np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
-        return csgraph.connected_components(graph, directed=False)[1].tolist()
-    parent = list(range(n))
-    for u, v in zip(a.tolist(), b.tolist()):  # finds inlined: path halving
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-    labels = []
-    for x in range(n):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        labels.append(x)
-    return labels
+def _spanning_forest(adj: List[List[Tuple[int, int]]],
+                     cut: Container[int] = ()
+                     ) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
+    """Depth-first spanning forest of the graph whose vertex u has the
+    (edge id, neighbour) pairs adj[u], never crossing an edge in `cut`.
+
+    Returns, per vertex, the root of its tree (the least vertex of its
+    component, so roots label the components) and its tree edge
+    (parent, edge id), None at a root.  Linear in the graph's size
+    (Hopcroft and Tarjan, CACM 16, 1973).
+    """
+    n = len(adj)
+    root = [-1] * n
+    tree: List[Optional[Tuple[int, int]]] = [None] * n
+    for r in range(n):
+        if root[r] >= 0:
+            continue
+        root[r] = r
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for e, w in adj[u]:
+                if root[w] < 0 and e not in cut:
+                    root[w] = r
+                    tree[w] = (u, e)
+                    stack.append(w)
+    return root, tree
+
+
+def _skeleton_forest(K: Complex
+                     ) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
+    """`_spanning_forest` of K's 1-skeleton on vertex indices, each
+    vertex's edges in edge-index order."""
+    index = K._index[0]
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(K.n_simplices(0))]
+    for e, (a, b) in enumerate(K.simplices(1)):
+        ia, ib = index[(a,)], index[(b,)]
+        adj[ia].append((e, ib))
+        adj[ib].append((e, ia))
+    return _spanning_forest(adj)
 
 
 def _boundary_columns(K: Complex, k: int) -> Dict[int, Dict[int, int]]:
@@ -451,9 +468,8 @@ def homology_group(K: Complex, k: int) -> HomologyGroup:
 
     nk = K.n_simplices(k)
     if k == 0:
-        E = np.array(K.simplices(1), dtype=np.int64).reshape(-1, 2)
-        labels = _components(nk, E[:, 0], E[:, 1])
-        result = HomologyGroup(k=0, rank=len(set(labels)), torsion=())
+        root, _ = _skeleton_forest(K)
+        result = HomologyGroup(k=0, rank=len(set(root)), torsion=())
     else:
         rank_dk = len(_snf_diagonal_sparse(_boundary_columns(K, k)))
         diag = _snf_diagonal_sparse(_boundary_columns(K, k + 1))
@@ -469,47 +485,26 @@ def is_cycle(z: Chain) -> bool:
 
 
 def _solve_zero_cycle(z: Chain) -> Tuple[bool, Optional[Chain]]:
-    """Bounding test for 0-cycles via a BFS forest and its tree paths."""
-    K = z.complex
-    n = K.n_simplices(0)
-    pred: List[Optional[Tuple[int, int]]] = [None] * n  # vertex -> (parent, edge idx)
-    root_of = [-1] * n  # the forest's roots label the components
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    for e, (a, b) in enumerate(K.simplices(1)):
-        adj.setdefault(a, []).append((b, e))
-        adj.setdefault(b, []).append((a, e))
-    for root in range(n):
-        if root_of[root] >= 0:
-            continue
-        root_of[root] = root
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for (w, e) in adj.get(u, ()):
-                if root_of[w] < 0:
-                    root_of[w] = root
-                    pred[w] = (u, e)
-                    stack.append(w)
+    """Bounding test for 0-cycles via the 1-skeleton's spanning forest:
+    z bounds iff its coefficients sum to 0 on every tree, and then the
+    tree paths from its vertices to their roots add up to a witness."""
+    root, tree = _skeleton_forest(z.complex)
     totals: Dict[int, int] = {}
     for i, c in z.coeffs.items():
-        r = root_of[K.simplex(0, i)[0]]
-        totals[r] = totals.get(r, 0) + c
+        totals[root[i]] = totals.get(root[i], 0) + c
     if any(totals.values()):
         return False, None
 
-    # witness: a sum of tree paths, one per charged vertex
     coeffs: Dict[int, int] = {}
-    for i, c in z.coeffs.items():
-        v = K.simplex(0, i)[0]
-        while pred[v] is not None:
-            parent, e = pred[v]
-            a, _b = K.simplex(1, e)
-            # oriented edge [a,b] has boundary b - a; walking v <- parent
-            sgn = 1 if a == parent else -1
+    for v, c in z.coeffs.items():
+        while tree[v] is not None:
+            parent, e = tree[v]
+            # vertex indices follow vertex order, so edge e runs from its
+            # lower end to its higher one: boundary(e) = higher - lower
+            sgn = 1 if parent < v else -1
             coeffs[e] = coeffs.get(e, 0) + sgn * c
             v = parent
-    witness = Chain(K, 1, coeffs)
-    return True, witness
+    return True, Chain(z.complex, 1, coeffs)
 
 
 def is_null_homologous(z: Chain, K: Optional[Complex] = None

@@ -1,6 +1,10 @@
 """CLI subcommands: reports, exit codes, determinism, exports."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,15 @@ def test_export_csv_from_one_model(problem_file, tmp_path, capsys,
         "0,loop,1,pass,nontrivial,2\n"
         "1,loop,1,pass,nontrivial,2\n"
         "2,point-pair,0,fail,null-homologous,1\n")
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; a stray scipy import would pass
+    # every other test on a machine that happens to have scipy
+    code = ("import sys, spanmin, spanmin.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -40,6 +40,8 @@ def test_constraint_kind_validation():
                            points=((0, 0), (1, 1))).degree == 0
     assert ConstraintCycle(kind="loop",
                            points=((0, 0), (1, 0), (1, 1))).degree == 1
+    with pytest.raises(InvalidInputError):
+        ConstraintCycle(kind="cycle", degree=-1)
 
 
 # -- complement model ---------------------------------------------------------
@@ -433,6 +435,19 @@ def test_degree2_cycle_constraint_sphere():
     assert null and boundary(witness) == chain
 
 
+def test_truncated_subdivision_rejects_high_degree_cycle():
+    # the sphere bounds only through 3-simplices of the subdivision, so a
+    # model truncated below them cannot decide it
+    K = build_grid_complex(3, [3, 3, 3])
+    sphere = sphere_cycle(K)
+    empty = FaceSet(K, 1, ())
+    for max_dim in (1, 2):
+        with pytest.raises(PreconditionError):
+            spanning_check(K, empty, [sphere], max_dim=max_dim)
+    with pytest.raises(PreconditionError):
+        realize_constraint(sphere, complement_subcomplex(K, empty, max_dim=1))
+
+
 # -- regions and competitor checks ---------------------------------------------
 
 def test_region_validation_and_membership():
@@ -517,11 +532,29 @@ def test_collapse_candidates_respect_region():
 
 # -- degree 0 on the dual graph against the subdivision ------------------------
 
+def union_find_components(n, a, b):
+    """Component label per vertex of the graph on range(n) with edges
+    a[i]-b[i] (integer arrays)."""
+    parent = list(range(n))
+    for u, v in zip(a.tolist(), b.tolist()):  # finds inlined: path halving
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+    labels = []
+    for x in range(n):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        labels.append(x)
+    return labels
+
+
 def subdivision_oracle(K, F):
     """(good mask, component label per subdivision id) from a union-find
     over the whole subdivision graph, outside cl F."""
     from spanmin.complement import _sd_structure
-    from spanmin.homology import _components
     sd = _sd_structure(K, 1)
     good = np.ones(sd.total, dtype=bool)
     for f in F.faces:
@@ -531,7 +564,7 @@ def subdivision_oracle(K, F):
                 good[sd.sd_id(r - 1, K.index(sub))] = False
     a, b = sd.edge_arrays
     keep = good[a] & good[b]
-    return good, _components(sd.total, a[keep], b[keep])
+    return good, union_find_components(sd.total, a[keep], b[keep])
 
 
 DEG0_CASES = [((3, 3), 1, 9), ((3, 3), 0, 4), ((2, 2, 2), 2, 30),
@@ -598,6 +631,26 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
     assert {"contact", "degenerate", "null-homologous"} <= seen_verdicts
     if d == len(box) - 1:
         assert "nontrivial" in seen_verdicts
+
+
+def test_dual_graph_deg0_at_scale():
+    # 64 x 32 box: 4096 tops, the size at which components were once
+    # handed to a sparse-graph library
+    K = build_grid_complex(2, [64, 32])
+    assert K.n_simplices(2) == 4096
+    row = separating_row(K).faces
+    for faces, want in [((), 1), (row, 2), (row[1:], 1)]:
+        F = FaceSet(K, 1, faces)
+        good, oracle = subdivision_oracle(K, F)
+        model = ComplementModel(K, F, max_dim=1)
+        ids = np.flatnonzero(good).tolist()
+        pairs = {(oracle[u], model._label(u)) for u in ids}
+        assert len(pairs) == want == len({oracle[u] for u in ids})
+        assert model.homology(0).rank == want
+    assert homology_group(K, 0).rank == 1
+    z = Chain(K, 0, {K.n_simplices(0) - 1: 3, 0: -3})
+    null, witness = is_null_homologous(z)
+    assert null and boundary(witness) == z
 
 
 def test_point_pair_check_builds_no_subdivision():

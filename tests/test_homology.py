@@ -126,6 +126,19 @@ def test_two_components():
     assert homology_group(K, 0).rank == 2
 
 
+def test_vertex_ids_need_not_be_contiguous():
+    # vertices 0, 2 and 4 of five points: components and witnesses are
+    # taken on vertex indices, not vertex ids
+    K = Complex({0: [(0,), (2,), (4,)], 1: [(2, 4)]},
+                coords=[(0,), (1,), (2,), (3,), (4,)])
+    assert homology_group(K, 0).rank == 2
+    z = Chain(K, 0, {K.index((4,)): 1, K.index((2,)): -1})
+    null, witness = is_null_homologous(z)
+    assert null and boundary(witness) == z
+    z = Chain(K, 0, {K.index((4,)): 1, K.index((0,)): -1})
+    assert is_null_homologous(z) == (False, None)
+
+
 def test_homology_dimension_range():
     K = hollow_triangle()
     with pytest.raises(InvalidInputError):
