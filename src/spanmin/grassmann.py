@@ -8,6 +8,11 @@ Orthogonal projection onto a 2-plane P acts on 2-vectors with rank one:
 if f1, f2 is an orthonormal frame of P and w = f1 ^ f2 its unit 2-vector,
 the induced map sends xi to <xi, w> w, so |p_P(xi)| = |<xi, w>| for every
 2-vector xi, simple or not.
+
+On a simple 2-vector x ^ y that pairing is a 2x2 minor (Cauchy-Binet),
+<x ^ y, f1 ^ f2> = (x.f1)(y.f2) - (x.f2)(y.f1), and the norm follows from
+the Lagrange identity |x ^ y|^2 = |x|^2 |y|^2 - (x.y)^2, so the lemma check
+never forms the six wedge coordinates of its samples.
 """
 
 from __future__ import annotations
@@ -199,7 +204,8 @@ class BoundReport:
         return self.max_sum <= self.bound + tol
 
 
-# samples wedged per step of verify_projection_bounds; bounds its temporaries
+# samples per step of verify_projection_bounds; bounds its y buffer and
+# temporaries
 SAMPLE_CHUNK = 1 << 16
 
 
@@ -223,25 +229,41 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
     |p1| + |p2| against the applicable bound.  Extra 2-vectors (for instance
     the equality family) can be appended to the sample set via `include`.
 
-    The planes are those of `sample_simple_unit` with the same seed: each
-    Gaussian pair x, y spans one, and since the projection sum is linear in
-    xi, its value at the unit 2-vector is that of x ^ y over |x ^ y|.
+    The planes are those of `sample_simple_unit` with the same seed: x is
+    drawn whole and y chunk by chunk from the same stream, which yields the
+    values of one (samples, 4) draw.  Each Gaussian pair x, y spans one
+    plane, and since the projection sum is linear in xi, its value at the
+    unit 2-vector is that of x ^ y over |x ^ y|.  With a = x F and b = y F
+    for F = [f1 f2 g1 g2] (both frames as columns), the two pairings are the
+    minors a0 b1 - a1 b0 and a2 b3 - a3 b2.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise InvalidInputError("samples must be an integer")
     if samples < 1:
         raise PreconditionError("need at least one sample")
+    samples = int(samples)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((int(samples), 4))
-    y = rng.standard_normal((int(samples), 4))
+    x = rng.standard_normal((samples, 4))
+    y = np.empty((min(samples, SAMPLE_CHUNK), 4))
+    frames = np.concatenate([pair.frame1, pair.frame2])
     maxima = []
-    for s in range(0, len(x), SAMPLE_CHUNK):
-        xi = wedge(x[s:s + SAMPLE_CHUNK], y[s:s + SAMPLE_CHUNK])
-        maxima.append(np.max(projection_sums(pair, xi) / two_vector_norm(xi)))
+    for s in range(0, samples, SAMPLE_CHUNK):
+        xs = x[s:s + SAMPLE_CHUNK]
+        ys = rng.standard_normal(out=y[:len(xs)])
+        a0, a1, a2, a3 = frames @ xs.T
+        b0, b1, b2, b3 = frames @ ys.T
+        sums = np.abs(a0 * b1 - a1 * b0)
+        sums += np.abs(a2 * b3 - a3 * b2)
+        xy = np.einsum("ij,ij->i", xs, ys)
+        norm2 = (np.einsum("ij,ij->i", xs, xs)
+                 * np.einsum("ij,ij->i", ys, ys) - xy * xy)
+        maxima.append(np.max(sums / np.sqrt(norm2)))
     if include is not None and len(include):
         maxima.append(np.max(projection_sums(pair, include)))
     max_sum = float(np.max(maxima))
     bound = pair.projection_bound()
     return BoundReport(max_sum=max_sum, bound=bound, margin=bound - max_sum,
-                       samples=int(samples), seed=int(seed),
+                       samples=samples, seed=int(seed),
                        alpha1=pair.alpha1, alpha2=pair.alpha2)
 
 

@@ -1,6 +1,7 @@
 """Wedge algebra, plane projections, characteristic angles, and the bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ def test_verify_projection_bounds_needs_samples():
         verify_projection_bounds(PlanePair.orthogonal(), samples=0, seed=0)
 
 
+@pytest.mark.parametrize("samples", [2.9, 3.0, True, "3", None])
+def test_verify_projection_bounds_rejects_non_integral_samples(samples):
+    with pytest.raises(InvalidInputError):
+        verify_projection_bounds(PlanePair.orthogonal(), samples=samples,
+                                 seed=0)
+
+
+@pytest.mark.parametrize("samples", [3, np.int64(3), np.uint8(3)])
+def test_verify_projection_bounds_accepts_integer_types(samples):
+    report = verify_projection_bounds(PlanePair.orthogonal(), samples=samples,
+                                      seed=0)
+    assert report.samples == 3 and type(report.samples) is int
+
+
 def test_projected_area_sums_plane_triangle():
     tri = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     s1, s2, total = projected_area_sums([tri], PlanePair.orthogonal())
@@ -246,7 +261,7 @@ def test_projection_sums_match_reference():
 
 
 @pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK,
-                                     SAMPLE_CHUNK + 1])
+                                     SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 1])
 def test_verify_projection_bounds_matches_reference_max(samples):
     rng = np.random.default_rng(13)
     pair_list = random_pairs(rng, 1)
@@ -264,3 +279,55 @@ def test_verify_projection_bounds_matches_reference_max(samples):
                                           include=include)
         assert abs(report.max_sum - float(np.max(ref))) <= 1e-14
         assert report.samples == samples and report.seed == seed
+
+
+def test_verify_projection_bounds_memory_is_bounded():
+    # the (N, 4) x draw is 32 MB at 10^6 samples; y and the temporaries
+    # live in per-chunk buffers, so the peak stays well under two draws
+    pair = PlanePair.from_angles(0.35, 1.05)
+    tracemalloc.start()
+    try:
+        verify_projection_bounds(pair, samples=1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+
+
+# -- exact supremum of the projection sum --------------------------------------
+
+def antisymmetric(omega):
+    """The 4x4 matrix A with x^T A y = <x ^ y, omega> for every x, y."""
+    A = np.zeros((4, 4))
+    for k, (i, j) in enumerate(BASIS_PAIRS):
+        A[i, j], A[j, i] = omega[k], -omega[k]
+    return A
+
+
+def exact_supremum(pair):
+    """sup of |<xi, w1>| + |<xi, w2>| over unit simple xi.
+
+    The sum is the larger of <xi, w1 + w2> and <xi, w1 - w2> up to the sign
+    of xi, and sup <x ^ y, omega> over orthonormal x, y is the largest
+    singular value of A(omega).
+    """
+    w1 = wedge(*pair.frame1)
+    w2 = wedge(*pair.frame2)
+    return max(float(np.linalg.norm(antisymmetric(w1 + sign * w2), 2))
+               for sign in (1.0, -1.0))
+
+
+def test_exact_supremum_known_pairs():
+    assert exact_supremum(PlanePair.orthogonal()) == pytest.approx(
+        1.0, abs=1e-12)
+    assert exact_supremum(PlanePair.from_angles(0.0, 0.0)) == pytest.approx(
+        2.0, abs=1e-12)
+
+
+def test_monte_carlo_max_below_exact_supremum_below_bound():
+    rng = np.random.default_rng(14)
+    for seed, pair in enumerate(random_pairs(rng, 30)):
+        exact = exact_supremum(pair)
+        report = verify_projection_bounds(pair, samples=20000, seed=seed)
+        assert exact - 0.05 <= report.max_sum <= exact + 1e-12
+        assert exact <= pair.projection_bound() + 1e-12
