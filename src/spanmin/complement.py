@@ -1,17 +1,20 @@
 """Complement models and homological spanning / competitor checks.
 
 Questions about the complement of a face set F inside the box B = |K| are
-decided on the simplices of K itself.  Lefschetz duality gives
-H_k(B - |F|) = H^{n-k}(K, cl F u dK) (Hatcher, Algebraic Topology, 3.3;
-Kaczynski, Mischaikow, Mrozek, Computational Homology, 2004): the relative
-cochains are the simplices outside cl F u dK, and their coboundaries are
-K's boundary columns transposed.  Degree 0 is the dual graph of K (top
-simplices joined across (n-1)-faces outside F): a point pair is separated
-exactly when no path in it joins the two top simplices holding its points,
-which `spanning_predicate` decides per face tuple with nothing rebuilt
-between calls.  A degree-1 cycle is pushed onto a closed path in that
-graph, whose signed crossings form a relative (n-1)-cocycle, and it bounds
-exactly when that cocycle is a coboundary.
+decided on cl F, the closure of F.  Lefschetz duality,
+H_k(B - |F|) = H^{n-k}(K, cl F u dK), the sequence of the triple
+(K, cl F u dK, dK) and excision give Alexander duality:
+H_k(B - |F|) = H^{n-k-1}(cl F, cl F n dK) for 1 <= k <= n-1, torsion
+included (Hatcher, Algebraic Topology, Thm 3.44).  Its cochains are the
+simplices of cl F off dK, so homology is one or two sparse eliminations
+whose size follows |F|, not the box.
+
+Degree 0 is the dual graph of K (top simplices joined across (n-1)-faces
+outside F): a point pair is separated exactly when no path in it joins the
+two top simplices holding its points.  A degree-1 cycle pushed onto dual
+paths near it gives a cocycle z = delta(y) of (K, dK), with y solved once
+per complex and cycle; the cycle bounds in the complement of |F| exactly
+when y restricted to cl F is a coboundary of (cl F, cl F n dK).
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  It is built only for the
@@ -39,6 +42,15 @@ from . import homology as _hom
 
 # -- barycentric subdivision bookkeeping -----------------------------------
 
+def _sd_offsets(K: Complex) -> List[int]:
+    """Subdivision ids: the simplices of K numbered dimension by dimension,
+    so the (k, i)-simplex has id offsets[k] + i."""
+    offsets = [0]
+    for k in range(K.dim + 1):
+        offsets.append(offsets[-1] + K.n_simplices(k))
+    return offsets
+
+
 class _SdStructure:
     """Chains-in-the-face-poset view of the barycentric subdivision of K.
 
@@ -50,7 +62,7 @@ class _SdStructure:
     def __init__(self, K: Complex, max_dim: int):
         self.K = K
         self.max_dim = max_dim
-        self.offsets = _dual_graph(K).offsets
+        self.offsets = _sd_offsets(K)
         self.total = self.offsets[-1]
 
         self.chains: Dict[int, List[Tuple[int, ...]]] = {0: []}
@@ -137,12 +149,11 @@ def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
 
 
 class _DualGraph:
-    """Per-complex tables of the complement model: subdivision-id offsets,
-    one top simplex containing each simplex, the face closure of each
-    d-simplex and, built on first use, the dK mask, the signed facet
-    crossings of the top simplices and the dual graph: adjacency lists of
-    the top simplices of K joined across its interior (n-1)-faces, read
-    by the early-exit `reachable` and by `homology._spanning_forest`.
+    """Per-complex tables of the degree-0 questions: one top simplex
+    containing each simplex and, built on first use, the dual graph:
+    adjacency lists of the top simplices of K joined across its interior
+    (n-1)-faces, read by the early-exit `reachable` and by
+    `homology._spanning_forest`.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -157,9 +168,6 @@ class _DualGraph:
     def __init__(self, K: Complex):
         self.K = K
         n = K.dim
-        self.offsets = [0]  # subdivision ids: simplices of K, dim by dim
-        for k in range(n + 1):
-            self.offsets.append(self.offsets[-1] + K.n_simplices(k))
         self.n_top = K.n_simplices(n)
         # one top simplex containing each simplex of K, by subdivision id
         rows = [list(range(self.n_top))]
@@ -173,7 +181,6 @@ class _DualGraph:
                 row.append(up[cof[0]])
             rows.insert(0, row)
         self.top_of = [t for row in rows for t in row]
-        self._closure: Dict[int, np.ndarray] = {}
 
     @cached_property
     def adjacency(self) -> List[List[Tuple[int, int]]]:
@@ -203,83 +210,6 @@ class _DualGraph:
                     stack.append(u)
         return False
 
-    def closure(self, d: int) -> np.ndarray:
-        """Row per d-simplex: the subdivision ids of all its faces."""
-        if d not in self._closure:
-            rows = []
-            for t in self.K.simplices(d):
-                rows.append([self.offsets[r - 1] + self.K._index[r - 1][sub]
-                             for r in range(1, d + 2)
-                             for sub in itertools.combinations(t, r)])
-            self._closure[d] = np.array(rows, dtype=np.int64).reshape(
-                len(rows), 2 ** (d + 1) - 1)
-        return self._closure[d]
-
-    @cached_property
-    def on_boundary(self) -> np.ndarray:
-        """True per subdivision id whose simplex lies in dK: the faces of
-        the (n-1)-simplices with a single coface."""
-        n = self.K.dim
-        outer = [f for f, tops in enumerate(self.K.cofacets(n - 1))
-                 if len(tops) == 1]
-        mask = np.zeros(self.offsets[-1], dtype=bool)
-        if outer:
-            mask[self.closure(n - 1)[outer]] = True
-        return mask
-
-    @cached_property
-    def crossings(self) -> List[List[Tuple[int, int, int]]]:
-        """Per top simplex t and vertex slot i: the facet f opposite vertex
-        i, the top across f (-1 on dK) and the sign -[t:f] eps_t of a
-        crossing out of t through f.
-
-        eps_t, the sign of t's determinant, orients t.  The two tops on a
-        face induce opposite orientations on it, so the signed crossings of
-        a dual path from t0 to t1 sum to an (n-1)-cochain z with
-        delta(z) = eps_t1 t1* - eps_t0 t0*; along a closed path z is a
-        cocycle.
-        """
-        K, n = self.K, self.K.dim
-        T = np.array(K.simplices(n), dtype=np.int64)
-        X = K.coords_float()
-        eps = np.sign(np.linalg.det(X[T[:, 1:]] - X[T[:, :1]]))
-        index, cof = K._index[n - 1], K.cofacets(n - 1)
-        out = []
-        for t, (verts, e) in enumerate(zip(K.simplices(n), eps.tolist())):
-            row = []
-            for i in range(n + 1):
-                f = index[verts[:i] + verts[i + 1:]]
-                across = next((u for u in cof[f] if u != t), -1)
-                row.append((f, across, int(e) * (-1) ** (i + 1)))
-            out.append(row)
-        return out
-
-    def star_path(self, sdid: int, t0: int, t1: int
-                  ) -> List[Tuple[int, int]]:
-        """Signed crossings (facet, sign) of a dual-graph path from top t0
-        to top t1, both containing the simplex behind `sdid`, that stays
-        among the tops containing it (breadth first)."""
-        k = bisect.bisect_right(self.offsets, sdid) - 1
-        inside = set(self.K.simplex(k, sdid - self.offsets[k]))
-        tops = self.K.simplices(self.K.dim)
-        prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
-        queue = deque([t0])
-        while t1 not in prev:
-            t = queue.popleft()
-            for v, (f, u, s) in zip(tops[t], self.crossings[t]):
-                # the facet opposite v contains the simplex iff v is not
-                # one of its vertices
-                if u >= 0 and v not in inside and u not in prev:
-                    prev[u] = (t, f, s)
-                    queue.append(u)
-        path = []
-        step = prev[t1]
-        while step is not None:
-            t, f, s = step
-            path.append((f, s))
-            step = prev[t]
-        return path
-
 
 def _dual_graph(K: Complex) -> _DualGraph:
     cached = K.cache.get("dual")
@@ -288,13 +218,47 @@ def _dual_graph(K: Complex) -> _DualGraph:
     return cached
 
 
+# -- relative cochains ------------------------------------------------------
+
+def _coboundary(K: Complex, A: Dict[int, set], r: int
+                ) -> Dict[int, Dict[int, int]]:
+    """Columns {r-simplex: {(r+1)-simplex: sign}} of delta_r on the
+    relative cochains carried by the simplices A[0], A[1], ... of K (a
+    complex less a subcomplex): K's boundary columns transposed."""
+    cols: Dict[int, Dict[int, int]] = {}
+    if r not in A or r + 1 not in A:
+        return cols
+    index, table, keep = K._index[r], K.simplices(r + 1), A[r]
+    for j in sorted(A[r + 1]):
+        s = table[j]
+        sign = 1
+        for i in range(len(s)):
+            f = index[s[:i] + s[i + 1:]]
+            if f in keep:
+                cols.setdefault(f, {})[j] = sign
+            sign = -sign
+    return cols
+
+
+def _relative_cohomology(K: Complex, A: Dict[int, set], j: int
+                         ) -> Tuple[int, Tuple[int, ...]]:
+    """Rank and torsion of H^j of the relative cochains on A: the rank is
+    |A_j| - rank delta_j - rank delta_{j-1}, and the torsion is the
+    non-unit invariants of delta_{j-1}."""
+    rank_j = len(_hom._snf_diagonal_sparse(_coboundary(K, A, j)))
+    diag = _hom._snf_diagonal_sparse(_coboundary(K, A, j - 1))
+    rank = len(A.get(j, ())) - rank_j - len(diag)
+    return rank, tuple(d for d in diag if d > 1)
+
+
 # -- the complement model ---------------------------------------------------
 
 class ComplementModel:
     """The complement of |F| in the box of K, with fast bounding tests.
 
-    Degrees 0 and 1 and all homology are decided on K's dual graph and
-    relative cochains; the subdivision arrays (`sd`, `good`, the kept
+    Homology in degrees k >= 1 and degree-1 cycles are decided on the
+    relative cochains of (cl F, cl F n dK), degree 0 on K's dual graph;
+    the dual graph and the subdivision arrays (`sd`, `good`, the kept
     edges) are built on first use.
     """
 
@@ -304,21 +268,37 @@ class ComplementModel:
         self.K = K
         self.F = F
         self.max_dim = max_dim
-        self.dual = _dual_graph(K)
-        self._deltas: Dict[int, Dict[int, Dict[int, int]]] = {}
+        self.offsets = _sd_offsets(K)
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
+
+    @cached_property
+    def dual(self) -> _DualGraph:
+        return _dual_graph(self.K)
 
     @cached_property
     def sd(self) -> _SdStructure:
         return _sd_structure(self.K, self.max_dim)
 
     @cached_property
+    def _closure(self) -> List[set]:
+        """Per dimension r = 0..d: the r-simplices of cl F."""
+        K, d = self.K, self.F.dim
+        cl: List[set] = [set() for _ in range(d + 1)]
+        for f in self.F.faces:
+            verts = K.simplex(d, f)
+            for r in range(d + 1):
+                index = K._index[r]
+                cl[r].update(index[s]
+                             for s in itertools.combinations(verts, r + 1))
+        return cl
+
+    @cached_property
     def bad(self) -> np.ndarray:
         """True per subdivision id whose simplex lies in cl F."""
-        bad = np.zeros(self.dual.offsets[-1], dtype=bool)
-        if self.F.faces:
-            bad[self.dual.closure(self.F.dim)[list(self.F.faces)]] = True
+        bad = np.zeros(self.offsets[-1], dtype=bool)
+        for r, faces in enumerate(self._closure):
+            bad[[self.offsets[r] + i for i in faces]] = True
         return bad
 
     @cached_property
@@ -346,7 +326,7 @@ class ComplementModel:
 
     def is_clear(self, k: int, idx: int) -> bool:
         """True if the barycenter cell of the (k, idx) simplex avoids |F|."""
-        return not self.bad[self.dual.offsets[k] + idx]
+        return not self.bad[self.offsets[k] + idx]
 
     @cached_property
     def _top_labels(self) -> List[int]:
@@ -399,6 +379,26 @@ class ComplementModel:
         _ = self.complex
         return self._id_map[sdid]
 
+    # -- relative cochains of (cl F, cl F n dK) -------------------------------
+
+    @cached_property
+    def _relative(self) -> Dict[int, set]:
+        """Per dimension r = 0..d: the r-simplices of cl F off dK (no
+        bounding hyperplane of the box holds all their vertices), which
+        carry the relative cochains of (cl F, cl F n dK)."""
+        grid = self.K.grid
+        if grid is None:
+            raise PreconditionError(
+                "complement homology needs a grid-built complex")
+        points, out = np.array(grid.points), {}
+        for r, faces in enumerate(self._closure):
+            faces = sorted(faces)
+            P = points[np.array([self.K.simplex(r, i) for i in faces],
+                                dtype=np.int64).reshape(len(faces), r + 1)]
+            on = ((P == 0).all(axis=1) | (P == grid.box).all(axis=1)).any(1)
+            out[r] = {i for i, b in zip(faces, on.tolist()) if not b}
+        return out
+
     # -- bounding tests -----------------------------------------------------
 
     def _bounds_deg0(self, coeffs: Dict[int, int]) -> bool:
@@ -409,50 +409,27 @@ class ComplementModel:
             totals[label] = totals.get(label, 0) + c
         return not any(totals.values())
 
-    def _bounds_deg1(self, coeffs: Dict[Tuple[int, int], int]) -> bool:
-        """Bounding test for 1-cycles given as {(a,b) raw edge: coeff}.
-
-        The cycle is pushed onto the dual graph: a subdivision vertex a goes
-        to the top simplex top_of[a], and an edge a < b to a path between
-        the tops of a and b through the open star of a, which is
-        contractible and misses |F|.  The crossings of those paths, signed
-        by `_DualGraph.crossings`, form a relative (n-1)-cocycle z of
-        (K, cl F u dK), and the cycle bounds in the complement exactly when
-        z = delta(y) for a relative (n-2)-cochain y: one sparse integer
-        solve over the columns of delta_{n-2}.
+    def _cocycle_reason(self, cocycle: _Cocycle) -> str:
+        """The degree-1 decision: 'contact', 'degenerate', then
+        'null-homologous' when y|cl F is a coboundary of (cl F, cl F n dK).
+        The solutions of delta(y') = z on (K, dK) are y + delta(w), as
+        H^{n-2}(K, dK) = 0, so z = delta(y') with y' = 0 on cl F u dK (the
+        cycle bounds in the complement) exactly when y|cl F = delta(w|cl F).
         """
-        dual = self.dual
-        top_of = dual.top_of
-        z: Dict[int, int] = {}
-        for (a, b), c in coeffs.items():
-            for f, s in dual.star_path(a, top_of[a], top_of[b]):
-                z[f] = z.get(f, 0) + s * c
-        return _hom._snf_diagonal_sparse(self._delta(self.K.dim - 2),
-                                         rhs=z).solvable
-
-    @cached_property
-    def _outside(self) -> List[bool]:
-        """True per subdivision id whose simplex lies outside cl F u dK,
-        i.e. carries a relative cochain of (K, cl F u dK)."""
-        return (~(self.bad | self.dual.on_boundary)).tolist()
-
-    def _delta(self, r: int) -> Dict[int, Dict[int, int]]:
-        """Columns {r-simplex: {(r+1)-coface: sign}} of the relative
-        coboundary delta_r, the transpose of K's boundary columns of
-        dimension r+1 on the simplices outside cl F u dK (empty outside
-        0..n-1)."""
-        if r not in self._deltas:
-            cols: Dict[int, Dict[int, int]] = {}
-            if 0 <= r < self.K.dim:
-                keep = self._outside
-                lo, up = self.dual.offsets[r], self.dual.offsets[r + 1]
-                for j, col in _hom._boundary_columns(self.K, r + 1).items():
-                    if keep[up + j]:
-                        for i, s in col.items():
-                            if keep[lo + i]:
-                                cols.setdefault(i, {})[j] = s
-            self._deltas[r] = cols
-        return self._deltas[r]
+        if (cocycle.vertices is None
+                or not cocycle.vertices.isdisjoint(self._closure[0])):
+            return "contact"
+        if cocycle.zero:
+            return "degenerate"
+        if cocycle.y is None:
+            return "nontrivial"
+        A = self._relative
+        on_f = A.get(self.K.dim - 2, ())
+        rhs = {i: c for i, c in cocycle.y.items() if i in on_f}
+        if rhs and not _hom._snf_diagonal_sparse(
+                _coboundary(self.K, A, self.K.dim - 3), rhs=rhs).solvable:
+            return "nontrivial"
+        return "null-homologous"
 
     def check(self, constraints: Sequence[ConstraintCycle]
               ) -> List[ConstraintStatus]:
@@ -464,41 +441,39 @@ class ComplementModel:
             if c.kind == "point-pair":
                 pair = _resolve_pair(self.K, c, self.F.dim)
                 reason = _pair_reason(self.dual, pair, faces, cut)
-                out.append(ConstraintStatus(i, reason == "nontrivial",
-                                            reason))
-                continue
-            if c.degree >= 2 and self.max_dim < c.degree + 1:
-                # a g-cycle bounds only through the (g+1)-simplices
-                raise PreconditionError(
-                    f"a degree-{c.degree} cycle needs max_dim >= "
-                    f"{c.degree + 1}, got {self.max_dim}")
-            try:
-                dim, raw = _realize_raw(c, self)
-            except RealizationError:
-                out.append(ConstraintStatus(i, False, "contact"))
-                continue
-            if not raw:
-                out.append(ConstraintStatus(i, False, "degenerate"))
-                continue
-            if dim == 0:
-                null = self._bounds_deg0(raw)
-            elif dim == 1:
-                null = self._bounds_deg1(raw)
+            elif c.degree == 1:
+                reason = self._cocycle_reason(_cocycle(self.K, c))
             else:
-                chain = realize_constraint(c, self)
-                null, _ = _hom.is_null_homologous(chain)
-            out.append(ConstraintStatus(
-                i, not null, "nontrivial" if not null else "null-homologous"))
+                reason = self._cycle_reason(c)
+            out.append(ConstraintStatus(i, reason == "nontrivial", reason))
         return out
+
+    def _cycle_reason(self, c: ConstraintCycle) -> str:
+        """Verdict on an explicit cycle of degree 0 (dual-graph components)
+        or of degree >= 2 (a solve on the subdivision)."""
+        if c.degree >= 2 and self.max_dim < c.degree + 1:
+            # a g-cycle bounds only through the (g+1)-simplices
+            raise PreconditionError(
+                f"a degree-{c.degree} cycle needs max_dim >= "
+                f"{c.degree + 1}, got {self.max_dim}")
+        try:
+            dim, raw = _realize_raw(c, self.K, self.bad)
+        except RealizationError:
+            return "contact"
+        if not raw:
+            return "degenerate"
+        if dim == 0:
+            null = self._bounds_deg0(raw)
+        else:
+            null, _ = _hom.is_null_homologous(realize_constraint(c, self))
+        return "null-homologous" if null else "nontrivial"
 
     def homology(self, k: int) -> _hom.HomologyGroup:
         """H_k of the complement of |F|.
 
         Degree 0 counts the components of the dual graph.  Degree k >= 1
-        is H^{n-k}(K, cl F u dK) by Lefschetz duality: with m = n - k and
-        A_m the m-simplices outside cl F u dK, the rank is
-        |A_m| - rank delta_m - rank delta_{m-1}, and the torsion is the
-        non-unit invariants of delta_{m-1}.
+        is H^{n-k-1}(cl F, cl F n dK) by Alexander duality (zero for
+        k = n).
         """
         n = self.K.dim
         if not 0 <= k <= n:
@@ -507,13 +482,8 @@ class ComplementModel:
         if k == 0:  # no top simplex lies in cl F
             rank = len(set(self._top_labels))
             return _hom.HomologyGroup(k=0, rank=rank, torsion=())
-        m = n - k
-        rank_m = len(_hom._snf_diagonal_sparse(self._delta(m)))
-        diag = _hom._snf_diagonal_sparse(self._delta(m - 1))
-        offsets = self.dual.offsets
-        n_cochains = sum(self._outside[offsets[m]:offsets[m + 1]])
-        rank = n_cochains - rank_m - len(diag)
-        torsion = tuple(d for d in diag if d > 1)
+        rank, torsion = _relative_cohomology(self.K, self._relative,
+                                             n - k - 1)
         return _hom.HomologyGroup(k=k, rank=rank, torsion=torsion)
 
 
@@ -656,17 +626,17 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _subdivide_simplex(model: ComplementModel, verts: Tuple[int, ...],
-                       coeff: int, out: Dict[Tuple[int, ...], int]) -> None:
+def _subdivide_simplex(K: Complex, bad: Optional[np.ndarray],
+                       verts: Tuple[int, ...], coeff: int,
+                       out: Dict[Tuple[int, ...], int]) -> None:
     """Add the barycentric pieces of an oriented K-simplex to `out`.
 
     Keys are raw-id chains (strictly increasing, hence canonical); a bad cell
     anywhere in the support raises.
     """
-    K = model.K
     k = len(verts) - 1
     index = K._index
-    offsets = model.dual.offsets
+    offsets = _sd_offsets(K)
     for perm in itertools.permutations(range(k + 1)):
         sgn = _perm_sign(perm)
         chain_ids = []
@@ -675,7 +645,7 @@ def _subdivide_simplex(model: ComplementModel, verts: Tuple[int, ...],
             prefix = tuple(sorted(prefix + (verts[p],)))
             r = len(prefix) - 1
             sdid = offsets[r] + index[r][prefix]
-            if model.bad[sdid]:
+            if bad is not None and bad[sdid]:
                 raise RealizationError("constraint support touches the removed set")
             chain_ids.append(sdid)
         key = tuple(chain_ids)
@@ -684,15 +654,16 @@ def _subdivide_simplex(model: ComplementModel, verts: Tuple[int, ...],
         del out[key]
 
 
-def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
+def _realize_raw(spec: ConstraintCycle, K: Complex,
+                 bad: Optional[np.ndarray] = None):
     """Raw realization: (degree, coeffs keyed by raw-id simplex tuple, or by
-    raw vertex id in degree 0)."""
-    K = model.K
+    raw vertex id in degree 0).  Raises `RealizationError` when the support
+    meets a subdivision id marked in `bad`."""
     if spec.kind == "point-pair":
         ids = []
         for p in spec.points:
             v = _lattice_vertex(K, p)  # a vertex's subdivision id is v
-            if not model.is_clear(0, v):
+            if bad is not None and bad[v]:
                 raise RealizationError(f"point {p} lies on the removed set")
             ids.append(v)
         if ids[0] == ids[1]:
@@ -713,8 +684,8 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
             if not K.contains(pair):
                 raise RealizationError(f"loop hop {p}->{q} is not a grid edge")
             sgn = 1 if u < v else -1
-            _subdivide_simplex(model, pair, sgn, out)
-        return 1, {(a, b): c for (a, b), c in out.items()}
+            _subdivide_simplex(K, bad, pair, sgn, out)
+        return 1, out
 
     # explicit cycle
     out = {}
@@ -725,11 +696,110 @@ def _realize_raw(spec: ConstraintCycle, model: ComplementModel):
             raise RealizationError(f"cycle item {verts_pts} is not a grid simplex")
         # orientation sign of the given vertex order
         _, sgn = canonical_vertices(vids)
-        _subdivide_simplex(model, canon, sgn * int(coeff), out)
+        _subdivide_simplex(K, bad, canon, sgn * int(coeff), out)
     if spec.degree == 0:
         # 0-chains are keyed by vertex id, as for point pairs
         return 0, {key[0]: c for key, c in out.items()}
     return spec.degree, out
+
+
+@dataclass(frozen=True)
+class _Cocycle:
+    """A degree-1 constraint resolved on K for every face set: the vertices
+    of its cycle (None when it does not realize on K), whether it is zero,
+    and the cochain y of `_cobound`."""
+
+    vertices: Optional[FrozenSet[int]]
+    zero: bool = False
+    y: Optional[Dict[int, int]] = None
+
+
+def _cocycle(K: Complex, spec: ConstraintCycle) -> _Cocycle:
+    """`_Cocycle` of a degree-1 constraint, cached per complex: neither z
+    nor y depends on the face set, which only decides contact."""
+    cache = K.cache.setdefault("cocycles", {})
+    if spec not in cache:
+        try:
+            _, raw = _realize_raw(spec, K)
+        except RealizationError:
+            cache[spec] = _Cocycle(None)
+        else:
+            vertices = frozenset(support_vertices(K, [spec]))
+            cache[spec] = (_Cocycle(vertices, zero=True) if not raw else
+                           _Cocycle(vertices, y=_cobound(K, raw, vertices)))
+    return cache[spec]
+
+
+def _cobound(K: Complex, raw: Dict[Tuple[int, int], int],
+             vertices: FrozenSet[int]) -> Optional[Dict[int, int]]:
+    """An (n-2)-cochain y of (K, dK) with delta(y) = z, the crossing cocycle
+    of the raw 1-chain, or None when there is none (not a cycle).
+
+    K' is the sub-box of the cycle's vertices grown by one and clipped to
+    the box: a ball holding the open star of every simplex on the cycle.
+    A subdivision vertex a goes to the first top of K' containing it, an
+    edge a < b to a dual path from the top of a to that of b through the
+    open star of a.  Leaving top t through the facet opposite its vertex i
+    counts eps_t (-1)^(i+1), eps_t = sign(det t) = the sign of t's axis
+    permutation, so the crossings sum to a cocycle z of (K', dK'), where
+    H^{n-1} = 0: y is one sparse solve with a witness over delta_{n-2} off
+    dK', whose cofaces all lie in K', so delta(y) = z on (K, dK) too.
+    """
+    n, lattice, points = K.dim, K.grid.lattice, K.grid.points
+    coords = list(zip(*(points[v] for v in vertices)))
+    lo = [max(min(c) - 1, 0) for c in coords]
+    hi = [min(max(c) + 1, b) for c, b in zip(coords, K.grid.box)]
+    # the Kuhn tops of K': a cube corner, then one unit step per axis in
+    # the order of a permutation, as `build_grid_complex` lays them out
+    tops, eps = [], []
+    on_facet: Dict[Tuple[int, ...], List[int]] = {}
+    for origin in itertools.product(*[range(a, b) for a, b in zip(lo, hi)]):
+        for perm in itertools.permutations(range(n)):
+            p = list(origin)
+            top = [lattice[tuple(p)]]
+            for axis in perm:
+                p[axis] += 1
+                top.append(lattice[tuple(p)])
+            for i in range(n + 1):
+                on_facet.setdefault(tuple(top[:i] + top[i + 1:]),
+                                    []).append(len(tops))
+            tops.append(tuple(top))
+            eps.append(canonical_vertices(perm)[1])
+    offsets, index = _sd_offsets(K), K._index[n - 1]
+
+    def home(sdid: int) -> Tuple[Tuple[int, ...], int]:
+        k = bisect.bisect_right(offsets, sdid) - 1
+        s = K.simplex(k, sdid - offsets[k])
+        return s, next(t for t, top in enumerate(tops)
+                       if all(v in top for v in s))
+
+    z: Dict[int, int] = {}
+    for (a, b), c in raw.items():
+        (inside, t0), (_, t1) = home(a), home(b)
+        prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
+        queue = deque([t0])
+        while t1 not in prev:  # breadth first through the star of a
+            t = queue.popleft()
+            top = tops[t]
+            for i, v in enumerate(top):
+                facet = top[:i] + top[i + 1:]
+                for u in on_facet[facet]:
+                    if v not in inside and u not in prev:
+                        prev[u] = (t, index[facet], eps[t] * (-1) ** (i + 1))
+                        queue.append(u)
+        while prev[t1] is not None:
+            t1, f, sign = prev[t1]
+            z[f] = z.get(f, 0) + sign * c
+    inner = [f for f, ts in on_facet.items() if len(ts) == 2]
+    outer = {f[:i] + f[i + 1:] for f, ts in on_facet.items() if len(ts) == 1
+             for i in range(n)}
+    A = {n - 1: {index[f] for f in inner}}
+    if n >= 2:
+        A[n - 2] = {K._index[n - 2][f[:i] + f[i + 1:]] for f in inner
+                    for i in range(n) if f[:i] + f[i + 1:] not in outer}
+    sol = _hom._snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
+                                    witness=True)
+    return sol.witness if sol.solvable else None
 
 
 _DEGENERATE = {"point-pair": "degenerate point pair (identical points)",
@@ -743,7 +813,7 @@ def realize_constraint(spec: ConstraintCycle, model: ComplementModel) -> Chain:
         raise PreconditionError(
             f"a degree-{spec.degree} constraint needs max_dim >= "
             f"{spec.degree}, got {model.max_dim}")
-    dim, raw = _realize_raw(spec, model)
+    dim, raw = _realize_raw(spec, model.K, model.bad)
     if not raw and spec.kind in _DEGENERATE:
         warnings.warn(_DEGENERATE[spec.kind])
     C = model.complex
@@ -802,14 +872,15 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     point.  A call then decides every pair by a dual-graph search that stops
     at the second top (cutting the faces when d = n-1), with no face set or
     model built.  Other constraints go to one `ComplementModel` per call,
-    only when every pair passes.
+    only when every pair passes; a loop's cochain y is solved once per
+    complex (`_cocycle`), so a call then takes one small solve on cl F.
     """
     if not 0 <= d < K.dim:
         raise InvalidInputError(
             f"face dimension {d} must lie strictly below {K.dim}")
-    dual = _dual_graph(K)
     pairs = [_resolve_pair(K, c, d) for c in constraints
              if c.kind == "point-pair"]
+    dual = _dual_graph(K) if pairs else None
     rest = [c for c in constraints if c.kind != "point-pair"]
     max_dim = max([c.degree for c in constraints] or [0]) + 1
 

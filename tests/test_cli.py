@@ -234,6 +234,56 @@ def test_export_csv_from_one_model(problem_file, tmp_path, capsys,
         "2,point-pair,0,fail,null-homologous,1\n")
 
 
+LINKING_LOOPS_2222 = """\
+constraint loop 0 0 0 0 ; 0 0 1 0 ; 0 0 2 0 ; 0 0 2 1 ; 0 0 2 2 ; 0 0 1 2 ; 0 0 0 2 ; 0 0 0 1
+constraint loop 0 0 0 0 ; 1 0 0 0 ; 2 0 0 0 ; 2 1 0 0 ; 2 2 0 0 ; 1 2 0 0 ; 0 2 0 0 ; 0 1 0 0
+"""
+# the benchmark's 2^4 check files: two planes plus six seeded faces that
+# miss both loops, the plane x3 = x4 = 1, and the empty set
+LINK4D_FACES = {
+    "two_planes_clutter": "182 196 333 406 432 446 544 738 752 806 813 856 "
+                          "863 918 925 940 968 975 988 1002 1180 1219",
+    "plane_x3x4": "182 196 432 446 738 752 988 1002",
+    "empty": "",
+}
+LINK4D_VERDICTS = {
+    "two_planes_clutter": ("pass (nontrivial)", "pass (nontrivial)", "yes", 0),
+    "plane_x3x4": ("pass (nontrivial)", "fail (null-homologous)", "no", 2),
+    "empty": ("fail (null-homologous)", "fail (null-homologous)", "no", 2),
+}
+HEADER_2222 = ["n: 4", "d: 2", "box: 2 2 2 2", "seed: 0"]
+
+
+@pytest.mark.parametrize("stem", sorted(LINK4D_FACES))
+def test_link4d_check_reports_pinned(stem, problem_file, capsys):
+    # report lines (without time:) as the whole-box relative-cochain path
+    # printed them
+    faces = LINK4D_FACES[stem]
+    text = ("n 4\nd 2\nbox 2 2 2 2\ninit faces " + faces + "\n"
+            + LINKING_LOOPS_2222)
+    first, second, spanning, exit_code = LINK4D_VERDICTS[stem]
+    code, out, err = run_cli(capsys, ["check", "--input",
+                                      problem_file(text)])
+    assert (code, err) == (exit_code, "")
+    assert strip_time(out).splitlines() == (
+        ["command: check"] + HEADER_2222 + [
+            f"faces: {faces or '-'}",
+            f"constraint_0: loop degree=1 {first}",
+            f"constraint_1: loop degree=1 {second}",
+            f"spanning: {spanning}"])
+
+
+def test_link4d_homology_report_pinned(problem_file, capsys):
+    code, out, err = run_cli(capsys, ["homology", "--input",
+                                      problem_file(LINKED_PLANES)])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines() == (
+        ["command: homology"] + HEADER_2222 + [
+            "faces: 182 196 432 446 738 752 806 813 856 863 918 925 968 975 "
+            "988 1002",
+            "h0_rank: 1", "h0_torsion: -", "h1_rank: 2", "h1_torsion: -"])
+
+
 def test_import_loads_no_scipy():
     # numpy is the one runtime dependency; a stray scipy import would pass
     # every other test on a machine that happens to have scipy

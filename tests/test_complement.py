@@ -334,8 +334,9 @@ DEG1_CASES = {
 
 @pytest.mark.parametrize("case", sorted(DEG1_CASES))
 def test_deg1_fast_path_matches_full_complex_oracle(case):
-    # the dual-graph cocycle solve against the plain sparse solve on the
-    # whole complement complex, with a witness check on every yes
+    # the loop verdict of `check` (a cochain y solved once per loop, then
+    # y|cl F tested on cl F) against the plain sparse solve on the whole
+    # complement complex, with a witness check on every yes
     box, d, base_faces, linked, trials = DEG1_CASES[case]
     rng = np.random.default_rng(31)
     K = build_grid_complex(len(box), list(box))
@@ -350,11 +351,13 @@ def test_deg1_fast_path_matches_full_complex_oracle(case):
         picked = [loops[i] for i in rng.choice(len(loops), size=2,
                                                replace=False)]
         for loop in linked + picked:
+            [status] = model.check([loop])
             try:
-                _, raw = _realize_raw(loop, model)
+                _realize_raw(loop, K, model.bad)
             except RealizationError:
+                assert status.reason == "contact"
                 continue
-            fast = model._bounds_deg1(raw)
+            fast = status.reason == "null-homologous"
             chain = realize_constraint(loop, model)
             null, witness = is_null_homologous(chain)
             assert fast == null
@@ -661,7 +664,8 @@ def test_point_pair_check_builds_no_subdivision():
     assert [s.passed for s in spanning_check(K, F, cons)] == [True, False]
     assert is_spanning(K, F, cons[:1])
     assert "dual" in K.cache and "sd" not in K.cache
-    # loop checks and homology in degree >= 1 go through K's cochains
+    # loop checks and homology in degree >= 1 go through cochains near the
+    # loop and on cl F, with no dual graph of the whole box
     K = build_grid_complex(2, [3, 3])
     F = FaceSet(K, 1, lattice_faces(K, [((1, 1), (2, 1))]))
     loop = rectangle_loop((0, 1), (0, 0), (3, 3), (0, 0))
@@ -673,4 +677,4 @@ def test_point_pair_check_builds_no_subdivision():
     F4 = generate_faceset("two-planes-orthogonal", K4, 2)
     assert is_spanning(K4, F4, linking_loops(K4.grid.box))
     assert complement_subcomplex(K4, F4, max_dim=2).homology(1).rank == 2
-    assert "dual" in K4.cache and "sd" not in K4.cache
+    assert "dual" not in K4.cache and "sd" not in K4.cache
