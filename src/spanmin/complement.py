@@ -35,7 +35,8 @@ from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
 
 import numpy as np
 
-from .complexes import Chain, Complex, FaceSet, canonical_vertices
+from .complexes import (Chain, Complex, FaceSet, canonical_vertices,
+                        kuhn_tops)
 from .errors import InvalidInputError, PreconditionError, RealizationError
 from . import homology as _hom
 
@@ -386,17 +387,25 @@ class ComplementModel:
         """Per dimension r = 0..d: the r-simplices of cl F off dK (no
         bounding hyperplane of the box holds all their vertices), which
         carry the relative cochains of (cl F, cl F n dK)."""
-        grid = self.K.grid
+        K, grid = self.K, self.K.grid
         if grid is None:
             raise PreconditionError(
                 "complement homology needs a grid-built complex")
-        points, out = np.array(grid.points), {}
+        # per vertex of cl F, one bit per bounding hyperplane holding it
+        walls = {}
+        for v in self._closure[0]:
+            p = grid.points[v]
+            walls[v] = sum(1 << (2 * a + (p[a] > 0)) for a in range(K.dim)
+                           if p[a] in (0, grid.box[a]))
+        out = {}
         for r, faces in enumerate(self._closure):
-            faces = sorted(faces)
-            P = points[np.array([self.K.simplex(r, i) for i in faces],
-                                dtype=np.int64).reshape(len(faces), r + 1)]
-            on = ((P == 0).all(axis=1) | (P == grid.box).all(axis=1)).any(1)
-            out[r] = {i for i, b in zip(faces, on.tolist()) if not b}
+            out[r] = set()
+            for i in faces:
+                shared = -1
+                for v in K.simplex(r, i):
+                    shared &= walls[v]
+                if not shared:
+                    out[r].add(i)
         return out
 
     # -- bounding tests -----------------------------------------------------
@@ -473,7 +482,9 @@ class ComplementModel:
 
         Degree 0 counts the components of the dual graph.  Degree k >= 1
         is H^{n-k-1}(cl F, cl F n dK) by Alexander duality (zero for
-        k = n).
+        k = n), which holds as K is a ball; it reads dK from lattice
+        coordinates, so it raises `PreconditionError` on a complex not
+        built by `build_grid_complex`.
         """
         n = self.K.dim
         if not 0 <= k <= n:
@@ -609,23 +620,6 @@ def _pair_reason(dual: _DualGraph, pair: _PointPair, faces: Tuple[int, ...],
     return "nontrivial"
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _subdivide_simplex(K: Complex, bad: Optional[np.ndarray],
                        verts: Tuple[int, ...], coeff: int,
                        out: Dict[Tuple[int, ...], int]) -> None:
@@ -638,7 +632,7 @@ def _subdivide_simplex(K: Complex, bad: Optional[np.ndarray],
     index = K._index
     offsets = _sd_offsets(K)
     for perm in itertools.permutations(range(k + 1)):
-        sgn = _perm_sign(perm)
+        sgn = canonical_vertices(perm)[1]
         chain_ids = []
         prefix: Tuple[int, ...] = ()
         for p in perm:
@@ -716,7 +710,8 @@ class _Cocycle:
 
 def _cocycle(K: Complex, spec: ConstraintCycle) -> _Cocycle:
     """`_Cocycle` of a degree-1 constraint, cached per complex: neither z
-    nor y depends on the face set, which only decides contact."""
+    nor y depends on the face set, which only decides contact, so a solve
+    decides each candidate by the one small solve on cl F."""
     cache = K.cache.setdefault("cocycles", {})
     if spec not in cache:
         try:
@@ -749,29 +744,23 @@ def _cobound(K: Complex, raw: Dict[Tuple[int, int], int],
     coords = list(zip(*(points[v] for v in vertices)))
     lo = [max(min(c) - 1, 0) for c in coords]
     hi = [min(max(c) + 1, b) for c, b in zip(coords, K.grid.box)]
-    # the Kuhn tops of K': a cube corner, then one unit step per axis in
-    # the order of a permutation, as `build_grid_complex` lays them out
     tops, eps = [], []
     on_facet: Dict[Tuple[int, ...], List[int]] = {}
-    for origin in itertools.product(*[range(a, b) for a, b in zip(lo, hi)]):
-        for perm in itertools.permutations(range(n)):
-            p = list(origin)
-            top = [lattice[tuple(p)]]
-            for axis in perm:
-                p[axis] += 1
-                top.append(lattice[tuple(p)])
-            for i in range(n + 1):
-                on_facet.setdefault(tuple(top[:i] + top[i + 1:]),
-                                    []).append(len(tops))
-            tops.append(tuple(top))
-            eps.append(canonical_vertices(perm)[1])
+    on_vertex: Dict[int, List[int]] = {}
+    for top, perm in kuhn_tops(lattice, lo, hi):
+        for i in range(n + 1):
+            on_facet.setdefault(top[:i] + top[i + 1:], []).append(len(tops))
+        for v in top:
+            on_vertex.setdefault(v, []).append(len(tops))
+        tops.append(top)
+        eps.append(canonical_vertices(perm)[1])
     offsets, index = _sd_offsets(K), K._index[n - 1]
 
     def home(sdid: int) -> Tuple[Tuple[int, ...], int]:
         k = bisect.bisect_right(offsets, sdid) - 1
         s = K.simplex(k, sdid - offsets[k])
-        return s, next(t for t, top in enumerate(tops)
-                       if all(v in top for v in s))
+        return s, next(t for t in on_vertex[s[0]]
+                       if all(v in tops[t] for v in s))
 
     z: Dict[int, int] = {}
     for (a, b), c in raw.items():

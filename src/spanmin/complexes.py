@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -319,6 +320,22 @@ def faceset_to_chain(F: FaceSet, orientation: Optional[Dict[int, int]] = None) -
     return Chain(F.complex, F.dim, coeffs)
 
 
+def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],
+              hi: Sequence[int]) -> Iterator[Tuple[Vertices, Tuple[int, ...]]]:
+    """(vertices, axis permutation) per top simplex of the lattice cubes
+    with corners in lo..hi: per cube in row-major order, one path from its
+    lower corner per permutation, a unit step along each axis in turn.
+    Lattice ids are row-major, so the vertices increase along the path."""
+    for origin in itertools.product(*[range(a, b) for a, b in zip(lo, hi)]):
+        for perm in itertools.permutations(range(len(lo))):
+            p = list(origin)
+            verts = [lattice[tuple(p)]]
+            for axis in perm:
+                p[axis] += 1
+                verts.append(lattice[tuple(p)])
+            yield tuple(verts), perm
+
+
 def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Complex:
     """Triangulated box grid in R^n (each cube split into n! simplices).
 
@@ -340,16 +357,7 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
     s = Fraction(scale)
     coords = [tuple(s * c for c in p) for p in points]
 
-    tops = []
-    for origin in itertools.product(*[range(b) for b in box]):
-        for perm in itertools.permutations(range(n)):
-            p = list(origin)
-            verts = [lattice[tuple(p)]]
-            for axis in perm:
-                p[axis] += 1
-                verts.append(lattice[tuple(p)])
-            tops.append(tuple(verts))  # already increasing along the path
-
+    tops = [t for t, _ in kuhn_tops(lattice, (0,) * n, box)]
     K = Complex.from_maximal(tops, coords)
     K.grid = GridInfo(box=box, scale=float(scale), lattice=lattice,
                       points=tuple(points))

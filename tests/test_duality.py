@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import spanmin.complement
-from spanmin import (Complex, ConstraintCycle, FaceSet, RealizationError,
-                     WeightField, build_grid_complex, complement_subcomplex,
-                     homology_group, minimize_exhaustive)
+from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
+                     RealizationError, WeightField, build_grid_complex,
+                     complement_subcomplex, homology_group,
+                     minimize_exhaustive)
 from spanmin.complement import (ComplementModel, _realize_raw,
                                 _relative_cohomology)
 
@@ -271,3 +272,17 @@ def test_exhaustive_solve_same_with_loop_cache_cold_and_warm(monkeypatch):
         results.append((cold.faces.faces, cold.objective, cold.evaluations))
         calls.clear()
     assert results[0] == results[1]
+
+
+def test_positive_degrees_need_a_grid_built_complex():
+    # the duality needs K to be a ball and reads dK from lattice
+    # coordinates; a complex given by its top simplices carries neither
+    # promise, so degrees >= 1 refuse it, while degree 0 still counts
+    # dual-graph components
+    K = Complex.from_maximal([(0, 1, 2), (1, 2, 3)],
+                             coords=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    model = complement_subcomplex(K, FaceSet(K, 1, (K.index((1, 2)),)))
+    assert model.homology(0).rank == 2
+    for k in (1, 2):
+        with pytest.raises(PreconditionError, match="grid-built"):
+            model.homology(k)
