@@ -4,8 +4,8 @@ certificates in R^4."""
 
 from .complexes import (Chain, Complex, FaceSet, boundary, boundary_matrix,
                         build_grid_complex, faceset_to_chain)
-from .homology import (HomologyGroup, SNFResult, homology_group, is_cycle,
-                       is_null_homologous, smith_normal_form)
+from .homology import (HomologyGroup, homology_group, is_cycle,
+                       is_null_homologous)
 from .complement import (CompetitorVerdict, ComplementModel, ConstraintCycle,
                          ConstraintStatus, Region, competitor_check,
                          complement_subcomplex, free_collapse_candidates,
@@ -27,8 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Chain", "Complex", "FaceSet", "boundary", "boundary_matrix",
     "build_grid_complex", "faceset_to_chain",
-    "HomologyGroup", "SNFResult", "homology_group", "is_cycle",
-    "is_null_homologous", "smith_normal_form",
+    "HomologyGroup", "homology_group", "is_cycle", "is_null_homologous",
     "CompetitorVerdict", "ComplementModel", "ConstraintCycle",
     "ConstraintStatus", "Region", "competitor_check",
     "complement_subcomplex", "free_collapse_candidates", "is_spanning",

@@ -17,7 +17,8 @@ from dataclasses import replace
 from typing import List, Optional
 
 from . import grassmann
-from .complement import spanning_check
+from .complement import ComplementModel, spanning_check
+from .complexes import FaceSet
 from .errors import (InfeasibleError, PreconditionError,
                      ProblemFormatError)
 from .problems import ProblemSpec, parse_problem
@@ -67,7 +68,6 @@ def cmd_homology(args) -> int:
     t0 = time.perf_counter()
     K = spec.build_complex()
     F = spec.initial_faceset(K)
-    from .complement import ComplementModel
     degrees = sorted({c.degree for c in spec.constraint_cycles()}
                      | {0, spec.n - spec.d - 1})
     model = ComplementModel(K, F, max_dim=max(degrees) + 1)
@@ -84,7 +84,6 @@ def cmd_homology(args) -> int:
 
 def _constraint_rows(spec: ProblemSpec, K, F):
     constraints = spec.constraint_cycles()
-    from .complement import ComplementModel
     degrees = {c.degree for c in constraints}
     model = ComplementModel(K, F, max_dim=(max(degrees) + 1) if degrees else 1)
     statuses = model.check(constraints)
@@ -136,7 +135,6 @@ def cmd_solve(args) -> int:
         pool = init.faces
     else:
         pool = tuple(range(K.n_simplices(spec.d)))
-    from .complexes import FaceSet
     pool_set = FaceSet(K, spec.d, pool)
     use_exhaustive = args.exhaustive or len(pool) <= EXHAUSTIVE_POOL_CAP
     try:

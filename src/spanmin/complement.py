@@ -830,17 +830,15 @@ class ConstraintStatus:
 
 
 def spanning_check(K: Complex, F: FaceSet,
-                   constraints: Sequence[ConstraintCycle],
-                   max_dim: Optional[int] = None) -> List[ConstraintStatus]:
+                   constraints: Sequence[ConstraintCycle]
+                   ) -> List[ConstraintStatus]:
     """Per-constraint spanning verdicts for F.
 
     A constraint passes when its cycle stays homologically nontrivial in the
     complement model of F.  Geometric contact with |F| is reported separately
     from a homologically killed cycle.
     """
-    if max_dim is None:
-        degs = [c.degree for c in constraints] or [0]
-        max_dim = max(degs) + 1
+    max_dim = max([c.degree for c in constraints] or [0]) + 1
     return ComplementModel(K, F, max_dim).check(constraints)
 
 

@@ -217,12 +217,6 @@ class Chain:
         if self.complex is not other.complex or self.dim != other.dim:
             raise InvalidInputError("chains live in different groups")
 
-    def to_vector(self) -> np.ndarray:
-        v = np.zeros(self.complex.n_simplices(self.dim), dtype=object)
-        for i, c in self.coeffs.items():
-            v[i] = c
-        return v
-
     def __repr__(self) -> str:
         terms = " + ".join(f"{c}*{self.complex.simplex(self.dim, i)}"
                            for i, c in sorted(self.coeffs.items()))

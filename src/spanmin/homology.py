@@ -1,8 +1,12 @@
-"""Exact integer homology via Smith normal form, plus bounding tests.
+"""Exact integer homology and bounding tests by one sparse elimination.
 
-All arithmetic is over arbitrary-precision Python ints; no modular shortcuts,
-so torsion is exact.  Null-homology tests return an explicit integer witness
-chain whenever the class vanishes.
+`_snf_diagonal_sparse` is the package's only integer elimination: it gives
+the invariant factors of a set of sparse columns (the nonzero diagonal of
+their Smith normal form) and, on request, decides whether a right-hand side
+is an integer combination of them.  All arithmetic is over
+arbitrary-precision Python ints; no modular shortcuts, so torsion is exact.
+Null-homology tests return an explicit integer witness chain whenever the
+class vanishes.
 """
 
 from __future__ import annotations
@@ -12,193 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Container, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .complexes import Chain, Complex, boundary
 from .errors import InvalidInputError, PreconditionError
-
-Matrix = List[List[int]]
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B:
-        return [[0] * (len(B[0]) if B else 0) for _ in A]
-    nb = len(B[0])
-    out = [[0] * nb for _ in A]
-    for i, row in enumerate(A):
-        oi = out[i]
-        for k, a in enumerate(row):
-            if a:
-                bk = B[k]
-                for j in range(nb):
-                    oi[j] += a * bk[j]
-    return out
-
-
-def _det(A: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-@dataclass
-class SNFResult:
-    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: Matrix
-    D: Matrix
-    V: Matrix
-
-    @property
-    def diagonal(self) -> List[int]:
-        r = min(len(self.D), len(self.D[0]) if self.D else 0)
-        return [self.D[i][i] for i in range(r)]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-    def check(self, A) -> bool:
-        A = [[int(x) for x in row] for row in A]
-        return (_mat_mul(_mat_mul(self.U, A), self.V) == self.D
-                and abs(_det(self.U)) == 1 and abs(_det(self.V)) == 1)
-
-
-def _swap_rows(D: Matrix, U: Matrix, a: int, b: int) -> None:
-    D[a], D[b] = D[b], D[a]
-    U[a], U[b] = U[b], U[a]
-
-
-def _swap_cols(D: Matrix, V: Matrix, a: int, b: int) -> None:
-    for row in D:
-        row[a], row[b] = row[b], row[a]
-    for row in V:
-        row[a], row[b] = row[b], row[a]
-
-
-def _add_row(D: Matrix, U: Matrix, dst: int, src: int, q: int) -> None:
-    Dd, Ds = D[dst], D[src]
-    for j in range(len(Dd)):
-        Dd[j] += q * Ds[j]
-    Ud, Us = U[dst], U[src]
-    for j in range(len(Ud)):
-        Ud[j] += q * Us[j]
-
-
-def _add_col(D: Matrix, V: Matrix, dst: int, src: int, q: int) -> None:
-    for row in D:
-        row[dst] += q * row[src]
-    for row in V:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(A) -> SNFResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Pivots on the smallest nonzero entry to limit coefficient growth.  Total
-    on any finite integer matrix, including zero-sized ones.
-    """
-    D = [[int(x) for x in row] for row in A]
-    m = len(D)
-    n = len(D[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry in the trailing block becomes the pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(D[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        _swap_rows(D, U, t, piv[0])
-        _swap_cols(D, V, t, piv[1])
-
-        while True:
-            # clear column t; a nonzero remainder becomes the smaller pivot
-            restart = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    _add_row(D, U, i, t, -q)
-                    if D[i][t]:
-                        _swap_rows(D, U, t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    _add_col(D, V, j, t, -q)
-                    if D[t][j]:
-                        _swap_cols(D, V, t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce divisibility of the trailing block by the pivot
-            fix = None
-            p = D[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % p:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            _add_row(D, U, t, fix, 1)
-        t += 1
-
-    for i in range(min(m, n)):
-        if D[i][i] < 0:
-            for j in range(n):
-                D[i][j] = -D[i][j]
-            for j in range(m):
-                U[i][j] = -U[i][j]
-    return SNFResult(U=U, D=D, V=V)
-
-
-def _snf_diagonal(M: np.ndarray) -> List[int]:
-    """Invariant factors of an integer matrix, without the transforms."""
-    nrows, ncols = M.shape
-    cols: Dict[int, Dict[int, int]] = {}
-    for j in range(ncols):
-        nz = np.nonzero(M[:, j])[0]
-        if len(nz):
-            cols[j] = {int(i): int(M[i, j]) for i in nz}
-    return _snf_diagonal_sparse(cols)
 
 
 class Elimination(list):

@@ -446,7 +446,7 @@ def test_truncated_subdivision_rejects_high_degree_cycle():
     empty = FaceSet(K, 1, ())
     for max_dim in (1, 2):
         with pytest.raises(PreconditionError):
-            spanning_check(K, empty, [sphere], max_dim=max_dim)
+            complement_subcomplex(K, empty, max_dim=max_dim).check([sphere])
     with pytest.raises(PreconditionError):
         realize_constraint(sphere, complement_subcomplex(K, empty, max_dim=1))
 
