@@ -17,9 +17,9 @@ from dataclasses import replace
 from typing import List, Optional
 
 from . import grassmann
-from .complement import ComplementModel, spanning_check
+from .complement import complement_subcomplex, spanning_check
 from .complexes import FaceSet
-from .errors import (InfeasibleError, PreconditionError,
+from .errors import (InfeasibleError, PoolTooLargeError, PreconditionError,
                      ProblemFormatError)
 from .problems import ProblemSpec, parse_problem
 from .solver import (EXHAUSTIVE_POOL_CAP, minimize_exhaustive,
@@ -70,7 +70,7 @@ def cmd_homology(args) -> int:
     F = spec.initial_faceset(K)
     degrees = sorted({c.degree for c in spec.constraint_cycles()}
                      | {0, spec.n - spec.d - 1})
-    model = ComplementModel(K, F, max_dim=max(degrees) + 1)
+    model = complement_subcomplex(K, F)
     rep.add("faces", _fmt_faces(F.faces))
     for k in degrees:
         h = model.homology(k)
@@ -85,7 +85,7 @@ def cmd_homology(args) -> int:
 def _constraint_rows(spec: ProblemSpec, K, F):
     constraints = spec.constraint_cycles()
     degrees = {c.degree for c in constraints}
-    model = ComplementModel(K, F, max_dim=(max(degrees) + 1) if degrees else 1)
+    model = complement_subcomplex(K, F)
     statuses = model.check(constraints)
     ranks = {k: model.homology(k).rank for k in degrees}
     rows = []
@@ -136,12 +136,18 @@ def cmd_solve(args) -> int:
     else:
         pool = tuple(range(K.n_simplices(spec.d)))
     pool_set = FaceSet(K, spec.d, pool)
-    use_exhaustive = args.exhaustive or len(pool) <= EXHAUSTIVE_POOL_CAP
     try:
-        if use_exhaustive:
-            result = minimize_exhaustive(K, constraints, weight,
-                                         candidate_pool=pool_set)
-        else:
+        result = None
+        if args.exhaustive or len(pool) <= EXHAUSTIVE_POOL_CAP:
+            try:
+                result = minimize_exhaustive(K, constraints, weight,
+                                             candidate_pool=pool_set)
+            except PoolTooLargeError:
+                # too many subsets before the optimum: search locally
+                # unless the exhaustive search was asked for
+                if args.exhaustive:
+                    raise
+        if result is None:
             result = minimize_local(K, constraints, weight, init=init,
                                     budget=spec.budget, seed=spec.seed,
                                     pool=pool_set)

@@ -4,17 +4,19 @@ Questions about the complement of a face set F inside the box B = |K| are
 decided on cl F, the closure of F.  Lefschetz duality,
 H_k(B - |F|) = H^{n-k}(K, cl F u dK), the sequence of the triple
 (K, cl F u dK, dK) and excision give Alexander duality:
-H_k(B - |F|) = H^{n-k-1}(cl F, cl F n dK) for 1 <= k <= n-1, torsion
-included (Hatcher, Algebraic Topology, Thm 3.44).  Its cochains are the
-simplices of cl F off dK, so homology is one or two sparse eliminations
-whose size follows |F|, not the box.
+H~_k(B - |F|) = H^{n-k-1}(cl F, cl F n dK) for 0 <= k <= n-1 (reduced
+homology, so H_0 has one more Z), torsion included (Hatcher, Algebraic
+Topology, Thm 3.44).  Its cochains are the simplices of cl F off dK, so
+homology is one or two sparse eliminations whose size follows |F|, not
+the box.
 
-Degree 0 is the dual graph of K (top simplices joined across (n-1)-faces
-outside F): a point pair is separated exactly when no path in it joins the
-two top simplices holding its points.  A degree-1 cycle pushed onto dual
-paths near it gives a cocycle z = delta(y) of (K, dK), with y solved once
-per complex and cycle; the cycle bounds in the complement of |F| exactly
-when y restricted to cl F is a coboundary of (cl F, cl F n dK).
+Point pairs and degree-0 cycles are decided by early-exit searches on the
+dual graph of K (top simplices joined across (n-1)-faces outside F): two
+points lie in one component exactly when a path in it joins the top
+simplices holding them.  A degree-1 cycle pushed onto dual paths near it
+gives a cocycle z = delta(y) of (K, dK), with y solved once per complex and
+cycle; the cycle bounds in the complement of |F| exactly when y restricted
+to cl F is a coboundary of (cl F, cl F n dK).
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  It is built only for the
@@ -150,11 +152,10 @@ def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
 
 
 class _DualGraph:
-    """Per-complex tables of the degree-0 questions: one top simplex
-    containing each simplex and, built on first use, the dual graph:
-    adjacency lists of the top simplices of K joined across its interior
-    (n-1)-faces, read by the early-exit `reachable` and by
-    `homology._spanning_forest`.
+    """Per-complex tables of the point searches: one top simplex containing
+    each simplex and, built on first use, the dual graph: adjacency lists of
+    the top simplices of K joined across its interior (n-1)-faces, read only
+    by the early-exit `reachable`.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -257,10 +258,10 @@ def _relative_cohomology(K: Complex, A: Dict[int, set], j: int
 class ComplementModel:
     """The complement of |F| in the box of K, with fast bounding tests.
 
-    Homology in degrees k >= 1 and degree-1 cycles are decided on the
-    relative cochains of (cl F, cl F n dK), degree 0 on K's dual graph;
-    the dual graph and the subdivision arrays (`sd`, `good`, the kept
-    edges) are built on first use.
+    Homology in every degree and degree-1 cycles are decided on the
+    relative cochains of (cl F, cl F n dK), point pairs and degree-0 cycles
+    by searches on K's dual graph; the dual graph and the subdivision
+    arrays (`sd`, `good`, the kept edges) are built on first use.
     """
 
     def __init__(self, K: Complex, F: FaceSet, max_dim: int):
@@ -307,43 +308,18 @@ class ComplementModel:
         return ~self.bad
 
     @cached_property
-    def _kept_edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.sd.edge_arrays is None:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        a, b = self.sd.edge_arrays
-        keep = self.good[a] & self.good[b]
-        return a[keep], b[keep]
-
-    @property
     def edges_a(self) -> np.ndarray:
-        return self._kept_edges[0]
-
-    @property
-    def edges_b(self) -> np.ndarray:
-        return self._kept_edges[1]
+        """Lower ends of the subdivision edges with both ends outside cl F."""
+        if self.sd.edge_arrays is None:
+            return np.zeros(0, dtype=np.int64)
+        a, b = self.sd.edge_arrays
+        return a[self.good[a] & self.good[b]]
 
     # raw ids below are subdivision-vertex ids (simplices of K)
 
     def is_clear(self, k: int, idx: int) -> bool:
         """True if the barycenter cell of the (k, idx) simplex avoids |F|."""
         return not self.bad[self.offsets[k] + idx]
-
-    @cached_property
-    def _top_labels(self) -> List[int]:
-        """Component label per top simplex: its root in the spanning forest
-        of the dual graph less its edges across faces of F.  Read by
-        `homology(0)` and explicit degree-0 `cycle` constraints; point
-        pairs are decided by `_pair_reason`."""
-        cut = _cut(self.K, self.F.dim, self.F.faces)
-        return _hom._spanning_forest(self.dual.adjacency, cut)[0]
-
-    def _label(self, sdid: int) -> int:
-        """Component label of a subdivision id outside cl F."""
-        return self._top_labels[self.dual.top_of[sdid]]
-
-    def same_component(self, u: int, v: int) -> bool:
-        return self._label(u) == self._label(v)
 
     # -- full Complex view (lazy) -------------------------------------------
 
@@ -410,12 +386,23 @@ class ComplementModel:
 
     # -- bounding tests -----------------------------------------------------
 
+    def _touches(self, c: ConstraintCycle) -> bool:
+        """True iff a vertex of the constraint's cycle lies in cl F: then a
+        face of a cycle simplex does, and the cycle meets |F|."""
+        return not support_vertices(self.K, [c]).isdisjoint(self._closure[0])
+
     def _bounds_deg0(self, coeffs: Dict[int, int]) -> bool:
-        """True iff the 0-cycle {raw vertex id: coeff} bounds in the model."""
-        totals: Dict[int, int] = {}
+        """True iff the 0-cycle {vertex id outside cl F: coeff} bounds: its
+        vertices grouped by dual-graph searches between their tops, every
+        group's coefficients sum to 0."""
+        top_of = self.dual.top_of
+        cut = _cut(self.K, self.F.dim, self.F.faces)
+        totals: Dict[int, int] = {}  # representative top -> coefficient sum
         for v, c in coeffs.items():
-            label = self._label(v)
-            totals[label] = totals.get(label, 0) + c
+            t = top_of[v]
+            rep = next((r for r in totals
+                        if self.dual.reachable(t, r, cut)), t)
+            totals[rep] = totals.get(rep, 0) + c
         return not any(totals.values())
 
     def _cocycle_reason(self, cocycle: _Cocycle) -> str:
@@ -458,15 +445,17 @@ class ComplementModel:
         return out
 
     def _cycle_reason(self, c: ConstraintCycle) -> str:
-        """Verdict on an explicit cycle of degree 0 (dual-graph components)
+        """Verdict on an explicit cycle of degree 0 (dual-graph searches)
         or of degree >= 2 (a solve on the subdivision)."""
         if c.degree >= 2 and self.max_dim < c.degree + 1:
             # a g-cycle bounds only through the (g+1)-simplices
             raise PreconditionError(
                 f"a degree-{c.degree} cycle needs max_dim >= "
                 f"{c.degree + 1}, got {self.max_dim}")
+        if self._touches(c):
+            return "contact"
         try:
-            dim, raw = _realize_raw(c, self.K, self.bad)
+            dim, raw = _realize_raw(c, self.K)
         except RealizationError:
             return "contact"
         if not raw:
@@ -478,24 +467,19 @@ class ComplementModel:
         return "null-homologous" if null else "nontrivial"
 
     def homology(self, k: int) -> _hom.HomologyGroup:
-        """H_k of the complement of |F|.
-
-        Degree 0 counts the components of the dual graph.  Degree k >= 1
-        is H^{n-k-1}(cl F, cl F n dK) by Alexander duality (zero for
-        k = n), which holds as K is a ball; it reads dK from lattice
-        coordinates, so it raises `PreconditionError` on a complex not
-        built by `build_grid_complex`.
+        """H_k of the complement of |F|: H^{n-k-1}(cl F, cl F n dK) by
+        Alexander duality (zero for k = n), plus one Z in degree 0, where
+        the duality gives reduced homology.  The duality holds as K is a
+        ball; it reads dK from lattice coordinates, so every degree raises
+        `PreconditionError` on a complex not built by `build_grid_complex`.
         """
         n = self.K.dim
         if not 0 <= k <= n:
             raise InvalidInputError(
                 f"homology dimension {k} out of range 0..{n}")
-        if k == 0:  # no top simplex lies in cl F
-            rank = len(set(self._top_labels))
-            return _hom.HomologyGroup(k=0, rank=rank, torsion=())
         rank, torsion = _relative_cohomology(self.K, self._relative,
                                              n - k - 1)
-        return _hom.HomologyGroup(k=k, rank=rank, torsion=torsion)
+        return _hom.HomologyGroup(k=k, rank=rank + (k == 0), torsion=torsion)
 
 
 def complement_subcomplex(K: Complex, F: FaceSet,
@@ -620,14 +604,10 @@ def _pair_reason(dual: _DualGraph, pair: _PointPair, faces: Tuple[int, ...],
     return "nontrivial"
 
 
-def _subdivide_simplex(K: Complex, bad: Optional[np.ndarray],
-                       verts: Tuple[int, ...], coeff: int,
+def _subdivide_simplex(K: Complex, verts: Tuple[int, ...], coeff: int,
                        out: Dict[Tuple[int, ...], int]) -> None:
-    """Add the barycentric pieces of an oriented K-simplex to `out`.
-
-    Keys are raw-id chains (strictly increasing, hence canonical); a bad cell
-    anywhere in the support raises.
-    """
+    """Add the barycentric pieces of an oriented K-simplex to `out`, keyed
+    by raw-id chains (strictly increasing, hence canonical)."""
     k = len(verts) - 1
     index = K._index
     offsets = _sd_offsets(K)
@@ -638,28 +618,20 @@ def _subdivide_simplex(K: Complex, bad: Optional[np.ndarray],
         for p in perm:
             prefix = tuple(sorted(prefix + (verts[p],)))
             r = len(prefix) - 1
-            sdid = offsets[r] + index[r][prefix]
-            if bad is not None and bad[sdid]:
-                raise RealizationError("constraint support touches the removed set")
-            chain_ids.append(sdid)
+            chain_ids.append(offsets[r] + index[r][prefix])
         key = tuple(chain_ids)
         out[key] = out.get(key, 0) + sgn * coeff
     for key in [key for key, c in out.items() if c == 0]:
         del out[key]
 
 
-def _realize_raw(spec: ConstraintCycle, K: Complex,
-                 bad: Optional[np.ndarray] = None):
+def _realize_raw(spec: ConstraintCycle, K: Complex):
     """Raw realization: (degree, coeffs keyed by raw-id simplex tuple, or by
-    raw vertex id in degree 0).  Raises `RealizationError` when the support
-    meets a subdivision id marked in `bad`."""
+    raw vertex id in degree 0).  Raises `RealizationError` when the cycle is
+    not one of K; contact with a face set is the caller's test."""
     if spec.kind == "point-pair":
-        ids = []
-        for p in spec.points:
-            v = _lattice_vertex(K, p)  # a vertex's subdivision id is v
-            if bad is not None and bad[v]:
-                raise RealizationError(f"point {p} lies on the removed set")
-            ids.append(v)
+        # a vertex's subdivision id is its vertex id
+        ids = [_lattice_vertex(K, p) for p in spec.points]
         if ids[0] == ids[1]:
             return 0, {}
         return 0, {ids[1]: 1, ids[0]: -1}
@@ -678,7 +650,7 @@ def _realize_raw(spec: ConstraintCycle, K: Complex,
             if not K.contains(pair):
                 raise RealizationError(f"loop hop {p}->{q} is not a grid edge")
             sgn = 1 if u < v else -1
-            _subdivide_simplex(K, bad, pair, sgn, out)
+            _subdivide_simplex(K, pair, sgn, out)
         return 1, out
 
     # explicit cycle
@@ -690,7 +662,7 @@ def _realize_raw(spec: ConstraintCycle, K: Complex,
             raise RealizationError(f"cycle item {verts_pts} is not a grid simplex")
         # orientation sign of the given vertex order
         _, sgn = canonical_vertices(vids)
-        _subdivide_simplex(K, bad, canon, sgn * int(coeff), out)
+        _subdivide_simplex(K, canon, sgn * int(coeff), out)
     if spec.degree == 0:
         # 0-chains are keyed by vertex id, as for point pairs
         return 0, {key[0]: c for key, c in out.items()}
@@ -802,7 +774,9 @@ def realize_constraint(spec: ConstraintCycle, model: ComplementModel) -> Chain:
         raise PreconditionError(
             f"a degree-{spec.degree} constraint needs max_dim >= "
             f"{spec.degree}, got {model.max_dim}")
-    dim, raw = _realize_raw(spec, model.K, model.bad)
+    if model._touches(spec):
+        raise RealizationError("constraint support touches the removed set")
+    dim, raw = _realize_raw(spec, model.K)
     if not raw and spec.kind in _DEGENERATE:
         warnings.warn(_DEGENERATE[spec.kind])
     C = model.complex

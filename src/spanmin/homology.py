@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Container, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary
 from .errors import InvalidInputError, PreconditionError
@@ -221,18 +221,23 @@ class HomologyGroup:
         return f"H_{self.k} = " + (" + ".join(parts) if parts else "0")
 
 
-def _spanning_forest(adj: List[List[Tuple[int, int]]],
-                     cut: Container[int] = ()
+def _skeleton_forest(K: Complex
                      ) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
-    """Depth-first spanning forest of the graph whose vertex u has the
-    (edge id, neighbour) pairs adj[u], never crossing an edge in `cut`.
+    """Depth-first spanning forest of K's 1-skeleton on vertex indices,
+    each vertex's edges in edge-index order.
 
     Returns, per vertex, the root of its tree (the least vertex of its
     component, so roots label the components) and its tree edge
-    (parent, edge id), None at a root.  Linear in the graph's size
+    (parent, edge index), None at a root.  Linear in the skeleton's size
     (Hopcroft and Tarjan, CACM 16, 1973).
     """
-    n = len(adj)
+    index = K._index[0]
+    n = K.n_simplices(0)
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(K.simplices(1)):
+        ia, ib = index[(a,)], index[(b,)]
+        adj[ia].append((e, ib))
+        adj[ib].append((e, ia))
     root = [-1] * n
     tree: List[Optional[Tuple[int, int]]] = [None] * n
     for r in range(n):
@@ -243,24 +248,11 @@ def _spanning_forest(adj: List[List[Tuple[int, int]]],
         while stack:
             u = stack.pop()
             for e, w in adj[u]:
-                if root[w] < 0 and e not in cut:
+                if root[w] < 0:
                     root[w] = r
                     tree[w] = (u, e)
                     stack.append(w)
     return root, tree
-
-
-def _skeleton_forest(K: Complex
-                     ) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
-    """`_spanning_forest` of K's 1-skeleton on vertex indices, each
-    vertex's edges in edge-index order."""
-    index = K._index[0]
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(K.n_simplices(0))]
-    for e, (a, b) in enumerate(K.simplices(1)):
-        ia, ib = index[(a,)], index[(b,)]
-        adj[ia].append((e, ib))
-        adj[ib].append((e, ia))
-    return _spanning_forest(adj)
 
 
 def _boundary_columns(K: Complex, k: int) -> Dict[int, Dict[int, int]]:

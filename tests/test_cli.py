@@ -104,6 +104,38 @@ def test_solve_local_route_report_pinned(problem_file, capsys):
         "evaluations: 7891"])
 
 
+BAND = """\
+n 2
+d 1
+box 4 4
+init faces 3 7 18 20 23 31 33 34 43 44 46 49
+constraint point-pair 2 0 ; 2 4
+seed 534836507
+"""
+
+
+def test_solve_falls_back_to_local_past_evaluation_cap(problem_file, capsys,
+                                                       monkeypatch):
+    # the 12-face pool goes to the exhaustive search, whose optimum is the
+    # 336th subset popped; past a cap of 100 subsets the local search
+    # answers (its trajectory is pinned in test_solver), unless the
+    # exhaustive search was asked for
+    import spanmin.solver as solver
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 100)
+    path = problem_file(BAND)
+    code, out, err = run_cli(capsys, ["solve", "--input", path,
+                                      "--budget", "10000"])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines()[5:] == [
+        "status: ok", "objective: 4", "faces: 7 20 33 46",
+        "certificate_lower_bound: None", "certificate_method: local",
+        "evaluations: 7792"]
+    code, out, err = run_cli(capsys, ["solve", "--input", path,
+                                      "--exhaustive"])
+    assert (code, out) == (1, "")
+    assert "exhaustive search passed 100 evaluations" in err
+
+
 def test_solve_infeasible_exit_2(problem_file, capsys):
     text = "n 2\nd 1\nbox 2 2\ninit faces 4 11\n" \
            "constraint point-pair 1 0 ; 1 2\nregion 2 0 ; 2 2\n"

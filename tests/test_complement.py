@@ -12,7 +12,7 @@ from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
                      complement_subcomplex, free_collapse_candidates,
                      homology_group, is_null_homologous, is_spanning,
                      realize_constraint, spanning_check, spanning_predicate)
-from spanmin.complement import ComplementModel, _realize_raw
+from spanmin.complement import ComplementModel
 from spanmin.problems import generate_faceset, linking_loops
 
 
@@ -228,11 +228,16 @@ def test_union_find_oracle_agreement():
         [status] = spanning_check(K, F, cons)
         if status.reason == "contact":
             continue
-        model = complement_subcomplex(K, F, max_dim=1)
-        u = model.sd.sd_id(0, K.grid.vertex_at((0, 0)))
-        v = model.sd.sd_id(0, K.grid.vertex_at((3, 3)))
-        separated = not model.same_component(u, v)
-        assert status.passed == separated
+        # a vertex's subdivision id is its vertex id
+        _, labels = subdivision_oracle(K, F)
+        u, v = K.grid.vertex_at((0, 0)), K.grid.vertex_at((3, 3))
+        assert status.passed == (labels[u] != labels[v])
+
+
+def touches(model, c):
+    """True iff the removed set holds one of the constraint's lattice
+    points (a vertex's subdivision id is its vertex id)."""
+    return any(model.bad[model.K.grid.vertex_at(p)] for p in c.points)
 
 
 def rectangle_loop(axes, lo, hi, base):
@@ -352,10 +357,10 @@ def test_deg1_fast_path_matches_full_complex_oracle(case):
                                                replace=False)]
         for loop in linked + picked:
             [status] = model.check([loop])
-            try:
-                _realize_raw(loop, K, model.bad)
-            except RealizationError:
+            if touches(model, loop):
                 assert status.reason == "contact"
+                with pytest.raises(RealizationError):
+                    realize_constraint(loop, model)
                 continue
             fast = status.reason == "null-homologous"
             chain = realize_constraint(loop, model)
@@ -590,12 +595,8 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
         F = FaceSet(K, d, faces)
         good, oracle = subdivision_oracle(K, F)
         model = complement_subcomplex(K, F, max_dim=1)
-        # the same partition of the subdivision vertices outside cl F
         assert np.array_equal(model.good, good)
-        ids = np.flatnonzero(good).tolist()
-        pairs = {(oracle[u], model._label(u)) for u in ids}
-        n_comp = len({oracle[u] for u in ids})
-        assert len(pairs) == n_comp == len({model._label(u) for u in ids})
+        n_comp = len({oracle[u] for u in np.flatnonzero(good).tolist()})
         assert model.homology(0).rank == n_comp
         # point pairs: boundary points, contact points, degenerate pairs
         on_f = sorted({v for f in F.faces for v in K.simplex(d, f)})
@@ -636,20 +637,112 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
         assert "nontrivial" in seen_verdicts
 
 
+def deg0_cycle_verdict(K, good, labels, items):
+    """The verdict on an explicit 0-cycle ((point,), coeff) items from the
+    subdivision union-find: contact when a point is off the grid or in
+    cl F, degenerate when the coefficients cancel, null-homologous when
+    they sum to 0 on every component."""
+    coeffs = {}
+    for (p,), c in items:
+        try:
+            v = K.grid.vertex_at(p)
+        except InvalidInputError:
+            return "contact"
+        if not good[v]:
+            return "contact"
+        coeffs[v] = coeffs.get(v, 0) + c
+    if not any(coeffs.values()):
+        return "degenerate"
+    totals = {}
+    for v, c in coeffs.items():
+        totals[labels[v]] = totals.get(labels[v], 0) + c
+    return "nontrivial" if any(totals.values()) else "null-homologous"
+
+
+def zero_sum_coefficients(rng, m):
+    """m = 3..5 coefficients in +-1, +-2 that sum to 0."""
+    c, e = (int(x) for x in rng.choice([-1, 1], size=2))
+    return {3: [c, c, -2 * c], 4: [c, -c, 2 * e, -2 * e],
+            5: [c, c, -2 * c, e, -e]}[m]
+
+
+@pytest.mark.parametrize("box,d,size", DEG0_CASES)
+def test_deg0_cycles_match_subdivision_oracle(box, d, size):
+    # explicit 0-cycles of 3-5 vertices with coefficients in +-1, +-2,
+    # decided by dual-graph searches between their tops; half of them sum
+    # to 0, so only the split over components decides them
+    rng = np.random.default_rng(sum(box) * 10 + d + 1)
+    K = build_grid_complex(len(box), list(box))
+    points = list(K.grid.points)
+    seen, split = set(), False
+    for trial in range(6):
+        n_faces = int(rng.integers(0, size + 1)) if trial else 0
+        faces = tuple(rng.choice(K.n_simplices(d), size=n_faces,
+                                 replace=False).tolist())
+        if trial == 1 and d == len(box) - 1:  # the wall x0 = 1
+            faces = tuple(i for i, s in enumerate(K.simplices(d))
+                          if all(points[v][0] == 1 for v in s))
+        F = FaceSet(K, d, faces)
+        good, labels = subdivision_oracle(K, F)
+        clear = [v for v in range(len(points)) if good[v]]
+        on_f = sorted({v for f in F.faces for v in K.simplex(d, f)})
+        cycles = []
+        for j in range(12):
+            m = int(rng.integers(3, 6))
+            vs = rng.choice(clear or on_f, size=m).tolist()
+            cs = (zero_sum_coefficients(rng, m) if j % 2 else
+                  rng.choice([-2, -1, 1, 2], size=m).tolist())
+            items = [((points[v],), int(c)) for v, c in zip(vs, cs)]
+            if j % 4 == 1 and on_f:  # one vertex of cl F
+                items[0] = ((points[on_f[j % len(on_f)]],), items[0][1])
+            if j == 3:  # one point off the grid
+                (p,), c = items[-1]
+                items[-1] = (((-1,) + p[1:],), c)
+            cycles.append(items)
+        if clear:
+            a = clear[0]
+            b = next((v for v in clear if labels[v] != labels[a]), clear[-1])
+            cycles += [[((points[a],), 1), ((points[b],), -2),
+                        ((points[a],), 1)],
+                       [((points[a],), 2), ((points[b],), 1),
+                        ((points[a],), -2), ((points[b],), -1)]]
+        cons = [ConstraintCycle(kind="cycle", degree=0, items=tuple(items))
+                for items in cycles]
+        statuses = spanning_check(K, F, cons)
+        model = ComplementModel(K, F, max_dim=1)
+        assert statuses == model.check(cons)
+        assert "bad" not in vars(model)  # no mask over every simplex
+        for items, st in zip(cycles, statuses):
+            want = deg0_cycle_verdict(K, good, labels, items)
+            assert st.reason == want
+            assert st.passed == (want == "nontrivial")
+            seen.add(want)
+            split |= want == "nontrivial" and not sum(c for _, c in items)
+    assert seen == {"contact", "degenerate", "null-homologous", "nontrivial"}
+    if d == len(box) - 1:
+        assert split
+
+
 def test_dual_graph_deg0_at_scale():
     # 64 x 32 box: 4096 tops, the size at which components were once
     # handed to a sparse-graph library
     K = build_grid_complex(2, [64, 32])
     assert K.n_simplices(2) == 4096
     row = separating_row(K).faces
+    # corners, points beside the row's gap and the middle of the far edges
+    picks = [((0, 0), (64, 32)), ((0, 0), (64, 0)), ((0, 15), (1, 17)),
+             ((32, 0), (32, 32)), ((1, 15), (0, 17))]
+    cons = [ConstraintCycle(kind="point-pair", points=pq) for pq in picks]
     for faces, want in [((), 1), (row, 2), (row[1:], 1)]:
         F = FaceSet(K, 1, faces)
         good, oracle = subdivision_oracle(K, F)
-        model = ComplementModel(K, F, max_dim=1)
         ids = np.flatnonzero(good).tolist()
-        pairs = {(oracle[u], model._label(u)) for u in ids}
-        assert len(pairs) == want == len({oracle[u] for u in ids})
+        assert len({oracle[u] for u in ids}) == want
+        model = ComplementModel(K, F, max_dim=1)
         assert model.homology(0).rank == want
+        for (p, q), st in zip(picks, model.check(cons)):
+            u, v = K.grid.vertex_at(p), K.grid.vertex_at(q)
+            assert st.passed == (oracle[u] != oracle[v])
     assert homology_group(K, 0).rank == 1
     z = Chain(K, 0, {K.n_simplices(0) - 1: 3, 0: -3})
     null, witness = is_null_homologous(z)
@@ -664,17 +757,19 @@ def test_point_pair_check_builds_no_subdivision():
     assert [s.passed for s in spanning_check(K, F, cons)] == [True, False]
     assert is_spanning(K, F, cons[:1])
     assert "dual" in K.cache and "sd" not in K.cache
-    # loop checks and homology in degree >= 1 go through cochains near the
-    # loop and on cl F, with no dual graph of the whole box
+    # loop checks and homology in every degree go through cochains near
+    # the loop and on cl F, with no dual graph of the whole box
     K = build_grid_complex(2, [3, 3])
     F = FaceSet(K, 1, lattice_faces(K, [((1, 1), (2, 1))]))
     loop = rectangle_loop((0, 1), (0, 0), (3, 3), (0, 0))
     [status] = spanning_check(K, F, [loop])
     assert status.passed
-    assert complement_subcomplex(K, F).homology(1).rank == 1
-    assert "sd" not in K.cache
+    model = complement_subcomplex(K, F)
+    assert [model.homology(k).rank for k in range(3)] == [1, 1, 0]
+    assert "dual" not in K.cache and "sd" not in K.cache
     K4 = build_grid_complex(4, [2, 2, 2, 2])
     F4 = generate_faceset("two-planes-orthogonal", K4, 2)
     assert is_spanning(K4, F4, linking_loops(K4.grid.box))
-    assert complement_subcomplex(K4, F4, max_dim=2).homology(1).rank == 2
+    model = complement_subcomplex(K4, F4, max_dim=2)
+    assert [model.homology(k).rank for k in range(5)] == [1, 2, 1, 0, 0]
     assert "dual" not in K4.cache and "sd" not in K4.cache

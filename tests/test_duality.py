@@ -8,7 +8,7 @@ import pytest
 
 import spanmin.complement
 from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
-                     RealizationError, WeightField, build_grid_complex,
+                     WeightField, build_grid_complex,
                      complement_subcomplex, homology_group,
                      minimize_exhaustive)
 from spanmin.complement import (ComplementModel, _realize_raw,
@@ -17,7 +17,7 @@ from spanmin.complement import (ComplementModel, _realize_raw,
 import relative_cochains as oracle
 from test_complement import (DEG0_CASES, DEG1_CASES, HOMOLOGY_CASES,
                              box_loops, lattice_faces, meridians,
-                             rectangle_loop)
+                             rectangle_loop, subdivision_oracle, touches)
 
 
 def sphere_faces(K, d):
@@ -90,11 +90,10 @@ def test_loop_verdicts_match_relative_cochain_oracle(case):
                                                replace=False)]
         for loop, status in zip(linked + picked,
                                 model.check(linked + picked)):
-            try:
-                _, raw = _realize_raw(loop, K, model.bad)
-            except RealizationError:
+            if touches(model, loop):
                 assert status.reason == "contact"
                 continue
+            _, raw = _realize_raw(loop, K)
             want = ("null-homologous" if oracle.bounds_deg1(model, raw)
                     else "nontrivial")
             assert status.reason == want
@@ -126,17 +125,18 @@ def deg0_face_sets():
 
 
 def test_reduced_h0_is_top_relative_cohomology():
-    # k = 0: H~_0 of the complement is H^{n-1}(cl F, cl F n dK), free;
-    # `homology(0)` itself stays on the dual graph
+    # k = 0: `homology(0)` is H^{n-1}(cl F, cl F n dK), the reduced H_0 of
+    # the complement, plus one Z; against the whole-box relative cochains
+    # and the components of a union-find over the subdivision
     components = set()
     for F in deg0_face_sets():
         model = complement_subcomplex(F.complex, F, max_dim=1)
-        n = F.complex.dim
-        rank, torsion = _relative_cohomology(F.complex, model._relative,
-                                             n - 1)
         h0 = model.homology(0)
-        assert (rank, torsion) == (h0.rank - 1, ())
+        assert h0.torsion == ()
         assert oracle.homology(model, 0).rank == h0.rank
+        good, labels = subdivision_oracle(F.complex, F)
+        assert len({labels[u] for u in np.flatnonzero(good).tolist()}) == (
+            h0.rank)
         components.add(h0.rank)
     assert {1, 2} <= components
 
@@ -235,7 +235,7 @@ def test_moebius_meridian_is_two_torsion():
     assert [s.reason for s in model.check([meridian, twice])] == [
         "nontrivial", "null-homologous"]
     for loop, bounds in ((meridian, False), (twice, True)):
-        _, raw = _realize_raw(loop, K, model.bad)
+        _, raw = _realize_raw(loop, K)
         assert oracle.bounds_deg1(model, raw) == bounds
 
 
@@ -277,12 +277,10 @@ def test_exhaustive_solve_same_with_loop_cache_cold_and_warm(monkeypatch):
 def test_positive_degrees_need_a_grid_built_complex():
     # the duality needs K to be a ball and reads dK from lattice
     # coordinates; a complex given by its top simplices carries neither
-    # promise, so degrees >= 1 refuse it, while degree 0 still counts
-    # dual-graph components
+    # promise, so every degree, 0 included, refuses it
     K = Complex.from_maximal([(0, 1, 2), (1, 2, 3)],
                              coords=[(0, 0), (1, 0), (0, 1), (1, 1)])
     model = complement_subcomplex(K, FaceSet(K, 1, (K.index((1, 2)),)))
-    assert model.homology(0).rank == 2
-    for k in (1, 2):
+    for k in (0, 1, 2):
         with pytest.raises(PreconditionError, match="grid-built"):
             model.homology(k)
