@@ -10,13 +10,17 @@ Topology, Thm 3.44).  Its cochains are the simplices of cl F off dK, so
 homology is one or two sparse eliminations whose size follows |F|, not
 the box.
 
-Point pairs and degree-0 cycles are decided by early-exit searches on the
-dual graph of K (top simplices joined across (n-1)-faces outside F): two
-points lie in one component exactly when a path in it joins the top
-simplices holding them.  A degree-1 cycle pushed onto dual paths near it
-gives a cocycle z = delta(y) of (K, dK), with y solved once per complex and
-cycle; the cycle bounds in the complement of |F| exactly when y restricted
-to cl F is a coboundary of (cl F, cl F n dK).
+A constraint is resolved once per complex and face dimension d into a
+chain on K (a point pair p, q is the 0-cycle q - p), the d-faces holding
+a vertex of its cycle, and what its degree needs; one decision,
+`_reason`, then answers every face set, for `ComplementModel.check` and
+`spanning_predicate` alike.  A 0-cycle bounds when its coefficients sum
+to 0 on each component: for d < n-1 the complement is connected, and
+for d = n-1 early-exit searches on the dual graph of K (top simplices
+joined across (n-1)-faces outside F) group its vertices.  A 1-cycle
+pushed onto dual paths near it gives a cocycle z = delta(y) of (K, dK);
+it bounds in the complement of |F| exactly when y restricted to cl F is a
+coboundary of (cl F, cl F n dK).
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  It is built only for the
@@ -151,11 +155,30 @@ def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
     return cached
 
 
-class _DualGraph:
-    """Per-complex tables of the point searches: one top simplex containing
-    each simplex and, built on first use, the dual graph: adjacency lists of
-    the top simplices of K joined across its interior (n-1)-faces, read only
-    by the early-exit `reachable`.
+def _subdivide_simplex(K: Complex, verts: Tuple[int, ...], coeff: int,
+                       out: Dict[Tuple[int, ...], int]) -> None:
+    """Add the barycentric pieces of an oriented K-simplex to `out`, keyed
+    by subdivision-id chains (strictly increasing, hence canonical)."""
+    k = len(verts) - 1
+    index = K._index
+    offsets = _sd_offsets(K)
+    for perm in itertools.permutations(range(k + 1)):
+        sgn = canonical_vertices(perm)[1]
+        chain_ids = []
+        prefix: Tuple[int, ...] = ()
+        for p in perm:
+            prefix = tuple(sorted(prefix + (verts[p],)))
+            r = len(prefix) - 1
+            chain_ids.append(offsets[r] + index[r][prefix])
+        key = tuple(chain_ids)
+        out[key] = out.get(key, 0) + sgn * coeff
+
+
+# -- the dual graph ----------------------------------------------------------
+
+def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
+    """The dual graph of K, cached per complex: per top simplex, (facet,
+    top across it) for each interior facet, in facet order.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -166,58 +189,33 @@ class _DualGraph:
     across faces of F, and a simplex outside cl F lies in the component
     of any top simplex containing it.
     """
-
-    def __init__(self, K: Complex):
-        self.K = K
-        n = K.dim
-        self.n_top = K.n_simplices(n)
-        # one top simplex containing each simplex of K, by subdivision id
-        rows = [list(range(self.n_top))]
-        for k in range(n - 1, -1, -1):
-            up = rows[0]
-            row = []
-            for cof in K.cofacets(k):
-                if not cof:
-                    raise PreconditionError(
-                        "complement models need a pure complex")
-                row.append(up[cof[0]])
-            rows.insert(0, row)
-        self.top_of = [t for row in rows for t in row]
-
-    @cached_property
-    def adjacency(self) -> List[List[Tuple[int, int]]]:
-        """Per top simplex: (facet, top across it) for each interior facet,
-        in facet order."""
-        adj: List[List[Tuple[int, int]]] = [[] for _ in range(self.n_top)]
-        for f, tops in enumerate(self.K.cofacets(self.K.dim - 1)):
+    adj = K.cache.get("dual")
+    if adj is None:
+        adj = [[] for _ in range(K.n_simplices(K.dim))]
+        for f, tops in enumerate(K.cofacets(K.dim - 1)):
             for t in tops[1:]:
                 adj[tops[0]].append((f, t))
                 adj[t].append((f, tops[0]))
-        return adj
-
-    def reachable(self, t0: int, t1: int, cut: Container[int]) -> bool:
-        """True iff a dual-graph path joins tops t0 and t1 without crossing
-        a facet in `cut` (depth first, stopping at t1)."""
-        if t0 == t1:
-            return True
-        adj = self.adjacency
-        seen = {t0}
-        stack = [t0]
-        while stack:
-            for f, u in adj[stack.pop()]:
-                if u not in seen and f not in cut:
-                    if u == t1:
-                        return True
-                    seen.add(u)
-                    stack.append(u)
-        return False
+        K.cache["dual"] = adj
+    return adj
 
 
-def _dual_graph(K: Complex) -> _DualGraph:
-    cached = K.cache.get("dual")
-    if cached is None:
-        cached = K.cache["dual"] = _DualGraph(K)
-    return cached
+def _reachable(adj: List[List[Tuple[int, int]]], t0: int, t1: int,
+               cut: Container[int]) -> bool:
+    """True iff a dual-graph path joins tops t0 and t1 without crossing a
+    facet in `cut` (depth first, stopping at t1)."""
+    if t0 == t1:
+        return True
+    seen = {t0}
+    stack = [t0]
+    while stack:
+        for f, u in adj[stack.pop()]:
+            if u not in seen and f not in cut:
+                if u == t1:
+                    return True
+                seen.add(u)
+                stack.append(u)
+    return False
 
 
 # -- relative cochains ------------------------------------------------------
@@ -259,9 +257,10 @@ class ComplementModel:
     """The complement of |F| in the box of K, with fast bounding tests.
 
     Homology in every degree and degree-1 cycles are decided on the
-    relative cochains of (cl F, cl F n dK), point pairs and degree-0 cycles
-    by searches on K's dual graph; the dual graph and the subdivision
-    arrays (`sd`, `good`, the kept edges) are built on first use.
+    relative cochains of (cl F, cl F n dK), degree-0 cycles by their
+    coefficient sums and, when F is (n-1)-dimensional, searches on K's
+    dual graph (see `_reason`); the subdivision arrays (`sd`, `good`, the
+    kept edges) are built on first use.
     """
 
     def __init__(self, K: Complex, F: FaceSet, max_dim: int):
@@ -270,17 +269,8 @@ class ComplementModel:
         self.K = K
         self.F = F
         self.max_dim = max_dim
-        self.offsets = _sd_offsets(K)
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
-
-    @cached_property
-    def dual(self) -> _DualGraph:
-        return _dual_graph(self.K)
-
-    @cached_property
-    def sd(self) -> _SdStructure:
-        return _sd_structure(self.K, self.max_dim)
 
     @cached_property
     def _closure(self) -> List[set]:
@@ -294,6 +284,16 @@ class ComplementModel:
                 cl[r].update(index[s]
                              for s in itertools.combinations(verts, r + 1))
         return cl
+
+    # -- the barycentric subdivision (lazy) ---------------------------------
+
+    @cached_property
+    def sd(self) -> _SdStructure:
+        return _sd_structure(self.K, self.max_dim)
+
+    @cached_property
+    def offsets(self) -> List[int]:
+        return _sd_offsets(self.K)
 
     @cached_property
     def bad(self) -> np.ndarray:
@@ -314,14 +314,6 @@ class ComplementModel:
             return np.zeros(0, dtype=np.int64)
         a, b = self.sd.edge_arrays
         return a[self.good[a] & self.good[b]]
-
-    # raw ids below are subdivision-vertex ids (simplices of K)
-
-    def is_clear(self, k: int, idx: int) -> bool:
-        """True if the barycenter cell of the (k, idx) simplex avoids |F|."""
-        return not self.bad[self.offsets[k] + idx]
-
-    # -- full Complex view (lazy) -------------------------------------------
 
     @property
     def complex(self) -> Complex:
@@ -346,15 +338,6 @@ class ComplementModel:
             self._complex = Complex(simplices, coords, validate=False)
             self._id_map = id_map
         return self._complex
-
-    def model_vertex(self, k: int, idx: int) -> int:
-        """Complement-complex vertex id of the (k, idx)-simplex of K."""
-        sdid = self.sd.sd_id(k, idx)
-        if self.bad[sdid]:
-            raise RealizationError(
-                f"simplex ({k},{idx}) lies inside the removed set")
-        _ = self.complex
-        return self._id_map[sdid]
 
     # -- relative cochains of (cl F, cl F n dK) -------------------------------
 
@@ -386,85 +369,21 @@ class ComplementModel:
 
     # -- bounding tests -----------------------------------------------------
 
-    def _touches(self, c: ConstraintCycle) -> bool:
-        """True iff a vertex of the constraint's cycle lies in cl F: then a
-        face of a cycle simplex does, and the cycle meets |F|."""
-        return not support_vertices(self.K, [c]).isdisjoint(self._closure[0])
-
-    def _bounds_deg0(self, coeffs: Dict[int, int]) -> bool:
-        """True iff the 0-cycle {vertex id outside cl F: coeff} bounds: its
-        vertices grouped by dual-graph searches between their tops, every
-        group's coefficients sum to 0."""
-        top_of = self.dual.top_of
-        cut = _cut(self.K, self.F.dim, self.F.faces)
-        totals: Dict[int, int] = {}  # representative top -> coefficient sum
-        for v, c in coeffs.items():
-            t = top_of[v]
-            rep = next((r for r in totals
-                        if self.dual.reachable(t, r, cut)), t)
-            totals[rep] = totals.get(rep, 0) + c
-        return not any(totals.values())
-
-    def _cocycle_reason(self, cocycle: _Cocycle) -> str:
-        """The degree-1 decision: 'contact', 'degenerate', then
-        'null-homologous' when y|cl F is a coboundary of (cl F, cl F n dK).
-        The solutions of delta(y') = z on (K, dK) are y + delta(w), as
-        H^{n-2}(K, dK) = 0, so z = delta(y') with y' = 0 on cl F u dK (the
-        cycle bounds in the complement) exactly when y|cl F = delta(w|cl F).
-        """
-        if (cocycle.vertices is None
-                or not cocycle.vertices.isdisjoint(self._closure[0])):
-            return "contact"
-        if cocycle.zero:
-            return "degenerate"
-        if cocycle.y is None:
-            return "nontrivial"
-        A = self._relative
-        on_f = A.get(self.K.dim - 2, ())
-        rhs = {i: c for i, c in cocycle.y.items() if i in on_f}
-        if rhs and not _hom._snf_diagonal_sparse(
-                _coboundary(self.K, A, self.K.dim - 3), rhs=rhs).solvable:
-            return "nontrivial"
-        return "null-homologous"
-
     def check(self, constraints: Sequence[ConstraintCycle]
               ) -> List[ConstraintStatus]:
-        """Per-constraint spanning verdicts in this model."""
+        """Per-constraint spanning verdicts in this model (see `_reason`)."""
+        for c in constraints:
+            if c.degree >= 2 and self.max_dim < c.degree + 1:
+                # a g-cycle bounds only through the (g+1)-simplices
+                raise PreconditionError(
+                    f"a degree-{c.degree} cycle needs max_dim >= "
+                    f"{c.degree + 1}, got {self.max_dim}")
         out: List[ConstraintStatus] = []
-        faces = self.F.faces
-        cut = _cut(self.K, self.F.dim, faces)
         for i, c in enumerate(constraints):
-            if c.kind == "point-pair":
-                pair = _resolve_pair(self.K, c, self.F.dim)
-                reason = _pair_reason(self.dual, pair, faces, cut)
-            elif c.degree == 1:
-                reason = self._cocycle_reason(_cocycle(self.K, c))
-            else:
-                reason = self._cycle_reason(c)
+            rec = _resolve(self.K, c, self.F.dim)
+            reason = _reason(rec, self.F.faces, self)
             out.append(ConstraintStatus(i, reason == "nontrivial", reason))
         return out
-
-    def _cycle_reason(self, c: ConstraintCycle) -> str:
-        """Verdict on an explicit cycle of degree 0 (dual-graph searches)
-        or of degree >= 2 (a solve on the subdivision)."""
-        if c.degree >= 2 and self.max_dim < c.degree + 1:
-            # a g-cycle bounds only through the (g+1)-simplices
-            raise PreconditionError(
-                f"a degree-{c.degree} cycle needs max_dim >= "
-                f"{c.degree + 1}, got {self.max_dim}")
-        if self._touches(c):
-            return "contact"
-        try:
-            dim, raw = _realize_raw(c, self.K)
-        except RealizationError:
-            return "contact"
-        if not raw:
-            return "degenerate"
-        if dim == 0:
-            null = self._bounds_deg0(raw)
-        else:
-            null, _ = _hom.is_null_homologous(realize_constraint(c, self))
-        return "null-homologous" if null else "nontrivial"
 
     def homology(self, k: int) -> _hom.HomologyGroup:
         """H_k of the complement of |F|: H^{n-k-1}(cl F, cl F n dK) by
@@ -556,161 +475,99 @@ def support_vertices(K: Complex,
     return out
 
 
-@dataclass(frozen=True)
-class _PointPair:
-    """A point-pair constraint resolved on K for d-face sets: its two vertex
-    ids (None when a point is off the grid), a top simplex holding each and
-    the d-faces whose closure holds either point."""
-
-    ids: Optional[Tuple[int, int]]
-    tops: Tuple[int, ...] = ()
-    touching: FrozenSet[int] = frozenset()
-
-
-def _resolve_pair(K: Complex, spec: ConstraintCycle, d: int) -> _PointPair:
-    try:
-        ids = tuple(_lattice_vertex(K, p) for p in spec.points)
-    except RealizationError:
-        return _PointPair(None)
-    touching = set()
-    for v in ids:  # a vertex's index among the 0-simplices is v
-        star = {v}
-        for k in range(d):
-            cof = K.cofacets(k)
-            star = {c for s in star for c in cof[s]}
-        touching |= star
-    top_of = _dual_graph(K).top_of
-    return _PointPair(ids, (top_of[ids[0]], top_of[ids[1]]),
-                      frozenset(touching))
-
-
-def _cut(K: Complex, d: int, faces: Tuple[int, ...]) -> Container[int]:
-    """The facets a dual-graph path may not cross: F when d = n-1."""
-    return set(faces) if d == K.dim - 1 else ()
-
-
-def _pair_reason(dual: _DualGraph, pair: _PointPair, faces: Tuple[int, ...],
-                 cut: Container[int]) -> str:
-    """The one point-pair decision: 'contact' when a point is off the grid
-    or in cl F, then 'degenerate' for identical points, then
-    'null-homologous' when a dual path joins the two tops, else
-    'nontrivial'."""
-    if pair.ids is None or not pair.touching.isdisjoint(faces):
-        return "contact"
-    if pair.ids[0] == pair.ids[1]:
-        return "degenerate"
-    if dual.reachable(pair.tops[0], pair.tops[1], cut):
-        return "null-homologous"
-    return "nontrivial"
-
-
-def _subdivide_simplex(K: Complex, verts: Tuple[int, ...], coeff: int,
-                       out: Dict[Tuple[int, ...], int]) -> None:
-    """Add the barycentric pieces of an oriented K-simplex to `out`, keyed
-    by raw-id chains (strictly increasing, hence canonical)."""
-    k = len(verts) - 1
-    index = K._index
-    offsets = _sd_offsets(K)
-    for perm in itertools.permutations(range(k + 1)):
-        sgn = canonical_vertices(perm)[1]
-        chain_ids = []
-        prefix: Tuple[int, ...] = ()
-        for p in perm:
-            prefix = tuple(sorted(prefix + (verts[p],)))
-            r = len(prefix) - 1
-            chain_ids.append(offsets[r] + index[r][prefix])
-        key = tuple(chain_ids)
-        out[key] = out.get(key, 0) + sgn * coeff
-    for key in [key for key, c in out.items() if c == 0]:
-        del out[key]
-
-
-def _realize_raw(spec: ConstraintCycle, K: Complex):
-    """Raw realization: (degree, coeffs keyed by raw-id simplex tuple, or by
-    raw vertex id in degree 0).  Raises `RealizationError` when the cycle is
-    not one of K; contact with a face set is the caller's test."""
+def _realize_raw(spec: ConstraintCycle,
+                 K: Complex) -> Dict[Tuple[int, ...], int]:
+    """The constraint's chain on K, {canonical vertex tuple: coeff} with
+    zero terms dropped: a point pair p, q is the 0-cycle q - p and a loop
+    the sum of its hops.  Raises `RealizationError` when a term is not a
+    simplex of K; contact with a face set is the caller's test."""
     if spec.kind == "point-pair":
-        # a vertex's subdivision id is its vertex id
-        ids = [_lattice_vertex(K, p) for p in spec.points]
-        if ids[0] == ids[1]:
-            return 0, {}
-        return 0, {ids[1]: 1, ids[0]: -1}
-
-    if spec.kind == "loop":
-        out: Dict[Tuple[int, ...], int] = {}
+        p, q = spec.points
+        items = (((q,), 1), ((p,), -1))
+    elif spec.kind == "loop":
         pts = list(spec.points)
         if pts[0] == pts[-1]:
             pts = pts[:-1]
-        for i in range(len(pts)):
-            p, q = pts[i], pts[(i + 1) % len(pts)]
-            u, v = _lattice_vertex(K, p), _lattice_vertex(K, q)
-            if u == v:
-                raise RealizationError(f"repeated loop point {p}")
-            pair = (u, v) if u < v else (v, u)
-            if not K.contains(pair):
-                raise RealizationError(f"loop hop {p}->{q} is not a grid edge")
-            sgn = 1 if u < v else -1
-            _subdivide_simplex(K, pair, sgn, out)
-        return 1, out
-
-    # explicit cycle
-    out = {}
-    for verts_pts, coeff in spec.items:
-        vids = [_lattice_vertex(K, p) for p in verts_pts]
-        canon = tuple(sorted(vids))
-        if len(canon) != spec.degree + 1 or not K.contains(canon):
-            raise RealizationError(f"cycle item {verts_pts} is not a grid simplex")
-        # orientation sign of the given vertex order
-        _, sgn = canonical_vertices(vids)
-        _subdivide_simplex(K, canon, sgn * int(coeff), out)
-    if spec.degree == 0:
-        # 0-chains are keyed by vertex id, as for point pairs
-        return 0, {key[0]: c for key, c in out.items()}
-    return spec.degree, out
+        items = tuple(((p, q), 1) for p, q in zip(pts, pts[1:] + pts[:1]))
+    else:
+        items = spec.items
+    out: Dict[Tuple[int, ...], int] = {}
+    for pts, coeff in items:
+        vids = [_lattice_vertex(K, p) for p in pts]
+        if len(vids) != spec.degree + 1 or not K.contains(tuple(sorted(vids))):
+            raise RealizationError(
+                f"{spec.kind} term {pts} is not a grid simplex")
+        canon, sgn = canonical_vertices(vids)
+        out[canon] = out.get(canon, 0) + sgn * int(coeff)
+    return {s: c for s, c in out.items() if c}
 
 
 @dataclass(frozen=True)
-class _Cocycle:
-    """A degree-1 constraint resolved on K for every face set: the vertices
-    of its cycle (None when it does not realize on K), whether it is zero,
-    and the cochain y of `_cobound`."""
+class _Resolved:
+    """A constraint resolved on K for d-face sets: its chain on K (None
+    when the cycle is not one of K), the d-faces holding a vertex of its
+    cycle, for degree 0 with d = n-1 a (top simplex, coefficient) per
+    vertex of the chain and the dual graph to search, and for degree 1 the
+    cochain y of `_cobound`."""
 
-    vertices: Optional[FrozenSet[int]]
-    zero: bool = False
+    spec: ConstraintCycle
+    chain: Optional[Dict[Tuple[int, ...], int]]
+    touching: FrozenSet[int]
+    tops: Tuple[Tuple[int, int], ...] = ()
+    dual: Optional[List[List[Tuple[int, int]]]] = None
     y: Optional[Dict[int, int]] = None
 
 
-def _cocycle(K: Complex, spec: ConstraintCycle) -> _Cocycle:
-    """`_Cocycle` of a degree-1 constraint, cached per complex: neither z
-    nor y depends on the face set, which only decides contact, so a solve
-    decides each candidate by the one small solve on cl F."""
-    cache = K.cache.setdefault("cocycles", {})
-    if spec not in cache:
-        try:
-            _, raw = _realize_raw(spec, K)
-        except RealizationError:
-            cache[spec] = _Cocycle(None)
-        else:
-            vertices = frozenset(support_vertices(K, [spec]))
-            cache[spec] = (_Cocycle(vertices, zero=True) if not raw else
-                           _Cocycle(vertices, y=_cobound(K, raw, vertices)))
-    return cache[spec]
+def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
+    """`_Resolved` of a constraint, cached per complex and d: none of it
+    depends on the face set, so a solve decides each candidate by one
+    `_reason` call.  Raises `RealizationError` when a chain of degree >= 1
+    has a boundary: it is not a cycle, whatever the face set."""
+    cache = K.cache.setdefault("constraints", {})
+    rec = cache.get((spec, d))
+    if rec is not None:
+        return rec
+    try:
+        chain = _realize_raw(spec, K)
+    except RealizationError:
+        chain = None
+    if chain and spec.degree >= 1 and not _hom.is_cycle(Chain(
+            K, spec.degree, {K.index(s): c for s, c in chain.items()})):
+        raise RealizationError("constraint chain has a boundary: not a cycle")
+    vertices = support_vertices(K, [spec])
+    touching = frozenset(i for i, s in enumerate(K.simplices(d))
+                         if not vertices.isdisjoint(s))
+    tops, dual, y = [], None, None
+    if chain and spec.degree == 0 and d == K.dim - 1:
+        for (t,), c in chain.items():
+            for k in range(K.dim):  # up through first cofacets
+                t = K.cofacets(k)[t][0]
+            tops.append((t, c))
+        dual = _dual_graph(K)
+    elif chain and spec.degree == 1:
+        y = _cobound(K, chain, vertices)
+    rec = cache[(spec, d)] = _Resolved(spec, chain, touching, tuple(tops),
+                                       dual, y)
+    return rec
 
 
-def _cobound(K: Complex, raw: Dict[Tuple[int, int], int],
-             vertices: FrozenSet[int]) -> Optional[Dict[int, int]]:
+def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
+             vertices: set) -> Dict[int, int]:
     """An (n-2)-cochain y of (K, dK) with delta(y) = z, the crossing cocycle
-    of the raw 1-chain, or None when there is none (not a cycle).
+    of the 1-cycle `chain` on K.
 
     K' is the sub-box of the cycle's vertices grown by one and clipped to
     the box: a ball holding the open star of every simplex on the cycle.
-    A subdivision vertex a goes to the first top of K' containing it, an
-    edge a < b to a dual path from the top of a to that of b through the
-    open star of a.  Leaving top t through the facet opposite its vertex i
-    counts eps_t (-1)^(i+1), eps_t = sign(det t) = the sign of t's axis
-    permutation, so the crossings sum to a cocycle z of (K', dK'), where
-    H^{n-1} = 0: y is one sparse solve with a witness over delta_{n-2} off
-    dK', whose cofaces all lie in K', so delta(y) = z on (K, dK) too.
+    A simplex goes to the first top of K' containing it.  An edge u -> v
+    with coefficient c becomes the two halves of its barycentric
+    subdivision: a dual path from the top of u to that of uv through the
+    open star of u, counted +c, and one from the top of v to that of uv
+    through the open star of v, counted -c.  Leaving top t through the
+    facet opposite its vertex i counts eps_t (-1)^(i+1), eps_t = sign(det
+    t) = the sign of t's axis permutation, so the crossings sum to a
+    cocycle z of (K', dK'), where H^{n-1} = 0: y is one sparse solve with
+    a witness over delta_{n-2} off dK', whose cofaces all lie in K', so
+    delta(y) = z on (K, dK) too.
     """
     n, lattice, points = K.dim, K.grid.lattice, K.grid.points
     coords = list(zip(*(points[v] for v in vertices)))
@@ -726,31 +583,30 @@ def _cobound(K: Complex, raw: Dict[Tuple[int, int], int],
             on_vertex.setdefault(v, []).append(len(tops))
         tops.append(top)
         eps.append(canonical_vertices(perm)[1])
-    offsets, index = _sd_offsets(K), K._index[n - 1]
+    index = K._index[n - 1]
 
-    def home(sdid: int) -> Tuple[Tuple[int, ...], int]:
-        k = bisect.bisect_right(offsets, sdid) - 1
-        s = K.simplex(k, sdid - offsets[k])
-        return s, next(t for t in on_vertex[s[0]]
-                       if all(v in tops[t] for v in s))
+    def home(s: Tuple[int, ...]) -> int:
+        return next(t for t in on_vertex[s[0]] if all(v in tops[t] for v in s))
 
     z: Dict[int, int] = {}
-    for (a, b), c in raw.items():
-        (inside, t0), (_, t1) = home(a), home(b)
-        prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
-        queue = deque([t0])
-        while t1 not in prev:  # breadth first through the star of a
-            t = queue.popleft()
-            top = tops[t]
-            for i, v in enumerate(top):
-                facet = top[:i] + top[i + 1:]
-                for u in on_facet[facet]:
-                    if v not in inside and u not in prev:
-                        prev[u] = (t, index[facet], eps[t] * (-1) ** (i + 1))
-                        queue.append(u)
-        while prev[t1] is not None:
-            t1, f, sign = prev[t1]
-            z[f] = z.get(f, 0) + sign * c
+    for (u, v), c in chain.items():
+        for a, coeff in ((u, c), (v, -c)):
+            t0, t1 = home((a,)), home((u, v))
+            prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
+            queue = deque([t0])
+            while t1 not in prev:  # breadth first through the star of a
+                t = queue.popleft()
+                top = tops[t]
+                for i, w in enumerate(top):
+                    facet = top[:i] + top[i + 1:]
+                    for x in on_facet[facet]:
+                        if w != a and x not in prev:
+                            prev[x] = (t, index[facet],
+                                       eps[t] * (-1) ** (i + 1))
+                            queue.append(x)
+            while prev[t1] is not None:
+                t1, f, sign = prev[t1]
+                z[f] = z.get(f, 0) + sign * coeff
     inner = [f for f, ts in on_facet.items() if len(ts) == 2]
     outer = {f[:i] + f[i + 1:] for f, ts in on_facet.items() if len(ts) == 1
              for i in range(n)}
@@ -758,9 +614,57 @@ def _cobound(K: Complex, raw: Dict[Tuple[int, int], int],
     if n >= 2:
         A[n - 2] = {K._index[n - 2][f[:i] + f[i + 1:]] for f in inner
                     for i in range(n) if f[:i] + f[i + 1:] not in outer}
-    sol = _hom._snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
-                                    witness=True)
-    return sol.witness if sol.solvable else None
+    return _hom._snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
+                                     witness=True).witness
+
+
+def _reason(rec: _Resolved, faces: Tuple[int, ...],
+            model: Optional[ComplementModel]) -> str:
+    """The spanning decision on a resolved constraint for the d-face set
+    `faces`: 'contact' when the cycle is not one of K or a vertex of it
+    lies in cl F, 'degenerate' for the zero chain, then 'null-homologous'
+    when the cycle bounds in the complement of |F|, else 'nontrivial'.
+    `model`, the complement model of the face set, is read in degree >= 1
+    only.
+
+    A 0-cycle bounds when its coefficients sum to 0 on every component of
+    the complement: for d < n-1 it is connected, and for d = n-1 the tops
+    of the cycle's vertices are grouped by dual-graph searches that cross
+    no face of F.  For a 1-cycle, the solutions of delta(y') = z on
+    (K, dK) are y + delta(w), as H^{n-2}(K, dK) = 0, so z = delta(y') with
+    y' = 0 on cl F u dK (the cycle bounds in the complement) exactly when
+    y|cl F = delta(w|cl F), one small solve on cl F.  Higher degrees are
+    solved on the subdivision.
+    """
+    if rec.chain is None or not rec.touching.isdisjoint(faces):
+        return "contact"
+    if not rec.chain:
+        return "degenerate"
+    if rec.tops:
+        # the component of the first pending top: its coefficient sum
+        adj, cut, pending = rec.dual, set(faces), rec.tops
+        while pending:
+            (t, total), rest = pending[0], []
+            for u, c in pending[1:]:
+                if _reachable(adj, u, t, cut):
+                    total += c
+                else:
+                    rest.append((u, c))
+            if total:
+                return "nontrivial"
+            pending = rest
+        return "null-homologous"
+    if rec.spec.degree == 0:
+        null = not sum(rec.chain.values())
+    elif rec.spec.degree == 1:
+        K, A = model.K, model._relative
+        on_f = A.get(K.dim - 2, ())
+        rhs = {i: c for i, c in rec.y.items() if i in on_f}
+        null = not rhs or _hom._snf_diagonal_sparse(
+            _coboundary(K, A, K.dim - 3), rhs=rhs).solvable
+    else:
+        null, _ = _hom.is_null_homologous(realize_constraint(rec.spec, model))
+    return "null-homologous" if null else "nontrivial"
 
 
 _DEGENERATE = {"point-pair": "degenerate point pair (identical points)",
@@ -774,24 +678,18 @@ def realize_constraint(spec: ConstraintCycle, model: ComplementModel) -> Chain:
         raise PreconditionError(
             f"a degree-{spec.degree} constraint needs max_dim >= "
             f"{spec.degree}, got {model.max_dim}")
-    if model._touches(spec):
+    K = model.K
+    if not _resolve(K, spec, model.F.dim).touching.isdisjoint(model.F.faces):
         raise RealizationError("constraint support touches the removed set")
-    dim, raw = _realize_raw(spec, model.K)
-    if not raw and spec.kind in _DEGENERATE:
+    chain = _realize_raw(spec, K)
+    if not chain and spec.kind in _DEGENERATE:
         warnings.warn(_DEGENERATE[spec.kind])
-    C = model.complex
-    remap = model._id_map
-    coeffs: Dict[int, int] = {}
-    for key, c in raw.items():
-        if dim == 0:
-            verts = (remap[key],)
-        else:
-            verts = tuple(remap[v] for v in key)
-        coeffs[C.index(verts)] = c
-    chain = Chain(C, dim, coeffs)
-    if not chain.is_zero() and not _hom.is_cycle(chain):
-        raise RealizationError("realized constraint is not a cycle")
-    return chain
+    C, remap = model.complex, model._id_map
+    pieces: Dict[Tuple[int, ...], int] = {}
+    for verts, c in chain.items():
+        _subdivide_simplex(K, verts, c, pieces)
+    return Chain(C, spec.degree, {C.index(tuple(remap[v] for v in key)): c
+                                  for key, c in pieces.items()})
 
 
 @dataclass(frozen=True)
@@ -828,32 +726,28 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
                        d: int) -> Callable[[Tuple[int, ...]], bool]:
     """`is_spanning` for d-face sets of K, as a function of the face tuple.
 
-    Built once per solve: each point pair is resolved here to its vertices,
-    a top simplex holding each and the d-faces whose closure holds either
-    point.  A call then decides every pair by a dual-graph search that stops
-    at the second top (cutting the faces when d = n-1), with no face set or
-    model built.  Other constraints go to one `ComplementModel` per call,
-    only when every pair passes; a loop's cochain y is solved once per
-    complex (`_cocycle`), so a call then takes one small solve on cl F.
+    Built once per solve: each constraint is resolved once per complex
+    and d (`_resolve`), and a call decides the face tuple by `_reason`, the
+    decision `ComplementModel.check` makes.  Degree-0 constraints go first
+    and build no face set or model; one `ComplementModel` is built per
+    call only when they all pass and a constraint of degree >= 1 is left.
     """
     if not 0 <= d < K.dim:
         raise InvalidInputError(
             f"face dimension {d} must lie strictly below {K.dim}")
-    pairs = [_resolve_pair(K, c, d) for c in constraints
-             if c.kind == "point-pair"]
-    dual = _dual_graph(K) if pairs else None
-    rest = [c for c in constraints if c.kind != "point-pair"]
+    resolved = [_resolve(K, c, d) for c in constraints]
+    deg0 = [rec for rec in resolved if rec.spec.degree == 0]
+    rest = [rec for rec in resolved if rec.spec.degree > 0]
     max_dim = max([c.degree for c in constraints] or [0]) + 1
 
     def spans(faces: Tuple[int, ...]) -> bool:
-        cut = _cut(K, d, faces)
-        for pair in pairs:
-            if _pair_reason(dual, pair, faces, cut) != "nontrivial":
+        for rec in deg0:
+            if _reason(rec, faces, None) != "nontrivial":
                 return False
         if not rest:
             return True
         model = ComplementModel(K, FaceSet(K, d, faces), max_dim)
-        return all(s.passed for s in model.check(rest))
+        return all(_reason(rec, faces, model) == "nontrivial" for rec in rest)
 
     return spans
 

@@ -11,7 +11,6 @@ answers them on cl F alone by Alexander duality, and the tests check that
 the two agree.
 """
 
-import bisect
 import itertools
 from collections import deque
 from typing import Dict, List, Tuple
@@ -106,26 +105,36 @@ def star_path(K, cross, inside, t0: int, t1: int) -> List[Tuple[int, int]]:
     return path
 
 
+def top_of(K, verts) -> int:
+    """A top simplex containing the simplex `verts`: from it, the first
+    cofacet dimension by dimension."""
+    s = K.index(verts)
+    for k in range(len(verts) - 1, K.dim):
+        s = K.cofacets(k)[s][0]
+    return s
+
+
 def crossing_cocycle(model: ComplementModel,
-                     raw: Dict[Tuple[int, int], int]) -> Dict[int, int]:
-    """The signed crossings of the raw 1-chain {(a, b): coeff} pushed onto
-    the whole dual graph: a goes to the top `top_of[a]`, and a < b to a
-    path between the tops of a and b through the open star of a."""
-    K, offsets = model.K, model.offsets
-    top_of, cross = model.dual.top_of, crossings(K)
+                     chain: Dict[Tuple[int, int], int]) -> Dict[int, int]:
+    """The signed crossings of the 1-chain {(u, v): coeff} on K, subdivided
+    (u -> v with coeff c is c (u, uv) - c (v, uv)) and pushed onto the whole
+    dual graph: a simplex s goes to `top_of(s)`, and a piece (a, e) to a
+    path between the tops of a and e through the open star of a."""
+    K = model.K
+    cross = crossings(K)
     z: Dict[int, int] = {}
-    for (a, b), c in raw.items():
-        k = bisect.bisect_right(offsets, a) - 1
-        inside = set(K.simplex(k, a - offsets[k]))
-        for f, s in star_path(K, cross, inside, top_of[a], top_of[b]):
-            z[f] = z.get(f, 0) + s * c
+    for (u, v), c in chain.items():
+        for a, coeff in ((u, c), (v, -c)):
+            for f, s in star_path(K, cross, {a}, top_of(K, (a,)),
+                                  top_of(K, (u, v))):
+                z[f] = z.get(f, 0) + s * coeff
     return z
 
 
 def bounds_deg1(model: ComplementModel,
-                raw: Dict[Tuple[int, int], int]) -> bool:
-    """True iff the crossing cocycle of the raw 1-cycle is a coboundary of
+                chain: Dict[Tuple[int, int], int]) -> bool:
+    """True iff the crossing cocycle of the 1-cycle on K is a coboundary of
     (K, cl F u dK): one sparse solve over the columns of delta_{n-2}."""
     cols = delta(model, outside(model), model.K.dim - 2)
-    return _snf_diagonal_sparse(cols, rhs=crossing_cocycle(model, raw)
+    return _snf_diagonal_sparse(cols, rhs=crossing_cocycle(model, chain)
                                 ).solvable

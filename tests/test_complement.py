@@ -80,19 +80,6 @@ def test_4d_plane_complement_h1():
     assert (h1.rank, h1.torsion) == (1, ())
 
 
-def test_model_vertex_and_is_clear():
-    K = build_grid_complex(2, [2, 2])
-    F = separating_row(K)
-    model = complement_subcomplex(K, F, max_dim=1)
-    blocked = F.faces[0]
-    assert not model.is_clear(1, blocked)
-    with pytest.raises(RealizationError):
-        model.model_vertex(1, blocked)
-    free = next(i for i in range(K.n_simplices(1)) if i not in F)
-    assert model.is_clear(1, free)
-    assert model.model_vertex(1, free) >= 0
-
-
 def test_wrong_complex_rejected():
     K1 = build_grid_complex(2, [1, 1])
     K2 = build_grid_complex(2, [1, 1])
@@ -456,6 +443,44 @@ def test_truncated_subdivision_rejects_high_degree_cycle():
         realize_constraint(sphere, complement_subcomplex(K, empty, max_dim=1))
 
 
+def boundary_items(K, verts):
+    """The boundary of the simplex of K on the vertex ids `verts` as
+    `cycle` items (lattice points of each facet, sign)."""
+    pts = [K.grid.points[v] for v in verts]
+    return tuple((tuple(pts[:i] + pts[i + 1:]), (-1) ** i)
+                 for i in range(len(pts)))
+
+
+def test_non_cycles_raise_in_every_degree():
+    # a chain with a boundary is no cycle whatever the face set: every
+    # entry point raises, in degree 1 (an interior edge, an edge on dK)
+    # as in degree 2 (a triangle), even when the face set touches it
+    cases = [((4, 4), 1, [((1, 1), (2, 1))]),
+             ((3, 3), 1, [((0, 0), (1, 0))]),
+             ((2, 2, 2), 1, [((0, 0, 0), (1, 0, 0), (1, 1, 0))])]
+    for box, d, corners in cases:
+        K = build_grid_complex(len(box), list(box))
+        (pts,) = corners
+        c = ConstraintCycle(kind="cycle", degree=len(pts) - 1,
+                            items=((pts, 1),))
+        on = lattice_faces(K, [pts[:d + 1]])
+        for F in (FaceSet(K, d, ()), FaceSet(K, d, on)):
+            for call in (lambda: spanning_check(K, F, [c]),
+                         lambda: is_spanning(K, F, [c]),
+                         lambda: spanning_predicate(K, [c], d),
+                         lambda: realize_constraint(
+                             c, complement_subcomplex(K, F))):
+                with pytest.raises(RealizationError, match="not a cycle"):
+                    call()
+    # the same simplices closed up into boundaries are judged as before
+    K = build_grid_complex(2, [3, 3])
+    tri = K.simplex(2, 0)
+    c = ConstraintCycle(kind="cycle", degree=1, items=boundary_items(K, tri))
+    empty = FaceSet(K, 1, ())
+    assert spanning_check(K, empty, [c])[0].reason == "null-homologous"
+    assert not is_spanning(K, empty, [c])
+
+
 # -- regions and competitor checks ---------------------------------------------
 
 def test_region_validation_and_membership():
@@ -635,6 +660,8 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
     assert {"contact", "degenerate", "null-homologous"} <= seen_verdicts
     if d == len(box) - 1:
         assert "nontrivial" in seen_verdicts
+    # below codimension 1 the complement is connected: no dual graph
+    assert ("dual" in K.cache) == (d == len(box) - 1)
 
 
 def deg0_cycle_verdict(K, good, labels, items):
@@ -702,10 +729,15 @@ def test_deg0_cycles_match_subdivision_oracle(box, d, size):
         if clear:
             a = clear[0]
             b = next((v for v in clear if labels[v] != labels[a]), clear[-1])
+            a2 = next((v for v in clear
+                       if v != a and labels[v] == labels[a]), a)
             cycles += [[((points[a],), 1), ((points[b],), -2),
                         ((points[a],), 1)],
                        [((points[a],), 2), ((points[b],), 1),
-                        ((points[a],), -2), ((points[b],), -1)]]
+                        ((points[a],), -2), ((points[b],), -1)],
+                       # a's component sums to 0, b's does not
+                       [((points[a],), 1), ((points[a2],), -1),
+                        ((points[b],), 1)]]
         cons = [ConstraintCycle(kind="cycle", degree=0, items=tuple(items))
                 for items in cycles]
         statuses = spanning_check(K, F, cons)
@@ -721,6 +753,7 @@ def test_deg0_cycles_match_subdivision_oracle(box, d, size):
     assert seen == {"contact", "degenerate", "null-homologous", "nontrivial"}
     if d == len(box) - 1:
         assert split
+    assert ("dual" in K.cache) == (d == len(box) - 1)
 
 
 def test_dual_graph_deg0_at_scale():
@@ -772,4 +805,88 @@ def test_point_pair_check_builds_no_subdivision():
     assert is_spanning(K4, F4, linking_loops(K4.grid.box))
     model = complement_subcomplex(K4, F4, max_dim=2)
     assert [model.homology(k).rank for k in range(5)] == [1, 2, 1, 0, 0]
+    # two planes do not separate the box: a pair off them is joined
+    pair = ConstraintCycle(kind="point-pair", points=((0,) * 4, (2,) * 4))
+    assert model.check([pair])[0].reason == "null-homologous"
     assert "dual" not in K4.cache and "sd" not in K4.cache
+
+
+def random_constraints(K, F, rng):
+    """Point pairs (two with an off-grid point, two with a vertex of
+    cl F), their 0-cycles, a 0-cycle whose coefficients sum to 1, the
+    outline of the box's (x0, x1) face and a random lattice rectangle as
+    loops and the latter as explicit hops, the boundary of a random
+    triangle and, in 3D, of a random tetrahedron (4D models of degree-2
+    cycles take seconds each)."""
+    n, points = K.dim, K.grid.points
+    on_f = sorted(F.vertex_ids())
+    picks = [tuple(rng.choice(len(points), size=2).tolist()) for _ in range(6)]
+    pairs = [(points[u], points[v]) for u, v in picks]
+    pairs.append((points[picks[0][0]], (-1,) + points[0][1:]))
+    pairs.append(((K.grid.box[0] + 1,) + points[0][1:], points[picks[1][1]]))
+    for v in on_f[:2]:
+        pairs.append((points[v], points[picks[2][0]]))
+    cons = [ConstraintCycle(kind="point-pair", points=pq) for pq in pairs]
+    cons += [ConstraintCycle(kind="cycle", degree=0,
+                             items=(((q,), 1), ((p,), -1)))
+             for p, q in pairs]
+    cons.append(ConstraintCycle(kind="cycle", degree=0, items=(
+        ((points[picks[3][0]],), 2), ((points[picks[3][1]],), -1))))
+    hi = [int(rng.integers(1, b + 1)) for b in K.grid.box[:2]]
+    loop = rectangle_loop((0, 1), (0, 0), hi, (0,) * n)
+    hops = loop.points[1:] + loop.points[:1]
+    cons += [rectangle_loop((0, 1), (0, 0), K.grid.box[:2], (0,) * n), loop,
+             ConstraintCycle(kind="cycle", degree=1, items=tuple(
+                 ((p, q), 1) for p, q in zip(loop.points, hops)))]
+    for k in ((2, 3) if n == 3 else (2,)):
+        s = K.simplex(k, int(rng.integers(K.n_simplices(k))))
+        cons.append(ConstraintCycle(kind="cycle", degree=k - 1,
+                                    items=boundary_items(K, s)))
+    return len(pairs), cons
+
+
+ENTRY_CASES = [((3, 3), 1), ((3, 3), 0), ((2, 2, 2), 2), ((2, 2, 2), 1),
+               ((2, 2, 1, 1), 3), ((2, 2, 1, 1), 2)]
+
+
+@pytest.mark.parametrize("box,d", ENTRY_CASES)
+def test_entry_points_agree(box, d):
+    # `spanning_check`, `is_spanning` and `spanning_predicate` give one
+    # answer on mixed lists, and a point pair has its 0-cycle's status;
+    # every other face set holds the d-plane x_0 = ... = x_{n-d-1} = 1:
+    # for d = n-1 a wall across the box, in codimension 2 a plane that
+    # the outline loop links
+    n = len(box)
+    rng = np.random.default_rng(sum(box) * 7 + d)
+    K = build_grid_complex(n, list(box))
+    points = K.grid.points
+    flat = tuple(i for i, s in enumerate(K.simplices(d))
+                 if all(points[v][a] == 1 for v in s for a in range(n - d)))
+    reasons, answers = set(), set()
+    for trial in range(6):
+        extra = rng.choice(K.n_simplices(d), size=int(rng.integers(0, n)),
+                           replace=False).tolist()
+        F = FaceSet(K, d, tuple(set(extra) | set(flat if trial % 2 else ())))
+        n_pairs, cons = random_constraints(K, F, rng)
+        statuses = spanning_check(K, F, cons)
+        for pair, cycle in zip(statuses[:n_pairs], statuses[n_pairs:]):
+            assert (pair.passed, pair.reason) == (cycle.passed, cycle.reason)
+        reasons |= {s.reason for s in statuses}
+        # the whole list, its degree-0 part, the rest, the passing
+        # degree-0 constraints, and two of them with one loop
+        passing0 = [c for c, s in zip(cons, statuses)
+                    if s.passed and c.degree == 0]
+        deg0 = [c for c in cons if c.degree == 0]
+        rest = cons[len(deg0):]
+        lists = [cons, deg0, rest, passing0] + [
+            passing0[-2:] + [c] for c in rest[:2]]
+        lists += [[cons[i] for i in rng.choice(len(cons), size=3,
+                                               replace=False)]
+                  for _ in range(2)]
+        for sub in lists:
+            want = all(s.passed for s in spanning_check(K, F, sub))
+            assert spanning_predicate(K, sub, d)(F.faces) == want
+            assert is_spanning(K, F, sub) == want
+            answers.add(want)
+    assert {"contact", "null-homologous", "nontrivial"} <= reasons
+    assert answers == {True, False}

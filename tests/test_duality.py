@@ -93,7 +93,7 @@ def test_loop_verdicts_match_relative_cochain_oracle(case):
             if touches(model, loop):
                 assert status.reason == "contact"
                 continue
-            _, raw = _realize_raw(loop, K)
+            raw = _realize_raw(loop, K)
             want = ("null-homologous" if oracle.bounds_deg1(model, raw)
                     else "nontrivial")
             assert status.reason == want
@@ -235,7 +235,7 @@ def test_moebius_meridian_is_two_torsion():
     assert [s.reason for s in model.check([meridian, twice])] == [
         "nontrivial", "null-homologous"]
     for loop, bounds in ((meridian, False), (twice, True)):
-        _, raw = _realize_raw(loop, K)
+        raw = _realize_raw(loop, K)
         assert oracle.bounds_deg1(model, raw) == bounds
 
 
