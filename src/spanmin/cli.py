@@ -226,7 +226,7 @@ def _write_artifacts(args, spec: ProblemSpec, K, F) -> None:
         remap = {v: j for j, v in enumerate(used)}
         lines = [f"{spec.n} {spec.d}"]
         for v in used:
-            coords = " ".join(f"{float(x):.12g}" for x in K.coords[v])
+            coords = " ".join(f"{x:.12g}" for x in K.coords[v])
             lines.append(f"{remap[v]} {coords}")
         for i in F.faces:
             lines.append(" ".join(str(remap[v]) for v in K.simplex(F.dim, i)))

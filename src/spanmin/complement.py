@@ -35,7 +35,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
@@ -64,6 +63,9 @@ class _SdStructure:
     Subdivision vertices are the simplices of K, numbered dimension by
     dimension (offsets[k] + index).  A subdivision m-simplex is a strictly
     increasing chain of m+1 faces, so its id tuple is already canonical.
+    The chains ending at a simplex are the simplex alone and, extended by
+    it, every chain of at most max_dim faces ending at one of its proper
+    faces, which come earlier in the numbering.
     """
 
     def __init__(self, K: Complex, max_dim: int):
@@ -71,80 +73,32 @@ class _SdStructure:
         self.max_dim = max_dim
         self.offsets = _sd_offsets(K)
         self.total = self.offsets[-1]
-
-        self.chains: Dict[int, List[Tuple[int, ...]]] = {0: []}
-        self.chains[0] = [(i,) for i in range(self.total)]
-        for m in range(1, max_dim + 1):
-            self.chains[m] = []
-        self._generate()
-        self.edge_arrays = None
-        if max_dim >= 1 and self.chains[1]:
-            E = np.array(self.chains[1], dtype=np.int64)
-            self.edge_arrays = (E[:, 0], E[:, 1])
+        self.chains: Dict[int, List[Tuple[int, ...]]] = {
+            m: [] for m in range(max_dim + 1)}
+        ends: List[List[Tuple[int, ...]]] = []  # extendable, per id
+        for k in range(K.dim + 1):
+            faces = [(self.offsets[r], K._index[r], r + 1) for r in range(k)]
+            for t in K.simplices(k):
+                b = (len(ends),)
+                self.chains[0].append(b)
+                extendable = [b] if max_dim else []
+                for off, index, size in faces:
+                    for face in itertools.combinations(t, size):
+                        for c in ends[off + index[face]]:
+                            chain = c + b
+                            self.chains[len(chain) - 1].append(chain)
+                            if len(chain) <= max_dim:
+                                extendable.append(chain)
+                ends.append(extendable)
 
     def sd_id(self, k: int, idx: int) -> int:
         return self.offsets[k] + idx
 
-    def barycenter(self, sdid: int) -> Tuple[Fraction, ...]:
-        """Exact barycenter of the simplex of K behind a subdivision vertex."""
+    def barycenter(self, sdid: int) -> np.ndarray:
+        """Barycenter of the simplex of K behind a subdivision vertex."""
         k = bisect.bisect_right(self.offsets, sdid) - 1
         verts = self.K.simplex(k, sdid - self.offsets[k])
-        pts = [self.K.coords[v] for v in verts]
-        return tuple(sum(col) / len(pts) for col in zip(*pts))
-
-    def _generate(self) -> None:
-        K = self.K
-        if self.max_dim < 1:
-            return
-        index = K._index
-        offsets = self.offsets
-        edges = self.chains.get(1)
-        tris = self.chains.get(2)
-        want3 = self.max_dim >= 3
-
-        def sub_ids(t: Tuple[int, ...]) -> List[int]:
-            out = []
-            for r in range(1, len(t)):
-                off = offsets[r - 1]
-                idx = index[r - 1]
-                for sub in itertools.combinations(t, r):
-                    out.append(off + idx[sub])
-            return out
-
-        # proper-subset ids per simplex, top dimension by top dimension
-        subs_cache: Dict[int, List[int]] = {}
-        high: Dict[int, List[Tuple[int, ...]]] = {m: [] for m in range(3, self.max_dim + 1)}
-        for k in range(1, K.dim + 1):
-            off = offsets[k]
-            for i, t in enumerate(K.simplices(k)):
-                b = off + i
-                below = sub_ids(t)
-                subs_cache[b] = below
-                for a in below:
-                    edges.append((a, b))
-                if tris is not None:
-                    for m in below:
-                        for a in subs_cache.get(m, ()):
-                            tris.append((a, m, b))
-                if want3:
-                    self._extend_high(b, below, subs_cache, high)
-        for m, lst in high.items():
-            self.chains[m] = lst
-
-    def _extend_high(self, top: int, below: List[int],
-                     subs_cache: Dict[int, List[int]],
-                     high: Dict[int, List[Tuple[int, ...]]]) -> None:
-        # depth-first chains of length >= 4 ending at `top`
-        def descend(prefix: Tuple[int, ...], node: int) -> None:
-            chain = (node,) + prefix
-            if len(chain) - 1 >= 3 and len(chain) - 1 <= self.max_dim:
-                high[len(chain) - 1].append(chain)
-            for a in subs_cache.get(node, ()):
-                descend(chain, a)
-
-        for m in below:
-            for a in subs_cache.get(m, ()):
-                descend((m, top), a)
+        return self.K.coords[list(verts)].mean(axis=0)
 
 
 def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
@@ -310,9 +264,10 @@ class ComplementModel:
     @cached_property
     def edges_a(self) -> np.ndarray:
         """Lower ends of the subdivision edges with both ends outside cl F."""
-        if self.sd.edge_arrays is None:
-            return np.zeros(0, dtype=np.int64)
-        a, b = self.sd.edge_arrays
+        edges = self.sd.chains.get(1, ())
+        E = np.fromiter(itertools.chain.from_iterable(edges), np.int64,
+                        2 * len(edges)).reshape(-1, 2)
+        a, b = E[:, 0], E[:, 1]
         return a[self.good[a] & self.good[b]]
 
     @property

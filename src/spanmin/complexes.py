@@ -2,15 +2,15 @@
 
 Simplices are stored as strictly increasing tuples of vertex ids; a simplex
 given with permuted vertices contributes only the sign of the permutation.
-Vertex coordinates are exact rationals so that all combinatorial data stays
-exact; floats appear only at the measure layer.
+Every combinatorial question reads the integer simplex tables (and, on a
+grid, the integer lattice points); vertex coordinates are one float array,
+read only by measures, projections and mesh export.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -61,9 +61,7 @@ class Complex:
 
     def __init__(self, simplices: Dict[int, Iterable[Vertices]], coords,
                  validate: bool = True):
-        self.coords: List[Tuple[Fraction, ...]] = [
-            tuple(Fraction(x) for x in c) for c in coords
-        ]
+        self.coords = np.asarray(coords, dtype=float)
         dims = [k for k, tab in simplices.items() if tab]
         self.dim = max(dims) if dims else 0
         self._tables: Dict[int, List[Vertices]] = {}
@@ -141,12 +139,6 @@ class Complex:
                     out[self._index[k][face]].append(j)
             self._cofacets[k] = out
         return self._cofacets[k]
-
-    def coords_float(self) -> np.ndarray:
-        if "coords_float" not in self.cache:
-            self.cache["coords_float"] = np.array(
-                [[float(x) for x in c] for c in self.coords], dtype=float)
-        return self.cache["coords_float"]
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{k}:{self.n_simplices(k)}"
@@ -348,8 +340,7 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
     shape = tuple(b + 1 for b in box)
     points = list(itertools.product(*[range(s) for s in shape]))
     lattice = {p: i for i, p in enumerate(points)}
-    s = Fraction(scale)
-    coords = [tuple(s * c for c in p) for p in points]
+    coords = float(scale) * np.array(points, dtype=float)
 
     tops = [t for t, _ in kuhn_tops(lattice, (0,) * n, box)]
     K = Complex.from_maximal(tops, coords)

@@ -8,7 +8,7 @@ comment.  Keys:
     box 3 3                 cells per axis
     scale 1.0               lattice spacing
     weight constant 1.0     or: weight table <default>, then face lines
-    w 12 1.5                per-face weight override (table mode)
+    w 12 1.5                per-face weight (needs 'weight table')
     M 4.0                   upper weight bound
     init faces 0 1 5        explicit face indices
     init generator separating-row
@@ -183,6 +183,7 @@ def parse_problem(text: str) -> ProblemSpec:
     errors: List[str] = []
     fields: Dict[str, object] = {}
     table: List[Tuple[int, float]] = []
+    table_lines: List[int] = []
     constraints: List[Tuple[str, Tuple[Tuple[int, ...], ...]]] = []
 
     lines = text.splitlines()
@@ -223,6 +224,7 @@ def parse_problem(text: str) -> ProblemSpec:
             elif key == "w":
                 idx, val = arg.split()
                 table.append((int(idx), float(val)))
+                table_lines.append(lineno)
             elif key == "M":
                 fields["weight_upper"] = float(arg)
             elif key == "init":
@@ -281,6 +283,9 @@ def parse_problem(text: str) -> ProblemSpec:
             errors.append("box axes must be positive")
     if fields.get("scale", 1.0) <= 0:
         errors.append("scale must be positive")
+    if fields.get("weight_kind") != "table":
+        errors.extend(f"line {lineno}: 'w' needs 'weight table'"
+                      for lineno in table_lines)
     upper = fields.get("weight_upper", 100.0)
     wval = fields.get("weight_value", 1.0)
     for value in [wval] + [v for _, v in table]:

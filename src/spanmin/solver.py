@@ -29,7 +29,8 @@ EXHAUSTIVE_EVALUATION_CAP = 100_000
 
 
 class WeightField:
-    """Weight h on faces, either constant or sampled at face barycenters.
+    """Weight h on faces: one constant, or a table of values per face index
+    with a default for the faces it does not list.
 
     Values are validated against the bounds 1 <= h <= upper.
     """
@@ -70,7 +71,7 @@ def _face_volumes(K: Complex, d: int) -> np.ndarray:
     """Euclidean d-volumes of all d-faces (Gram determinant), cached."""
     key = ("face_volumes", d)
     if key not in K.cache:
-        coords = K.coords_float()
+        coords = K.coords
         vols = np.zeros(K.n_simplices(d))
         fact = math.factorial(d)
         for i, s in enumerate(K.simplices(d)):
@@ -83,7 +84,7 @@ def _face_volumes(K: Complex, d: int) -> np.ndarray:
 
 
 def weighted_measure(F: FaceSet, weight: WeightField) -> float:
-    """Sum over faces of h(barycenter) times the face's d-volume."""
+    """Sum over faces of the face's weight h times its d-volume."""
     vols = _face_volumes(F.complex, F.dim)
     return float(sum(weight.at(f) * vols[f] for f in F.faces))
 
@@ -438,23 +439,20 @@ def projection_lower_bound(F: FaceSet, frame1: np.ndarray, frame2: np.ndarray,
 
     Projects the faces onto the two planes, measures the covered target
     regions by rasterization, and divides by the projection constant of the
-    plane pair (1 when orthogonal, else 1 + 2 cos of the smaller angle).
+    plane pair (`PlanePair.projection_bound`).
     """
     if F.dim != 2:
         raise PreconditionError("projection certificate needs 2-dimensional faces")
     K = F.complex
-    coords = K.coords_float()
+    coords = K.coords
     if coords.shape[1] != 4:
         raise PreconditionError("projection certificate needs an ambient R^4")
-    frame1 = np.asarray(frame1, dtype=float)
-    frame2 = np.asarray(frame2, dtype=float)
-    a1, _a2 = grassmann.characteristic_angles(frame1, frame2)
-    lam = 1.0 if a1 >= math.pi / 2 - 1e-9 else 1.0 + 2.0 * math.cos(a1)
+    pair = grassmann.PlanePair(frame1, frame2)
 
     tris = np.array([[coords[v] for v in K.simplex(2, f)] for f in F.faces],
                     dtype=float) if F.faces else np.zeros((0, 3, 4))
     areas = []
-    for frame, region in zip((frame1, frame2), disks):
+    for frame, region in zip((pair.frame1, pair.frame2), disks):
         projected = tris @ frame.T if len(tris) else tris.reshape(0, 3, 2)
         areas.append(_rasterize_area(projected, region, resolution))
-    return (areas[0] + areas[1]) / lam
+    return (areas[0] + areas[1]) / pair.projection_bound()

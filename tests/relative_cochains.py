@@ -72,7 +72,7 @@ def crossings(K) -> List[List[Tuple[int, int, int]]]:
     of t through f, eps_t the sign of t's determinant."""
     n = K.dim
     T = np.array(K.simplices(n), dtype=np.int64)
-    X = K.coords_float()
+    X = K.coords
     eps = np.sign(np.linalg.det(X[T[:, 1:]] - X[T[:, :1]]))
     index, cof = K._index[n - 1], K.cofacets(n - 1)
     out = []

@@ -136,6 +136,36 @@ def test_solve_falls_back_to_local_past_evaluation_cap(problem_file, capsys,
     assert "exhaustive search passed 100 evaluations" in err
 
 
+SEPARATION_REPORT = ["command: solve", "n: 2", "d: 1", "box: 2 2", "seed: 0",
+                     "status: ok", "objective: 2", "faces: 4 11",
+                     "certificate_lower_bound: 2.0",
+                     "certificate_method: exhaustive"]
+
+
+def test_solve_writes_artifacts_pinned(problem_file, tmp_path, capsys):
+    mesh, csv = tmp_path / "out.mesh", tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, [
+        "solve", "--input", problem_file(SEPARATION),
+        "--mesh-out", str(mesh), "--csv-out", str(csv)])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines() == SEPARATION_REPORT + [
+        "evaluations: 4"]
+    assert mesh.read_text() == "2 1\n0 0 1\n1 1 1\n2 2 1\n0 1\n1 2\n"
+    assert csv.read_text() == (
+        "index,kind,degree,verdict,reason,homology_rank\n"
+        "0,point-pair,0,pass,nontrivial,2\n")
+
+
+def test_solve_whole_complex_pool_pinned(problem_file, capsys):
+    # no init faces and no region: the pool is all 16 edges of the box
+    text = "n 2\nd 1\nbox 2 2\nconstraint point-pair 1 0 ; 1 2\n"
+    code, out, err = run_cli(capsys, ["solve", "--input",
+                                      problem_file(text)])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines() == SEPARATION_REPORT + [
+        "evaluations: 19"]
+
+
 def test_solve_infeasible_exit_2(problem_file, capsys):
     text = "n 2\nd 1\nbox 2 2\ninit faces 4 11\n" \
            "constraint point-pair 1 0 ; 1 2\nregion 2 0 ; 2 2\n"
@@ -150,6 +180,16 @@ def test_lemmas_orthogonal(problem_file, capsys):
     assert code == 0
     assert "bound: 1" in out
     assert "holds: yes" in out
+
+
+def test_lemmas_angle_pair_report_pinned(capsys):
+    code, out, err = run_cli(capsys, ["lemmas", "--pair", "0.35,1.05",
+                                      "--samples", "5000", "--seed", "7"])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines() == [
+        "command: lemmas", "pair: 0.35,1.05", "samples: 5000", "seed: 7",
+        "alpha1: 0.35", "alpha2: 1.05", "bound: 2.87874542569",
+        "max_sum: 1.68536879917", "margin: 1.19337662653", "holds: yes"]
 
 
 def test_lemmas_bad_pair_flag(capsys):

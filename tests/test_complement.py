@@ -563,6 +563,52 @@ def test_collapse_candidates_respect_region():
     assert all(f == faces[1] for f, _ in moves)
 
 
+# -- the chains of the barycentric subdivision --------------------------------
+
+def flag_chains(K, m):
+    """The strictly increasing chains of m+1 faces of K under inclusion, as
+    tuples of subdivision ids: per simplex, every m of its proper faces
+    (itertools.combinations over its vertex subsets) that nest."""
+    offsets = np.cumsum([0] + [K.n_simplices(k) for k in range(K.dim)])
+
+    def sd_id(s):
+        return int(offsets[len(s) - 1]) + K.index(s)
+
+    out = set()
+    for k in range(K.dim + 1):
+        for top in K.simplices(k):
+            proper = [f for r in range(1, k + 1)
+                      for f in itertools.combinations(top, r)]
+            for flag in itertools.combinations(proper, m):
+                flag += (top,)
+                if all(len(a) < len(b) and set(a) <= set(b)
+                       for a, b in zip(flag, flag[1:])):
+                    out.add(tuple(sd_id(f) for f in flag))
+    return out
+
+
+@pytest.mark.parametrize("box", [(2, 3), (2, 2, 1), (1, 1, 1, 1)])
+def test_subdivision_chains_are_the_flags_of_k(box):
+    from spanmin.complement import _sd_structure
+    K = build_grid_complex(len(box), list(box))
+    for m in range(min(3, K.dim) + 1):
+        sd = _sd_structure(K, m)
+        assert sd.max_dim == m
+        for j in range(m + 1):
+            assert len(set(sd.chains[j])) == len(sd.chains[j])
+            assert set(sd.chains[j]) == flag_chains(K, j)
+
+
+@pytest.mark.parametrize("box,m,count", [
+    ((3, 3, 3), 3, 17965), ((2, 2, 2, 2), 2, 145985),
+    ((2, 2, 2, 2), 3, 265793), ((2, 2, 1, 1), 3, 69229),
+    ((3, 3, 2, 2), 2, 322013)])
+def test_subdivision_chain_counts_pinned(box, m, count):
+    from spanmin.complement import _SdStructure
+    sd = _SdStructure(build_grid_complex(len(box), list(box)), m)
+    assert sum(len(sd.chains[j]) for j in range(m + 1)) == count
+
+
 # -- degree 0 on the dual graph against the subdivision ------------------------
 
 def union_find_components(n, a, b):
@@ -595,7 +641,7 @@ def subdivision_oracle(K, F):
         for r in range(1, len(t) + 1):
             for sub in itertools.combinations(t, r):
                 good[sd.sd_id(r - 1, K.index(sub))] = False
-    a, b = sd.edge_arrays
+    a, b = np.array(sd.chains[1], dtype=np.int64).T
     keep = good[a] & good[b]
     return good, union_find_components(sd.total, a[keep], b[keep])
 

@@ -40,6 +40,21 @@ def test_parse_weight_table():
     assert w.at(3) == 2.5 and w.at(0) == 1.0
 
 
+def test_parse_rejects_w_lines_without_weight_table():
+    # a 'w' line is a table-mode line: under 'weight constant' (the default)
+    # its value would go unread
+    text = MINIMAL + "weight constant 1.0\nw 4 3.0\nw 11 3.0\nM 4.0\n"
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(text)
+    assert exc.value.violations == ["line 8: 'w' needs 'weight table'",
+                                    "line 9: 'w' needs 'weight table'"]
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(MINIMAL + "w 4 3.0\n")  # constant is the default
+    assert exc.value.violations == ["line 7: 'w' needs 'weight table'"]
+    spec = parse_problem(text.replace("constant", "table"))
+    assert spec.weight_field().at(4) == 3.0
+
+
 def test_parse_collects_all_violations():
     bad = "n 9\nd 9\nbox 2\nweight funky\nscale -1\nbudget -5\nzorp 1\n"
     with pytest.raises(ProblemFormatError) as exc:
@@ -119,7 +134,18 @@ def test_round_trip_randomized():
                     if rng.random() < 0.5 else None),
             seed=rng.randrange(100),
             budget=rng.randrange(20000))
-        assert parse_problem(serialize_problem(spec)) == spec
+        text = serialize_problem(spec)
+        if spec.weight_kind == "constant" and spec.weight_table:
+            # 'w' lines are table-mode lines: each one is reported
+            with pytest.raises(ProblemFormatError) as exc:
+                parse_problem(text)
+            lines = text.splitlines()
+            assert exc.value.violations == [
+                f"line {i}: 'w' needs 'weight table'"
+                for i, line in enumerate(lines, start=1)
+                if line.startswith("w ")]
+        else:
+            assert parse_problem(text) == spec
 
 
 def test_generator_separating_row():

@@ -10,6 +10,7 @@ from spanmin import (ConstraintCycle, FaceSet, InfeasibleError,
                      PreconditionError, WeightField, build_grid_complex,
                      minimize_exhaustive, minimize_local,
                      projection_lower_bound, weighted_measure)
+from spanmin.grassmann import PlanePair
 from spanmin.problems import generate_faceset
 from spanmin.solver import _rasterize_area
 
@@ -232,6 +233,18 @@ def test_projection_bound_orthogonal_reduction():
     assert 1.0 + 2.0 * math.cos(math.pi / 2) == pytest.approx(1.0)
     bound = projection_lower_bound(F, E12, E34, disks, resolution=256)
     assert bound == pytest.approx(8.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("pair,bound", [
+    (PlanePair.orthogonal(), 8.0),
+    (PlanePair.from_angles(0.35, 1.05), 2.0816122145218117),
+    # alpha1 within 1e-9 of pi/2 counts as orthogonal: the constant is 1,
+    # where 1 + 2 cos(alpha1) would give 7.9999999984
+    (PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2), 8.0)])
+def test_projection_bound_pinned(pair, bound):
+    K, F, disks = two_planes_setup()
+    assert projection_lower_bound(F, pair.frame1, pair.frame2, disks,
+                                  resolution=256) == bound
 
 
 def test_projection_bound_requires_dim2():
