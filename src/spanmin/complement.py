@@ -730,6 +730,9 @@ class Region:
     def contains_face(self, K: Complex, dim: int, idx: int) -> bool:
         if K.grid is None:
             raise InvalidInputError("regions need a grid-built complex")
+        if len(self.lo) != K.dim:
+            raise InvalidInputError(
+                f"region has {len(self.lo)} axes, the complex {K.dim}")
         return all(self.contains_point(K.grid.points[v])
                    for v in K.simplex(dim, idx))
 
@@ -771,7 +774,8 @@ def free_collapse_candidates(F: FaceSet,
 
     Returns (face, free subface) pairs: the (d-1)-subface lies in exactly one
     face of F, so removing the face is a deformation retraction.  With a
-    region, both cells must sit inside it (compactly supported deformation).
+    region, the face, and so its subface, must sit inside it (compactly
+    supported deformation).
     """
     K = F.complex
     d = F.dim
@@ -786,10 +790,7 @@ def free_collapse_candidates(F: FaceSet,
         if len(owners) != 1:
             continue
         f = owners[0]
-        if region is not None:
-            if not region.contains_face(K, d, f):
-                continue
-            if not all(region.contains_point(K.grid.points[v]) for v in sub):
-                continue
+        if region is not None and not region.contains_face(K, d, f):
+            continue
         out.append((f, K.index(sub)))
     return sorted(out)

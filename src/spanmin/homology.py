@@ -5,8 +5,10 @@ the invariant factors of a set of sparse columns (the nonzero diagonal of
 their Smith normal form) and, on request, decides whether a right-hand side
 is an integer combination of them.  All arithmetic is over
 arbitrary-precision Python ints; no modular shortcuts, so torsion is exact.
-Null-homology tests return an explicit integer witness chain whenever the
-class vanishes.
+Every degree, 0 included, goes through it: homology groups read the
+invariant factors of the boundary operators, and null-homology tests solve
+over the columns of the next boundary operator, returning an explicit
+integer witness chain whenever the class vanishes.
 """
 
 from __future__ import annotations
@@ -221,72 +223,36 @@ class HomologyGroup:
         return f"H_{self.k} = " + (" + ".join(parts) if parts else "0")
 
 
-def _skeleton_forest(K: Complex
-                     ) -> Tuple[List[int], List[Optional[Tuple[int, int]]]]:
-    """Depth-first spanning forest of K's 1-skeleton on vertex indices,
-    each vertex's edges in edge-index order.
-
-    Returns, per vertex, the root of its tree (the least vertex of its
-    component, so roots label the components) and its tree edge
-    (parent, edge index), None at a root.  Linear in the skeleton's size
-    (Hopcroft and Tarjan, CACM 16, 1973).
-    """
-    index = K._index[0]
-    n = K.n_simplices(0)
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(K.simplices(1)):
-        ia, ib = index[(a,)], index[(b,)]
-        adj[ia].append((e, ib))
-        adj[ib].append((e, ia))
-    root = [-1] * n
-    tree: List[Optional[Tuple[int, int]]] = [None] * n
-    for r in range(n):
-        if root[r] >= 0:
-            continue
-        root[r] = r
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for e, w in adj[u]:
-                if root[w] < 0:
-                    root[w] = r
-                    tree[w] = (u, e)
-                    stack.append(w)
-    return root, tree
-
-
 def _boundary_columns(K: Complex, k: int) -> Dict[int, Dict[int, int]]:
-    """Sparse columns {k-simplex: {(k-1)-face: sign}} of the k-th boundary."""
+    """Sparse columns {k-simplex: {(k-1)-face: sign}} of the k-th boundary.
+
+    The empty face is not a simplex of K, so a vertex has no facets and
+    every column of the 0-th boundary is empty.
+    """
     lower = K._index.get(k - 1, {})
     cols: Dict[int, Dict[int, int]] = {}
     for j, s in enumerate(K.simplices(k)):
-        col = {}
-        sign = 1
-        for i in range(len(s)):
-            col[lower[s[:i] + s[i + 1:]]] = sign
-            sign = -sign
-        cols[j] = col
+        facets = (s[:i] + s[i + 1:] for i in range(len(s)))
+        cols[j] = {lower[f]: (-1) ** i for i, f in enumerate(facets) if f}
     return cols
 
 
 def homology_group(K: Complex, k: int) -> HomologyGroup:
-    """H_k(K, Z) as rank plus torsion, computed exactly and cached."""
+    """H_k(K, Z) as rank plus torsion, computed exactly and cached.
+
+    In every degree, rank = n_k - rank d_k - rank d_{k+1} and the torsion
+    is the non-unit invariant factors of d_{k+1}.
+    """
     if not (0 <= k <= K.dim):
         raise InvalidInputError(f"homology dimension {k} out of range 0..{K.dim}")
     key = ("homology", k)
     if key in K.cache:
         return K.cache[key]
 
-    nk = K.n_simplices(k)
-    if k == 0:
-        root, _ = _skeleton_forest(K)
-        result = HomologyGroup(k=0, rank=len(set(root)), torsion=())
-    else:
-        rank_dk = len(_snf_diagonal_sparse(_boundary_columns(K, k)))
-        diag = _snf_diagonal_sparse(_boundary_columns(K, k + 1))
-        rank = (nk - rank_dk) - len(diag)
-        torsion = tuple(d for d in diag if d > 1)
-        result = HomologyGroup(k=k, rank=rank, torsion=torsion)
+    rank_dk = len(_snf_diagonal_sparse(_boundary_columns(K, k)))
+    diag = _snf_diagonal_sparse(_boundary_columns(K, k + 1))
+    result = HomologyGroup(k=k, rank=K.n_simplices(k) - rank_dk - len(diag),
+                           torsion=tuple(d for d in diag if d > 1))
     K.cache[key] = result
     return result
 
@@ -295,47 +261,19 @@ def is_cycle(z: Chain) -> bool:
     return boundary(z).is_zero()
 
 
-def _solve_zero_cycle(z: Chain) -> Tuple[bool, Optional[Chain]]:
-    """Bounding test for 0-cycles via the 1-skeleton's spanning forest:
-    z bounds iff its coefficients sum to 0 on every tree, and then the
-    tree paths from its vertices to their roots add up to a witness."""
-    root, tree = _skeleton_forest(z.complex)
-    totals: Dict[int, int] = {}
-    for i, c in z.coeffs.items():
-        totals[root[i]] = totals.get(root[i], 0) + c
-    if any(totals.values()):
-        return False, None
+def is_null_homologous(z: Chain) -> Tuple[bool, Optional[Chain]]:
+    """Decide [z] = 0 in H_k(K, Z) for the complex K of z; on success
+    return x with boundary(x) = z.
 
-    coeffs: Dict[int, int] = {}
-    for v, c in z.coeffs.items():
-        while tree[v] is not None:
-            parent, e = tree[v]
-            # vertex indices follow vertex order, so edge e runs from its
-            # lower end to its higher one: boundary(e) = higher - lower
-            sgn = 1 if parent < v else -1
-            coeffs[e] = coeffs.get(e, 0) + sgn * c
-            v = parent
-    return True, Chain(z.complex, 1, coeffs)
-
-
-def is_null_homologous(z: Chain, K: Optional[Complex] = None
-                       ) -> Tuple[bool, Optional[Chain]]:
-    """Decide [z] = 0 in H_k(K, Z); on success return x with boundary(x) = z.
-
-    For k >= 1 this is the sparse integer solve of boundary(x) = z over the
-    columns of the next boundary operator, so the answer is exact over the
-    integers (torsion included).
+    In every degree this is the sparse integer solve of boundary(x) = z
+    over the columns of the next boundary operator, so the answer is exact
+    over the integers (torsion included).
     """
-    K = K or z.complex
-    if K is not z.complex:
-        raise PreconditionError("chain does not live in the given complex")
     if not is_cycle(z):
         raise PreconditionError("is_null_homologous requires a cycle")
-    k = z.dim
+    K, k = z.complex, z.dim
     if z.is_zero():
         return True, Chain(K, k + 1, {})
-    if k == 0:
-        return _solve_zero_cycle(z)
     sol = _snf_diagonal_sparse(_boundary_columns(K, k + 1), rhs=z.coeffs,
                                witness=True)
     if not sol.solvable:

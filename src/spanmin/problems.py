@@ -58,14 +58,16 @@ class ProblemSpec:
     seed: int = 0
     budget: int = 10000
 
+    def __post_init__(self):
+        if self.weight_kind == "constant" and self.weight_table:
+            raise ProblemFormatError(
+                ["weight_table needs weight_kind 'table', not 'constant'"])
+
     def build_complex(self) -> Complex:
         return build_grid_complex(self.n, self.box, self.scale)
 
     def weight_field(self) -> WeightField:
-        if self.weight_kind == "constant":
-            return WeightField(constant=self.weight_value,
-                               upper=self.weight_upper)
-        return WeightField(constant=None, table=dict(self.weight_table),
+        return WeightField(table=dict(self.weight_table),
                            default=self.weight_value, upper=self.weight_upper)
 
     def initial_faceset(self, K: Complex) -> FaceSet:

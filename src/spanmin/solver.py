@@ -29,28 +29,18 @@ EXHAUSTIVE_EVALUATION_CAP = 100_000
 
 
 class WeightField:
-    """Weight h on faces: one constant, or a table of values per face index
-    with a default for the faces it does not list.
+    """Weight h on faces: a table of values per face index, with a default
+    for the faces it does not list (a uniform weight is an empty table).
 
-    Values are validated against the bounds 1 <= h <= upper.
+    Values are validated against the bounds 1 <= h <= upper; upper
+    defaults to the largest value.
     """
 
-    def __init__(self, constant: Optional[float] = None,
-                 table: Optional[Dict[int, float]] = None,
+    def __init__(self, table: Optional[Dict[int, float]] = None,
                  default: float = 1.0, upper: Optional[float] = None):
-        self.constant = None if constant is None else float(constant)
-        self.table = None if table is None else {int(k): float(v)
-                                                 for k, v in table.items()}
+        self.table = {int(k): float(v) for k, v in (table or {}).items()}
         self.default = float(default)
-        values = []
-        if self.constant is not None:
-            values.append(self.constant)
-        if self.table is not None:
-            values.extend(self.table.values())
-            values.append(self.default)
-        if not values:
-            self.constant = 1.0
-            values = [1.0]
+        values = [self.default, *self.table.values()]
         self.upper = float(upper) if upper is not None else max(values)
         for v in values:
             if not (1.0 <= v <= self.upper):
@@ -59,12 +49,10 @@ class WeightField:
 
     @classmethod
     def uniform(cls, value: float = 1.0, upper: Optional[float] = None):
-        return cls(constant=value, upper=upper)
+        return cls(default=value, upper=upper)
 
     def at(self, face: int) -> float:
-        if self.table is not None:
-            return self.table.get(face, self.default)
-        return self.constant
+        return self.table.get(face, self.default)
 
 
 def _face_volumes(K: Complex, d: int) -> np.ndarray:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
-                     PreconditionError, RealizationError, Region, boundary,
-                     build_grid_complex, competitor_check,
+                     PreconditionError, RealizationError, Region, WeightField,
+                     boundary, build_grid_complex, competitor_check,
                      complement_subcomplex, free_collapse_candidates,
                      homology_group, is_null_homologous, is_spanning,
-                     realize_constraint, spanning_check, spanning_predicate)
+                     minimize_local, realize_constraint, spanning_check,
+                     spanning_predicate)
 from spanmin.complement import ComplementModel
 from spanmin.problems import generate_faceset, linking_loops
 
@@ -535,6 +536,20 @@ def test_competitor_mismatched_inputs():
     R = Region(lo=(0, 0), hi=(2, 2))
     with pytest.raises(PreconditionError):
         competitor_check(E, FaceSet(K, 1, ()), R, 0, [])
+
+
+def test_region_arity_must_match_the_complex():
+    # two bounds on a 3D box would leave the third axis unchecked
+    K = build_grid_complex(3, [2, 2, 2])
+    R = Region(lo=(0, 0), hi=(1, 1))
+    F = FaceSet(K, 1, (0, 1))
+    with pytest.raises(InvalidInputError, match="2 axes"):
+        minimize_local(K, [], WeightField.uniform(1.0), F, budget=10, seed=0,
+                       region=R)
+    with pytest.raises(InvalidInputError, match="2 axes"):
+        competitor_check(F, F, R, 1, [])
+    with pytest.raises(InvalidInputError, match="2 axes"):
+        free_collapse_candidates(F, region=R)
 
 
 # -- free-face collapses --------------------------------------------------------

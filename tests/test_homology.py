@@ -2,6 +2,8 @@
 against determinantal divisors of the dense matrix."""
 
 import math
+import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -293,6 +295,76 @@ def test_null_homology_witnesses_random_grid():
         null, witness = is_null_homologous(z)
         assert null
         assert boundary(witness) == z
+
+
+# -- degree 0 against a breadth-first oracle ---------------------------------
+#
+# Components by breadth-first search over the edges, sharing no code with
+# the elimination that answers H_0 and 0-cycles.
+
+def bfs_components(K):
+    """Vertex index -> least vertex index of its component."""
+    nbrs = [[] for _ in range(K.n_simplices(0))]
+    for a, b in K.simplices(1):
+        ia, ib = K.index((a,)), K.index((b,))
+        nbrs[ia].append(ib)
+        nbrs[ib].append(ia)
+    label = {}
+    for r in range(len(nbrs)):
+        if r in label:
+            continue
+        label[r] = r
+        queue = deque([r])
+        while queue:
+            for w in nbrs[queue.popleft()]:
+                if w not in label:
+                    label[w] = r
+                    queue.append(w)
+    return label
+
+
+def random_components(rng):
+    """1-4 groups of vertex ids drawn from 0..59, each group made connected
+    by simplices of up to four vertices along a random order of it; a group
+    of one id is an isolated vertex."""
+    ids = rng.sample(range(60), rng.randint(4, 14))
+    cuts = sorted(rng.sample(range(1, len(ids)), rng.randint(0, 3)))
+    maximal = []
+    for a, b in zip([0] + cuts, cuts + [len(ids)]):
+        group = ids[a:b]
+        maximal.append(group[:1])
+        for u, v in zip(group, group[1:]):
+            extra = rng.sample(group, rng.randint(0, min(2, len(group))))
+            maximal.append(sorted({u, v, *extra}))
+    return Complex.from_maximal(maximal, coords=np.zeros((60, 3)))
+
+
+def test_degree_zero_matches_breadth_first_oracle():
+    rng = random.Random(2029)
+    for _ in range(200):
+        K = random_components(rng)
+        label = bfs_components(K)
+        h0 = homology_group(K, 0)
+        assert (h0.rank, h0.torsion) == (len(set(label.values())), ())
+        verts = range(K.n_simplices(0))
+        for _ in range(5):
+            coeffs = {}
+            for v in rng.sample(verts, rng.randint(1, min(4, len(verts)))):
+                c = rng.choice((-2, -1, 1, 2))
+                coeffs[v] = coeffs.get(v, 0) + c
+                if rng.random() < 0.6:  # cancel it within its component
+                    w = rng.choice([u for u in verts if label[u] == label[v]])
+                    coeffs[w] = coeffs.get(w, 0) - c
+            z = Chain(K, 0, coeffs)
+            sums = {}
+            for v, c in z.coeffs.items():
+                sums[label[v]] = sums.get(label[v], 0) + c
+            null, witness = is_null_homologous(z)
+            assert null == (not any(sums.values()))
+            if null:
+                assert witness.dim == 1 and boundary(witness) == z
+            else:
+                assert witness is None
 
 
 # -- sparse integer solve ----------------------------------------------------

@@ -113,11 +113,12 @@ def test_round_trip_minimal():
 
 def test_round_trip_randomized():
     rng = random.Random(12)
+    rejected = 0
     for _ in range(25):
         n = rng.randint(2, 4)
         d = rng.randint(1, n - 1)
         box = tuple(rng.randint(1, 3) for _ in range(n))
-        spec = ProblemSpec(
+        fields = dict(
             n=n, d=d, box=box,
             scale=rng.choice([1.0, 0.5, 2.25]),
             weight_kind=rng.choice(["constant", "table"]),
@@ -134,18 +135,26 @@ def test_round_trip_randomized():
                     if rng.random() < 0.5 else None),
             seed=rng.randrange(100),
             budget=rng.randrange(20000))
-        text = serialize_problem(spec)
-        if spec.weight_kind == "constant" and spec.weight_table:
-            # 'w' lines are table-mode lines: each one is reported
-            with pytest.raises(ProblemFormatError) as exc:
-                parse_problem(text)
-            lines = text.splitlines()
-            assert exc.value.violations == [
-                f"line {i}: 'w' needs 'weight table'"
-                for i, line in enumerate(lines, start=1)
-                if line.startswith("w ")]
-        else:
-            assert parse_problem(text) == spec
+        if fields["weight_kind"] == "constant" and fields["weight_table"]:
+            # a table the constant kind would ignore is refused up front
+            rejected += 1
+            with pytest.raises(ProblemFormatError):
+                ProblemSpec(**fields)
+            continue
+        spec = ProblemSpec(**fields)
+        assert parse_problem(serialize_problem(spec)) == spec
+    assert rejected == 12
+
+
+def test_spec_refuses_a_table_its_weight_kind_ignores():
+    fields = dict(n=2, d=1, box=(2, 2), weight_table=((0, 2.0),),
+                  init_faces=(0,))
+    with pytest.raises(ProblemFormatError):
+        ProblemSpec(weight_kind="constant", **fields)
+    spec = ProblemSpec(weight_kind="table", **fields)
+    assert parse_problem(serialize_problem(spec)) == spec
+    w = spec.weight_field()
+    assert (w.at(0), w.at(1)) == (2.0, 1.0)
 
 
 def test_generator_separating_row():

@@ -31,11 +31,19 @@ def separation_instance():
 
 def test_weight_field_bounds():
     with pytest.raises(InvalidInputError):
-        WeightField(constant=0.5)
+        WeightField.uniform(0.5)
     with pytest.raises(InvalidInputError):
-        WeightField(constant=5.0, upper=4.0)
+        WeightField.uniform(5.0, upper=4.0)
     w = WeightField(table={0: 2.0}, default=1.0, upper=3.0)
     assert w.at(0) == 2.0 and w.at(7) == 1.0
+
+
+def test_weight_field_is_a_table_with_a_default():
+    for c in (1.0, 2.5):
+        w = WeightField.uniform(c)
+        assert w.table == {} and w.at(0) == w.at(9) == c == w.upper
+    w = WeightField(table={3: 2.0}, default=1.5)
+    assert (w.at(3), w.at(0), w.at(4), w.upper) == (2.0, 1.5, 1.5, 2.0)
 
 
 def test_measure_single_unit_face():
