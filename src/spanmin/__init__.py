@@ -2,8 +2,8 @@
 weighted-area minimization on grid complexes, plus the 2-plane projection
 certificates in R^4."""
 
-from .complexes import (Chain, Complex, FaceSet, boundary, boundary_matrix,
-                        build_grid_complex, faceset_to_chain)
+from .complexes import (Chain, Complex, FaceSet, boundary, build_grid_complex,
+                        faceset_to_chain)
 from .homology import (HomologyGroup, homology_group, is_cycle,
                        is_null_homologous)
 from .complement import (CompetitorVerdict, ComplementModel, ConstraintCycle,
@@ -25,8 +25,8 @@ from .errors import (InfeasibleError, InvalidInputError, PoolTooLargeError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain", "Complex", "FaceSet", "boundary", "boundary_matrix",
-    "build_grid_complex", "faceset_to_chain",
+    "Chain", "Complex", "FaceSet", "boundary", "build_grid_complex",
+    "faceset_to_chain",
     "HomologyGroup", "homology_group", "is_cycle", "is_null_homologous",
     "CompetitorVerdict", "ComplementModel", "ConstraintCycle",
     "ConstraintStatus", "Region", "competitor_check",

@@ -490,8 +490,10 @@ def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
             K, spec.degree, {K.index(s): c for s, c in chain.items()})):
         raise RealizationError("constraint chain has a boundary: not a cycle")
     vertices = support_vertices(K, [spec])
-    touching = frozenset(i for i, s in enumerate(K.simplices(d))
-                         if not vertices.isdisjoint(s))
+    on_cycle = np.zeros(len(K.coords), dtype=bool)
+    on_cycle[list(vertices)] = True
+    touching = frozenset(
+        np.flatnonzero(on_cycle[K.rows(d)].any(axis=1)).tolist())
     tops, dual, y = [], None, None
     if chain and spec.degree == 0 and d == K.dim - 1:
         for (t,), c in chain.items():

@@ -10,6 +10,7 @@ read only by measures, projections and mesh export.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -55,40 +56,68 @@ class GridInfo:
 class Complex:
     """A finite simplicial complex with indexed, ordered simplex tables.
 
-    Immutable after construction; per-complex caches (cofacets, homology,
+    The k-simplices are numbered in lexicographic order of their vertex
+    tuples; `rows(k)` gives the same table as an integer array.  Immutable
+    after construction; per-complex caches (cofacets, homology,
     subdivisions) are filled lazily by the other modules.
     """
 
     def __init__(self, simplices: Dict[int, Iterable[Vertices]], coords,
                  validate: bool = True):
+        self._fill({k: sorted(set(map(tuple, tab)))
+                    for k, tab in simplices.items()}, coords, {})
+        if validate:
+            self._check_closure()
+
+    def _fill(self, tables: Dict[int, List[Vertices]], coords,
+              rows: Dict[int, np.ndarray]) -> None:
         self.coords = np.asarray(coords, dtype=float)
-        dims = [k for k, tab in simplices.items() if tab]
+        dims = [k for k, tab in tables.items() if tab]
         self.dim = max(dims) if dims else 0
-        self._tables: Dict[int, List[Vertices]] = {}
-        self._index: Dict[int, Dict[Vertices, int]] = {}
-        for k in range(self.dim + 1):
-            tab = sorted(set(map(tuple, simplices.get(k, ()))))
-            self._tables[k] = tab
-            self._index[k] = {s: i for i, s in enumerate(tab)}
+        self._tables: Dict[int, List[Vertices]] = {
+            k: tables.get(k, []) for k in range(self.dim + 1)}
+        self._index: Dict[int, Dict[Vertices, int]] = {
+            k: dict(zip(tab, range(len(tab))))
+            for k, tab in self._tables.items()}
+        self._rows = rows
         self._cofacets: Dict[int, List[List[int]]] = {}
         self.cache: Dict = {}
         self.grid: Optional[GridInfo] = None
-        if validate:
-            self._check_closure()
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Sequence[int]], coords) -> "Complex":
         """Build the closure of the given simplices (all faces included)."""
-        simp: Dict[int, set] = {}
+        by_size: Dict[int, List[Sequence[int]]] = {}
         for s in maximal:
-            t, _ = canonical_vertices(s)
-            for r in range(1, len(t) + 1):
-                bucket = simp.setdefault(r - 1, set())
-                for sub in itertools.combinations(t, r):
-                    bucket.add(sub)
-        return cls(simp, coords, validate=False)
+            if len(s):
+                by_size.setdefault(len(s), []).append(s)
+        groups = []
+        for size, simplices in by_size.items():
+            rows = np.sort(np.array(simplices, dtype=np.int64), axis=1)
+            repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+            if repeated.any():
+                bad = simplices[int(np.flatnonzero(repeated)[0])]
+                raise InvalidInputError(f"repeated vertex in simplex {bad!r}")
+            if rows[:, 0].min() < 0:
+                raise InvalidInputError("vertex ids must be nonnegative")
+            groups.append(rows)
+        return cls._from_rows(_closure_rows(groups), coords)
+
+    @classmethod
+    def _from_rows(cls, rows: Dict[int, np.ndarray], coords) -> "Complex":
+        """The complex whose k-simplices are the rows of rows[k]: increasing
+        vertex ids, rows unique and in lexicographic order, closed under
+        faces.  The tuple tables are read off the arrays as they stand."""
+        # one shared int object per vertex id, not one per table entry
+        top = max((int(r.max()) + 1 for r in rows.values() if r.size),
+                  default=0)
+        ids = np.arange(top).astype(object)
+        K = cls.__new__(cls)
+        K._fill({k: list(zip(*ids[r].T.tolist())) for k, r in rows.items()},
+                coords, dict(rows))
+        return K
 
     def _check_closure(self) -> None:
         nv = len(self.coords)
@@ -116,6 +145,14 @@ class Complex:
 
     def simplex(self, k: int, i: int) -> Vertices:
         return self._tables[k][i]
+
+    def rows(self, k: int) -> np.ndarray:
+        """The k-simplex table as an (m, k+1) int64 array: row i is
+        simplex(k, i)."""
+        if k not in self._rows:
+            self._rows[k] = np.array(self.simplices(k),
+                                     dtype=np.int64).reshape(-1, k + 1)
+        return self._rows[k]
 
     def index(self, verts: Vertices) -> int:
         """Index of a canonically ordered simplex."""
@@ -234,26 +271,6 @@ def boundary(c: Chain) -> Chain:
     return Chain(K, c.dim - 1, out)
 
 
-def boundary_matrix(K: Complex, k: int) -> np.ndarray:
-    """Integer matrix of the boundary operator in dimension k.
-
-    Rows are (k-1)-simplices, columns are k-simplices; entries in {-1,0,1}.
-    """
-    if not (1 <= k <= K.dim):
-        raise InvalidInputError(f"boundary dimension {k} out of range 1..{K.dim}")
-    rows = K.n_simplices(k - 1)
-    cols = K.n_simplices(k)
-    M = np.zeros((rows, cols), dtype=np.int64)
-    lower = K._index[k - 1]
-    for j, s in enumerate(K.simplices(k)):
-        sign = 1
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            M[lower[face], j] += sign
-            sign = -sign
-    return M
-
-
 @dataclass(frozen=True)
 class FaceSet:
     """A subset of the d-faces of an ambient complex."""
@@ -322,12 +339,50 @@ def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],
             yield tuple(verts), perm
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a nonnegative integer array, in lexicographic
+    order.  Each column prefix is replaced by its dense rank among the
+    distinct prefixes (sort, adjacent difference, binary search), so every
+    key stays below len(rows) * (max entry + 1): no int64 overflow, where
+    one key per whole row would need (max entry + 1) ** width."""
+    if not len(rows):
+        return rows
+    base = int(rows.max()) + 1
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        key = rank * base + col
+        distinct = np.sort(key)
+        distinct = distinct[np.concatenate(
+            ([True], distinct[1:] != distinct[:-1]))]
+        rank = np.searchsorted(distinct, key)
+    first = np.empty(len(distinct), dtype=np.int64)
+    first[rank] = np.arange(len(rows))
+    return rows[first]
+
+
+def _closure_rows(groups: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
+    """Every face of the given simplices, dimension by dimension, as sorted
+    unique rows.  Each group is an (m, s) array of increasing vertex ids,
+    one group per simplex size s; the k-faces are the (k+1)-column subsets
+    of the rows."""
+    out: Dict[int, np.ndarray] = {}
+    for k in range(max((g.shape[1] for g in groups), default=0)):
+        out[k] = _unique_rows(np.concatenate([
+            g[:, list(cols)] for g in groups if g.shape[1] > k
+            for cols in itertools.combinations(range(g.shape[1]), k + 1)]))
+    return out
+
+
 def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Complex:
     """Triangulated box grid in R^n (each cube split into n! simplices).
 
     Every unit cell is subdivided along its main diagonal into the n!
-    permutation simplices, so the result is closed under faces and two cells
-    always meet in a common face.  Vertex ids follow row-major lattice order.
+    Kuhn simplices of `kuhn_tops`, so the result is closed under faces and
+    two cells always meet in a common face.  Vertex ids follow row-major
+    lattice order.  The tops are one integer array (a cube corner's id plus
+    the running sums of the id strides along one axis permutation) and the
+    faces come from the array closure of `Complex.from_maximal`, so no
+    Python loop runs per simplex.
     """
     if not (1 <= int(n) <= 4):
         raise InvalidInputError(f"ambient dimension {n} unsupported (need 1..4)")
@@ -342,8 +397,12 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
     lattice = {p: i for i, p in enumerate(points)}
     coords = float(scale) * np.array(points, dtype=float)
 
-    tops = [t for t, _ in kuhn_tops(lattice, (0,) * n, box)]
-    K = Complex.from_maximal(tops, coords)
+    stride = [math.prod(shape[a + 1:]) for a in range(n)]
+    corners = np.ravel_multi_index(np.indices(box).reshape(n, -1), shape)
+    paths = np.array([np.cumsum([0] + [stride[a] for a in perm])
+                      for perm in itertools.permutations(range(n))])
+    tops = (corners[:, None, None] + paths).reshape(-1, n + 1)
+    K = Complex._from_rows(_closure_rows([tops]), coords)
     K.grid = GridInfo(box=box, scale=float(scale), lattice=lattice,
                       points=tuple(points))
     return K

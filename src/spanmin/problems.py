@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .complexes import Complex, FaceSet, build_grid_complex
 from .complement import ConstraintCycle, Region
 from .errors import ProblemFormatError
@@ -85,10 +87,13 @@ class ProblemSpec:
         return Region(lo=self.region[0], hi=self.region[1])
 
 
-def _faces_where(K: Complex, d: int, predicate) -> Tuple[int, ...]:
-    points = K.grid.points
-    return tuple(i for i, s in enumerate(K.simplices(d))
-                 if predicate([points[v] for v in s]))
+def _faces_where(K: Complex, d: int, fixed: Dict[int, int]) -> Tuple[int, ...]:
+    """The d-faces of the grid complex K all of whose vertices have the
+    lattice coordinate fixed[a] on every axis a of `fixed`."""
+    axes = list(fixed)
+    points = np.array(K.grid.points, dtype=np.int64)[:, axes]
+    on = (points == [fixed[a] for a in axes]).all(axis=1)
+    return tuple(np.flatnonzero(on[K.rows(d)].all(axis=1)).tolist())
 
 
 def generate_faceset(name: str, K: Complex, d: int) -> FaceSet:
@@ -100,25 +105,18 @@ def generate_faceset(name: str, K: Complex, d: int) -> FaceSet:
         if len(box) != 2 or d != 1:
             raise ProblemFormatError(
                 ["separating-row needs n=2, d=1"])
-        mid = box[1] // 2
-        faces = _faces_where(
-            K, 1, lambda pts: all(p[1] == mid for p in pts))
-        return FaceSet(K, 1, faces)
+        return FaceSet(K, 1, _faces_where(K, 1, {1: box[1] // 2}))
     if name == "straight-path":
         if len(box) != 2 or d != 1:
             raise ProblemFormatError(["straight-path needs n=2, d=1"])
-        faces = _faces_where(
-            K, 1, lambda pts: all(p[1] == 0 for p in pts))
-        return FaceSet(K, 1, faces)
+        return FaceSet(K, 1, _faces_where(K, 1, {1: 0}))
     if name == "two-planes-orthogonal":
         if len(box) != 4 or d != 2:
             raise ProblemFormatError(["two-planes-orthogonal needs n=4, d=2"])
         c = [b // 2 for b in box]
-        p1 = _faces_where(K, 2, lambda pts: all(
-            p[2] == c[2] and p[3] == c[3] for p in pts))
-        p2 = _faces_where(K, 2, lambda pts: all(
-            p[0] == c[0] and p[1] == c[1] for p in pts))
-        return FaceSet(K, 2, tuple(sorted(set(p1) | set(p2))))
+        p1 = _faces_where(K, 2, {2: c[2], 3: c[3]})
+        p2 = _faces_where(K, 2, {0: c[0], 1: c[1]})
+        return FaceSet(K, 2, p1 + p2)
     raise ProblemFormatError([f"unknown generator '{name}'"])
 
 

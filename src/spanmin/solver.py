@@ -56,17 +56,30 @@ class WeightField:
 
 
 def _face_volumes(K: Complex, d: int) -> np.ndarray:
-    """Euclidean d-volumes of all d-faces (Gram determinant), cached."""
+    """Euclidean d-volumes of all d-faces (Gram determinant), cached.
+
+    Faces with bit-identical edge vectors share one determinant: on a grid
+    there are only a few step patterns, and since each pattern's edges are
+    the very floats a per-face evaluation would read, the volumes agree
+    with it bit for bit."""
     key = ("face_volumes", d)
     if key not in K.cache:
-        coords = K.coords
-        vols = np.zeros(K.n_simplices(d))
-        fact = math.factorial(d)
-        for i, s in enumerate(K.simplices(d)):
-            edges = coords[list(s[1:])] - coords[s[0]]
-            gram = edges @ edges.T
-            det = float(np.linalg.det(gram)) if d > 0 else 1.0
-            vols[i] = math.sqrt(max(det, 0.0)) / fact
+        rows = K.rows(d)
+        vols = np.ones(len(rows))
+        if d > 0 and len(rows):
+            coords = K.coords
+            edges = (coords[rows[:, 1:]] - coords[rows[:, :1]]).reshape(
+                len(rows), -1)
+            bits = edges.view(np.int64)
+            order = np.lexsort(bits.T[::-1])
+            bits = bits[order]
+            first = np.concatenate(
+                ([True], (bits[1:] != bits[:-1]).any(axis=1)))
+            fact = math.factorial(d)
+            shared = np.array([
+                math.sqrt(max(float(np.linalg.det(e @ e.T)), 0.0)) / fact
+                for e in edges[order[first]].reshape(-1, d, coords.shape[1])])
+            vols[order] = shared[np.cumsum(first) - 1]
         K.cache[key] = vols
     return K.cache[key]
 

@@ -1,0 +1,73 @@
+"""Per-simplex Python loops kept as references for the array code.
+
+`spanmin` builds grid complexes, face closures, face volumes, generated
+face sets and constraint contact sets with integer-array code; these are
+the plain loops it must agree with, table for table and bit for bit.  The
+dense boundary matrix is the `np.linalg.matrix_rank` oracle of the
+homology tests.
+"""
+
+import itertools
+import math
+from typing import Dict, Iterable, Sequence
+
+import numpy as np
+
+from spanmin import Complex, InvalidInputError
+from spanmin.complexes import canonical_vertices
+
+
+def closure_by_sets(maximal: Iterable[Sequence[int]], coords) -> Complex:
+    """The closure of the given simplices, one set of faces per dimension
+    filled by `itertools.combinations`."""
+    simp: Dict[int, set] = {}
+    for s in maximal:
+        t, _ = canonical_vertices(s)
+        for r in range(1, len(t) + 1):
+            bucket = simp.setdefault(r - 1, set())
+            for sub in itertools.combinations(t, r):
+                bucket.add(sub)
+    return Complex(simp, coords, validate=False)
+
+
+def face_volumes_by_loop(K: Complex, d: int) -> np.ndarray:
+    """One Gram determinant per d-face."""
+    coords = K.coords
+    vols = np.zeros(K.n_simplices(d))
+    fact = math.factorial(d)
+    for i, s in enumerate(K.simplices(d)):
+        edges = coords[list(s[1:])] - coords[s[0]]
+        gram = edges @ edges.T
+        det = float(np.linalg.det(gram)) if d > 0 else 1.0
+        vols[i] = math.sqrt(max(det, 0.0)) / fact
+    return vols
+
+
+def faces_where_by_scan(K: Complex, d: int, predicate) -> tuple:
+    """The d-faces whose lattice points satisfy `predicate`."""
+    points = K.grid.points
+    return tuple(i for i, s in enumerate(K.simplices(d))
+                 if predicate([points[v] for v in s]))
+
+
+def touching_by_scan(K: Complex, d: int, vertices: set) -> frozenset:
+    """The d-faces holding one of `vertices`."""
+    return frozenset(i for i, s in enumerate(K.simplices(d))
+                     if not vertices.isdisjoint(s))
+
+
+def boundary_matrix(K: Complex, k: int) -> np.ndarray:
+    """Integer matrix of the boundary operator in dimension k.
+
+    Rows are (k-1)-simplices, columns are k-simplices; entries in {-1,0,1}.
+    """
+    if not (1 <= k <= K.dim):
+        raise InvalidInputError(f"boundary dimension {k} out of range 1..{K.dim}")
+    M = np.zeros((K.n_simplices(k - 1), K.n_simplices(k)), dtype=np.int64)
+    lower = K._index[k - 1]
+    for j, s in enumerate(K.simplices(k)):
+        sign = 1
+        for i in range(len(s)):
+            M[lower[s[:i] + s[i + 1:]], j] += sign
+            sign = -sign
+    return M

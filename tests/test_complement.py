@@ -13,8 +13,10 @@ from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
                      homology_group, is_null_homologous, is_spanning,
                      minimize_local, realize_constraint, spanning_check,
                      spanning_predicate)
-from spanmin.complement import ComplementModel
+from spanmin.complement import ComplementModel, _resolve, support_vertices
 from spanmin.problems import generate_faceset, linking_loops
+
+from loop_oracles import touching_by_scan
 
 
 def separating_row(K):
@@ -951,3 +953,20 @@ def test_entry_points_agree(box, d):
             answers.add(want)
     assert {"contact", "null-homologous", "nontrivial"} <= reasons
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("box,d", [((3, 3), 1), ((3, 3), 0), ((2, 2, 2), 2),
+                                   ((2, 1, 2, 2), 2), ((2, 1, 2, 2), 3)])
+def test_touching_matches_the_scan_of_every_face(box, d):
+    K = build_grid_complex(len(box), list(box))
+    n = len(box)
+    corner, far = (0,) * n, tuple(box)
+    cons = [ConstraintCycle(kind="point-pair", points=(corner, far)),
+            rectangle_loop((0, n - 1), (0, 0), (box[0], box[-1]), corner),
+            # one point off the box: the chain is None, the corner touches
+            ConstraintCycle(kind="point-pair",
+                            points=(corner, tuple(b + 1 for b in box)))]
+    for spec in cons:
+        rec = _resolve(K, spec, d)
+        assert rec.touching == touching_by_scan(
+            K, d, support_vertices(K, [spec]))

@@ -1,13 +1,18 @@
 """Complex construction, chains, boundaries, and face sets."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from spanmin import (Chain, Complex, FaceSet, InvalidInputError, boundary,
-                     boundary_matrix, build_grid_complex, faceset_to_chain)
-from spanmin.complexes import canonical_vertices
+                     build_grid_complex, faceset_to_chain)
+from spanmin.complexes import (GridInfo, _unique_rows, canonical_vertices,
+                               kuhn_tops)
+
+from loop_oracles import boundary_matrix, closure_by_sets
 
 
 # -- canonicalization --------------------------------------------------------
@@ -95,6 +100,65 @@ def test_from_maximal_closes_faces():
     K = Complex.from_maximal([(0, 1, 2)], coords=[(0, 0), (1, 0), (0, 1)])
     assert K.n_simplices(1) == 3
     assert K.contains((0, 2))
+
+
+def same_complex(A, B):
+    """Equal tables, index dicts, integer rows and coordinate bytes."""
+    assert A.dim == B.dim
+    for k in range(A.dim + 1):
+        assert A.simplices(k) == B.simplices(k)
+        assert A._index[k] == B._index[k]
+        for C in (A, B):
+            assert C.rows(k).dtype == np.int64
+            assert C.rows(k).tolist() == [list(s) for s in C.simplices(k)]
+    assert A.coords.tobytes() == B.coords.tobytes()
+
+
+GRID_BOXES = [(1, (1,)), (1, (5,)), (2, (3, 2)), (2, (1, 4)),
+              (3, (2, 1, 3)), (3, (2, 2, 2)), (4, (1, 1, 1, 1)),
+              (4, (2, 2, 2, 2)), (4, (3, 1, 2, 2)), (4, (1, 3, 1, 2))]
+
+
+@pytest.mark.parametrize("n,box", GRID_BOXES)
+def test_grid_build_matches_the_closure_of_kuhn_tops(n, box):
+    K = build_grid_complex(n, box, scale=0.37)
+    points = list(itertools.product(*[range(b + 1) for b in box]))
+    lattice = {p: i for i, p in enumerate(points)}
+    tops = [t for t, _ in kuhn_tops(lattice, (0,) * n, box)]
+    coords = 0.37 * np.array(points, dtype=float)
+    same_complex(K, Complex.from_maximal(tops, coords))
+    same_complex(K, closure_by_sets(tops, coords))
+    assert K.grid == GridInfo(box=box, scale=0.37, lattice=lattice,
+                              points=tuple(points))
+    assert all(type(v) is int for s in K.simplices(n) for v in s)
+
+
+def test_from_maximal_matches_the_set_closure_on_random_complexes():
+    rng = random.Random(11)
+    for _ in range(40):
+        ids = rng.sample(range(3, 400), rng.randint(1, 12))
+        maximal = [rng.sample(ids, rng.randint(1, min(5, len(ids))))
+                   for _ in range(rng.randint(1, 15))]
+        coords = np.zeros((400, 2))
+        same_complex(Complex.from_maximal(maximal, coords),
+                     closure_by_sets(maximal, coords))
+
+
+def test_from_maximal_rejects_repeated_and_negative_ids():
+    with pytest.raises(InvalidInputError):
+        Complex.from_maximal([(0, 1), (2, 1, 2)], coords=np.zeros((3, 1)))
+    with pytest.raises(InvalidInputError):
+        Complex.from_maximal([(-1, 1)], coords=np.zeros((3, 1)))
+
+
+def test_unique_rows_keys_do_not_overflow():
+    # one key per row would need (2**40)**5 > 2**63; dense prefix ranks
+    # stay below rows * 2**40
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 2 ** 40, size=(50, 5))
+    rows = np.concatenate([rows, rows[::3]])
+    expected = sorted(set(map(tuple, rows.tolist())))
+    assert _unique_rows(rows).tolist() == [list(t) for t in expected]
 
 
 # -- boundary operator -------------------------------------------------------

@@ -8,6 +8,8 @@ from spanmin import (ProblemFormatError, build_grid_complex, generate_faceset,
                      linking_loops, parse_problem, serialize_problem)
 from spanmin.problems import ProblemSpec
 
+from loop_oracles import faces_where_by_scan
+
 MINIMAL = """\
 # 2D separation
 n 2
@@ -196,3 +198,25 @@ def test_linking_loops_shape():
         pts = loop.points
         for p, q in zip(pts, pts[1:] + pts[:1]):
             assert sum(abs(a - b) for a, b in zip(p, q)) == 1
+
+
+@pytest.mark.parametrize("box", [(2, 2), (3, 4), (5, 1), (1, 3)])
+def test_2d_generators_match_the_predicate_scan(box):
+    K = build_grid_complex(2, box)
+    mid = box[1] // 2
+    assert generate_faceset("separating-row", K, 1).faces == \
+        faces_where_by_scan(K, 1, lambda pts: all(p[1] == mid for p in pts))
+    assert generate_faceset("straight-path", K, 1).faces == \
+        faces_where_by_scan(K, 1, lambda pts: all(p[1] == 0 for p in pts))
+
+
+@pytest.mark.parametrize("box", [(2, 2, 2, 2), (3, 2, 1, 3), (1, 1, 2, 2)])
+def test_two_planes_generator_matches_the_predicate_scan(box):
+    K = build_grid_complex(4, box)
+    c = [b // 2 for b in box]
+    p1 = faces_where_by_scan(K, 2, lambda pts: all(
+        p[2] == c[2] and p[3] == c[3] for p in pts))
+    p2 = faces_where_by_scan(K, 2, lambda pts: all(
+        p[0] == c[0] and p[1] == c[1] for p in pts))
+    assert generate_faceset("two-planes-orthogonal", K, 2).faces == \
+        tuple(sorted(set(p1) | set(p2)))

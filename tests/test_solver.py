@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from spanmin import (ConstraintCycle, FaceSet, InfeasibleError,
+from spanmin import (Complex, ConstraintCycle, FaceSet, InfeasibleError,
                      InvalidInputError, PlaneRegion, PoolTooLargeError,
                      PreconditionError, WeightField, build_grid_complex,
                      minimize_exhaustive, minimize_local,
                      projection_lower_bound, weighted_measure)
 from spanmin.grassmann import PlanePair
 from spanmin.problems import generate_faceset
-from spanmin.solver import _rasterize_area
+from spanmin.solver import _face_volumes, _rasterize_area
+
+from loop_oracles import face_volumes_by_loop
 
 
 def edge_index(K, a, b):
@@ -76,6 +78,28 @@ def test_measure_respects_scale():
     e = edge_index(K, (0, 0), (1, 0))
     got = weighted_measure(FaceSet(K, 1, (e,)), WeightField.uniform(1.0))
     assert got == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 0.37, 1.3])
+@pytest.mark.parametrize("n,box", [(1, (4,)), (2, (3, 2)), (3, (2, 1, 3)),
+                                   (4, (2, 2, 1, 2))])
+def test_face_volumes_match_the_per_face_gram_loop(n, box, scale):
+    # at scales that are not dyadic, fl(s*a) - fl(s*b) depends on the base
+    # point, so faces of one step pattern need not share their bits
+    K = build_grid_complex(n, box, scale=scale)
+    for d in range(n + 1):
+        assert (_face_volumes(K, d).tobytes()
+                == face_volumes_by_loop(K, d).tobytes())
+
+
+def test_face_volumes_match_the_loop_off_the_grid():
+    rng = np.random.default_rng(8)
+    coords = rng.normal(size=(7, 3))
+    K = Complex.from_maximal([(0, 1, 2, 3), (2, 4, 5), (5, 6), (1, 6)],
+                             coords)
+    for d in range(K.dim + 1):
+        assert (_face_volumes(K, d).tobytes()
+                == face_volumes_by_loop(K, d).tobytes())
 
 
 # -- exhaustive minimization -----------------------------------------------------
