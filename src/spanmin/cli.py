@@ -129,8 +129,7 @@ def cmd_solve(args) -> int:
     init = spec.initial_faceset(K)
     region = spec.region_box()
     if region is not None and K.grid is not None:
-        pool = tuple(i for i in range(K.n_simplices(spec.d))
-                     if region.contains_face(K, spec.d, i))
+        pool = region.faces(K, spec.d)
     elif init.faces:
         pool = init.faces
     else:

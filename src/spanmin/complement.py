@@ -40,8 +40,8 @@ from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
 
 import numpy as np
 
-from .complexes import (Chain, Complex, FaceSet, canonical_vertices,
-                        kuhn_tops)
+from .complexes import (Chain, Complex, FaceSet, _row_ranks,
+                        canonical_vertices, kuhn_tops)
 from .errors import InvalidInputError, PreconditionError, RealizationError
 from . import homology as _hom
 
@@ -132,7 +132,8 @@ def _subdivide_simplex(K: Complex, verts: Tuple[int, ...], coeff: int,
 
 def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
     """The dual graph of K, cached per complex: per top simplex, (facet,
-    top across it) for each interior facet, in facet order.
+    top across it) for each interior facet, sorted by facet id; a facet of
+    several tops joins the lowest to each other one.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -142,14 +143,26 @@ def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
     of the box minus |F| are the components of this graph less its edges
     across faces of F, and a simplex outside cl F lies in the component
     of any top simplex containing it.
+
+    One pass over the tops' facets: a facet's id is the rank of its row
+    among the (n-1)-face rows, and a stable sort by id groups its tops.
     """
     adj = K.cache.get("dual")
     if adj is None:
-        adj = [[] for _ in range(K.n_simplices(K.dim))]
-        for f, tops in enumerate(K.cofacets(K.dim - 1)):
-            for t in tops[1:]:
-                adj[tops[0]].append((f, t))
-                adj[t].append((f, tops[0]))
+        n, tops, table = K.dim, K.rows(K.dim), K.rows(K.dim - 1)
+        cols = list(itertools.combinations(range(n + 1), n))
+        facet = _row_ranks(np.concatenate(
+            [table, tops[:, cols].reshape(-1, n)]))[len(table):]
+        order = np.argsort(facet, kind="stable")
+        facet, top = facet[order], order // (n + 1)
+        head = np.concatenate(([True], facet[1:] != facet[:-1]))
+        low = top[np.flatnonzero(head)[np.cumsum(head) - 1]][~head]
+        facet, top = np.tile(facet[~head], 2), top[~head]
+        owner, across = np.concatenate([low, top]), np.concatenate([top, low])
+        order = np.lexsort((across, facet, owner))
+        pairs = list(zip(facet[order].tolist(), across[order].tolist()))
+        ends = np.cumsum(np.bincount(owner, minlength=len(tops))).tolist()
+        adj = [pairs[i:j] for i, j in zip([0] + ends[:-1], ends)]
         K.cache["dual"] = adj
     return adj
 
@@ -279,16 +292,9 @@ class ComplementModel:
             simplices: Dict[int, List[Tuple[int, ...]]] = {
                 0: [(id_map[v],) for v in keep_v]}
             for m in range(1, self.max_dim + 1):
-                kept = []
-                for ch in self.sd.chains.get(m, ()):
-                    ok = True
-                    for v in ch:
-                        if not good[v]:
-                            ok = False
-                            break
-                    if ok:
-                        kept.append(tuple(id_map[v] for v in ch))
-                simplices[m] = kept
+                simplices[m] = [tuple(id_map[v] for v in ch)
+                                for ch in self.sd.chains.get(m, ())
+                                if all(good[v] for v in ch)]
             coords = [self.sd.barycenter(v) for v in keep_v]
             self._complex = Complex(simplices, coords, validate=False)
             self._id_map = id_map
@@ -379,6 +385,7 @@ class ConstraintCycle:
     Points are integer lattice coordinates of the ambient grid complex.
     `point-pair` has degree 0 (separation), `loop` a closed lattice polygon of
     degree 1, `cycle` an explicit list of (simplex lattice points, coeff).
+    A field the kind does not read, or another degree, is an error.
     """
 
     kind: str
@@ -391,20 +398,25 @@ class ConstraintCycle:
             raise InvalidInputError(f"unknown constraint kind {self.kind!r}")
         pts = tuple(tuple(int(c) for c in p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        if self.kind == "point-pair":
-            if len(pts) != 2:
-                raise InvalidInputError("point-pair needs exactly two points")
-            object.__setattr__(self, "degree", 0)
-        elif self.kind == "loop":
-            if len(pts) < 2:
-                raise InvalidInputError("loop needs at least two points")
-            object.__setattr__(self, "degree", 1)
-        else:
+        if self.kind == "cycle":
             if self.degree is None:
                 raise InvalidInputError("general cycle needs an explicit degree")
             if self.degree < 0:
-                raise InvalidInputError(
-                    f"cycle degree {self.degree} is negative")
+                raise InvalidInputError(f"cycle degree {self.degree} is negative")
+            if pts:
+                raise InvalidInputError("general cycle takes items, not points")
+            return
+        if self.kind == "point-pair" and len(pts) != 2:
+            raise InvalidInputError("point-pair needs exactly two points")
+        if len(pts) < 2:
+            raise InvalidInputError("loop needs at least two points")
+        if self.items:
+            raise InvalidInputError(f"{self.kind} takes points, not items")
+        degree = int(self.kind == "loop")
+        if self.degree not in (None, degree):
+            raise InvalidInputError(
+                f"{self.kind} has degree {degree}, not {self.degree}")
+        object.__setattr__(self, "degree", degree)
 
 
 def _lattice_vertex(K: Complex, p: Sequence[int]) -> int:
@@ -416,17 +428,15 @@ def _lattice_vertex(K: Complex, p: Sequence[int]) -> int:
         raise RealizationError(str(exc)) from exc
 
 
-def support_vertices(K: Complex,
-                     constraints: Sequence[ConstraintCycle]) -> set:
-    """Vertices of K on the constraints' cycles.  A face set with one of
-    them in its closure puts that constraint in contact."""
+def _support_vertices(K: Complex, spec: ConstraintCycle) -> set:
+    """Vertices of K on the constraint's cycle.  A face set with one of
+    them in its closure puts the constraint in contact."""
     out = set()
-    for c in constraints:
-        for p in c.points + tuple(q for pts, _ in c.items for q in pts):
-            try:
-                out.add(_lattice_vertex(K, p))
-            except RealizationError:
-                pass  # such a constraint fails for every face set alike
+    for p in spec.points + tuple(q for pts, _ in spec.items for q in pts):
+        try:
+            out.add(_lattice_vertex(K, p))
+        except RealizationError:
+            pass  # such a constraint fails for every face set alike
     return out
 
 
@@ -461,9 +471,9 @@ def _realize_raw(spec: ConstraintCycle,
 class _Resolved:
     """A constraint resolved on K for d-face sets: its chain on K (None
     when the cycle is not one of K), the d-faces holding a vertex of its
-    cycle, for degree 0 with d = n-1 a (top simplex, coefficient) per
-    vertex of the chain and the dual graph to search, and for degree 1 the
-    cochain y of `_cobound`."""
+    cycle (the one contact rule), for degree 0 with d = n-1 a (top,
+    coefficient) per vertex of the chain and the dual graph to search, and
+    for degree 1 the cochain y of `_cobound`."""
 
     spec: ConstraintCycle
     chain: Optional[Dict[Tuple[int, ...], int]]
@@ -476,8 +486,9 @@ class _Resolved:
 def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
     """`_Resolved` of a constraint, cached per complex and d: none of it
     depends on the face set, so a solve decides each candidate by one
-    `_reason` call.  Raises `RealizationError` when a chain of degree >= 1
-    has a boundary: it is not a cycle, whatever the face set."""
+    `_reason` call.  `touching` and a vertex's top (the lowest top holding
+    it) are read from `K.rows`.  Raises `RealizationError` when a chain of
+    degree >= 1 has a boundary: it is not a cycle, whatever the face set."""
     cache = K.cache.setdefault("constraints", {})
     rec = cache.get((spec, d))
     if rec is not None:
@@ -489,17 +500,16 @@ def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
     if chain and spec.degree >= 1 and not _hom.is_cycle(Chain(
             K, spec.degree, {K.index(s): c for s, c in chain.items()})):
         raise RealizationError("constraint chain has a boundary: not a cycle")
-    vertices = support_vertices(K, [spec])
+    vertices = _support_vertices(K, spec)
     on_cycle = np.zeros(len(K.coords), dtype=bool)
     on_cycle[list(vertices)] = True
     touching = frozenset(
         np.flatnonzero(on_cycle[K.rows(d)].any(axis=1)).tolist())
     tops, dual, y = [], None, None
     if chain and spec.degree == 0 and d == K.dim - 1:
-        for (t,), c in chain.items():
-            for k in range(K.dim):  # up through first cofacets
-                t = K.cofacets(k)[t][0]
-            tops.append((t, c))
+        rows = K.rows(K.dim)
+        tops = [(int(np.argmax((rows == v).any(axis=1))), c)
+                for (v,), c in chain.items()]
         dual = _dual_graph(K)
     elif chain and spec.degree == 1:
         y = _cobound(K, chain, vertices)
@@ -713,7 +723,9 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned lattice sub-box (inclusive vertex bounds)."""
+    """Axis-aligned lattice sub-box (inclusive vertex bounds).  `faces` is
+    the one test of which d-faces lie in it, for generators, solves and
+    competitor checks; `contains_face` is its per-face reference."""
 
     lo: Tuple[int, ...]
     hi: Tuple[int, ...]
@@ -729,14 +741,24 @@ class Region:
     def contains_point(self, p: Sequence[int]) -> bool:
         return all(a <= c <= b for c, a, b in zip(p, self.lo, self.hi))
 
-    def contains_face(self, K: Complex, dim: int, idx: int) -> bool:
+    def _check(self, K: Complex) -> None:
         if K.grid is None:
             raise InvalidInputError("regions need a grid-built complex")
         if len(self.lo) != K.dim:
             raise InvalidInputError(
                 f"region has {len(self.lo)} axes, the complex {K.dim}")
+
+    def contains_face(self, K: Complex, dim: int, idx: int) -> bool:
+        self._check(K)
         return all(self.contains_point(K.grid.points[v])
                    for v in K.simplex(dim, idx))
+
+    def faces(self, K: Complex, d: int) -> Tuple[int, ...]:
+        """The sorted ids of the d-faces of K with every vertex in the box."""
+        self._check(K)
+        points = np.asarray(K.grid.points, dtype=np.int64)
+        inside = ((points >= self.lo) & (points <= self.hi)).all(axis=1)
+        return tuple(np.flatnonzero(inside[K.rows(d)].all(axis=1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -757,9 +779,8 @@ def competitor_check(E: FaceSet, F: FaceSet, region: Region, d: int,
     if E.dim != d or F.dim != d:
         raise PreconditionError("face sets have the wrong dimension")
     K = E.complex
-    outside_E = {f for f in E.faces if not region.contains_face(K, d, f)}
-    outside_F = {f for f in F.faces if not region.contains_face(K, d, f)}
-    boundary_match = outside_E == outside_F
+    inside = set(region.faces(K, d))
+    boundary_match = set(E.faces) - inside == set(F.faces) - inside
 
     st_E = spanning_check(K, E, constraints)
     st_F = spanning_check(K, F, constraints)
@@ -781,6 +802,7 @@ def free_collapse_candidates(F: FaceSet,
     """
     K = F.complex
     d = F.dim
+    inside = None if region is None else set(region.faces(K, d))
     incidence: Dict[Tuple[int, ...], List[int]] = {}
     for f in F.faces:
         s = K.simplex(d, f)
@@ -792,7 +814,7 @@ def free_collapse_candidates(F: FaceSet,
         if len(owners) != 1:
             continue
         f = owners[0]
-        if region is not None and not region.contains_face(K, d, f):
+        if inside is not None and f not in inside:
             continue
         out.append((f, K.index(sub)))
     return sorted(out)

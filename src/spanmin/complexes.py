@@ -58,8 +58,8 @@ class Complex:
 
     The k-simplices are numbered in lexicographic order of their vertex
     tuples; `rows(k)` gives the same table as an integer array.  Immutable
-    after construction; per-complex caches (cofacets, homology,
-    subdivisions) are filled lazily by the other modules.
+    after construction; per-complex caches (face volumes, constraints,
+    the dual graph, subdivisions) are filled lazily by the other modules.
     """
 
     def __init__(self, simplices: Dict[int, Iterable[Vertices]], coords,
@@ -80,7 +80,6 @@ class Complex:
             k: dict(zip(tab, range(len(tab))))
             for k, tab in self._tables.items()}
         self._rows = rows
-        self._cofacets: Dict[int, List[List[int]]] = {}
         self.cache: Dict = {}
         self.grid: Optional[GridInfo] = None
 
@@ -165,17 +164,6 @@ class Complex:
         """Canonicalize and look up: returns (dim, index, orientation sign)."""
         t, sign = canonical_vertices(vertices)
         return len(t) - 1, self.index(t), sign
-
-    def cofacets(self, k: int) -> List[List[int]]:
-        """For each k-simplex, the indices of its (k+1)-cofaces."""
-        if k not in self._cofacets:
-            out: List[List[int]] = [[] for _ in self._tables.get(k, ())]
-            for j, s in enumerate(self._tables.get(k + 1, ())):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    out[self._index[k][face]].append(j)
-            self._cofacets[k] = out
-        return self._cofacets[k]
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{k}:{self.n_simplices(k)}"
@@ -339,15 +327,14 @@ def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],
             yield tuple(verts), perm
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a nonnegative integer array, in lexicographic
-    order.  Each column prefix is replaced by its dense rank among the
-    distinct prefixes (sort, adjacent difference, binary search), so every
-    key stays below len(rows) * (max entry + 1): no int64 overflow, where
-    one key per whole row would need (max entry + 1) ** width."""
-    if not len(rows):
-        return rows
-    base = int(rows.max()) + 1
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """The dense lexicographic rank of each row of a nonnegative integer
+    array among its distinct rows.  Each column prefix is replaced by its
+    dense rank among the distinct prefixes (sort, adjacent difference,
+    binary search), so every key stays below len(rows) * (max entry + 1):
+    no int64 overflow, where one key per whole row would need
+    (max entry + 1) ** width."""
+    base = int(rows.max(initial=0)) + 1
     rank = np.zeros(len(rows), dtype=np.int64)
     for col in rows.T:
         key = rank * base + col
@@ -355,7 +342,16 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
         distinct = distinct[np.concatenate(
             ([True], distinct[1:] != distinct[:-1]))]
         rank = np.searchsorted(distinct, key)
-    first = np.empty(len(distinct), dtype=np.int64)
+    return rank
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a nonnegative integer array, in lexicographic
+    order (see `_row_ranks`)."""
+    if not len(rows):
+        return rows
+    rank = _row_ranks(rows)
+    first = np.empty(int(rank.max()) + 1, dtype=np.int64)
     first[rank] = np.arange(len(rows))
     return rows[first]
 

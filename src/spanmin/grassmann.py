@@ -18,7 +18,7 @@ never forms the six wedge coordinates of its samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,12 +110,12 @@ def characteristic_angles(frame_p: np.ndarray, frame_q: np.ndarray
 
 @dataclass(frozen=True)
 class PlanePair:
-    """Two 2-planes with orthonormal frames and cached characteristic angles."""
+    """Two 2-planes with orthonormal frames and their characteristic angles."""
 
     frame1: np.ndarray
     frame2: np.ndarray
-    alpha1: float = 0.0
-    alpha2: float = 0.0
+    alpha1: float = field(init=False)
+    alpha2: float = field(init=False)
 
     def __post_init__(self):
         f1 = _check_frame(self.frame1)

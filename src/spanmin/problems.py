@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .complexes import Complex, FaceSet, build_grid_complex
 from .complement import ConstraintCycle, Region
 from .errors import ProblemFormatError
@@ -87,15 +85,6 @@ class ProblemSpec:
         return Region(lo=self.region[0], hi=self.region[1])
 
 
-def _faces_where(K: Complex, d: int, fixed: Dict[int, int]) -> Tuple[int, ...]:
-    """The d-faces of the grid complex K all of whose vertices have the
-    lattice coordinate fixed[a] on every axis a of `fixed`."""
-    axes = list(fixed)
-    points = np.array(K.grid.points, dtype=np.int64)[:, axes]
-    on = (points == [fixed[a] for a in axes]).all(axis=1)
-    return tuple(np.flatnonzero(on[K.rows(d)].all(axis=1)).tolist())
-
-
 def generate_faceset(name: str, K: Complex, d: int) -> FaceSet:
     """Expand a named generator on the grid complex K."""
     if K.grid is None:
@@ -105,18 +94,20 @@ def generate_faceset(name: str, K: Complex, d: int) -> FaceSet:
         if len(box) != 2 or d != 1:
             raise ProblemFormatError(
                 ["separating-row needs n=2, d=1"])
-        return FaceSet(K, 1, _faces_where(K, 1, {1: box[1] // 2}))
+        m = box[1] // 2
+        return FaceSet(K, 1, Region((0, m), (box[0], m)).faces(K, 1))
     if name == "straight-path":
         if len(box) != 2 or d != 1:
             raise ProblemFormatError(["straight-path needs n=2, d=1"])
-        return FaceSet(K, 1, _faces_where(K, 1, {1: 0}))
+        return FaceSet(K, 1, Region((0, 0), (box[0], 0)).faces(K, 1))
     if name == "two-planes-orthogonal":
         if len(box) != 4 or d != 2:
             raise ProblemFormatError(["two-planes-orthogonal needs n=4, d=2"])
+        # each plane is a lattice box with lo = hi on the axes it misses
         c = [b // 2 for b in box]
-        p1 = _faces_where(K, 2, {2: c[2], 3: c[3]})
-        p2 = _faces_where(K, 2, {0: c[0], 1: c[1]})
-        return FaceSet(K, 2, p1 + p2)
+        p1 = Region((0, 0) + tuple(c[2:]), tuple(box[:2]) + tuple(c[2:]))
+        p2 = Region(tuple(c[:2]) + (0, 0), tuple(c[:2]) + tuple(box[2:]))
+        return FaceSet(K, 2, p1.faces(K, 2) + p2.faces(K, 2))
     raise ProblemFormatError([f"unknown generator '{name}'"])
 
 
@@ -126,31 +117,20 @@ def linking_loops(box: Sequence[int]) -> List[ConstraintCycle]:
     Each loop is a lattice rectangle around one plane, living in the pair of
     coordinates the plane misses, placed at a corner of the other pair.
     """
-    c = [b // 2 for b in box]
-
-    def rect(ax_a: int, ax_b: int, fixed: Dict[int, int]):
+    def rect(ax_a: int, ax_b: int) -> ConstraintCycle:
         la, lb = box[ax_a], box[ax_b]
-        pts = []
-        for t in range(la):
-            pts.append((t, 0))
-        for t in range(lb):
-            pts.append((la, t))
-        for t in range(la, 0, -1):
-            pts.append((t, lb))
-        for t in range(lb, 0, -1):
-            pts.append((0, t))
+        pts = ([(t, 0) for t in range(la)] + [(la, t) for t in range(lb)]
+               + [(t, lb) for t in range(la, 0, -1)]
+               + [(0, t) for t in range(lb, 0, -1)])
         out = []
-        for (a, b) in pts:
-            p = [0, 0, 0, 0]
+        for a, b in pts:
+            p = [0, 0, 0, 0]  # the other pair's corner (0, 0)
             p[ax_a], p[ax_b] = a, b
-            for ax, v in fixed.items():
-                p[ax] = v
             out.append(tuple(p))
         return ConstraintCycle(kind="loop", points=tuple(out))
 
     # loop around the plane x3=x4=center lives in the (x3, x4) coordinates
-    return [rect(2, 3, {0: 0, 1: 0}),
-            rect(0, 1, {2: 0, 3: 0})]
+    return [rect(2, 3), rect(0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .complexes import Complex, FaceSet
-from .complement import (ConstraintCycle, Region, is_spanning,
-                         spanning_predicate, support_vertices)
+from .complement import (ConstraintCycle, Region, _resolve, is_spanning,
+                         spanning_predicate)
 from .errors import (InfeasibleError, InvalidInputError, PoolTooLargeError,
                      PreconditionError)
 from . import grassmann
@@ -109,27 +109,29 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
 
     Subsets are popped from a heap in (cost, lexicographic face tuple) order;
     the first feasible subset is the global optimum with deterministic ties.
-    The search runs over P0, the pool faces that share no vertex with a
-    constraint's cycle: any other face puts that cycle in contact, so it is
-    in no feasible set.  Adding faces only shrinks the complement, so when
-    P0 itself does not span, no subset does; that one check (not counted
-    in `evaluations`) then raises InfeasibleError.  Candidates are decided
-    on face tuples by one `spanning_predicate` built for the solve; a
-    search that pops more than EXHAUSTIVE_EVALUATION_CAP subsets raises
+    Candidates are decided on face tuples by one `spanning_predicate` built
+    for the solve.  The search runs over P0, the pool faces outside the
+    `touching` sets that predicate resolved (`_resolve`): any other face
+    puts a cycle in contact, so it is in no feasible set.  Adding faces
+    only shrinks the complement, so when P0 itself does not span, no subset
+    does; that one check (not counted in `evaluations`) then raises
+    InfeasibleError.  A pool from another complex raises PreconditionError,
+    and popping more than EXHAUSTIVE_EVALUATION_CAP subsets raises
     PoolTooLargeError.
     """
+    if candidate_pool.complex is not K:
+        raise PreconditionError("candidate pool belongs to a different complex")
     if len(candidate_pool.faces) > EXHAUSTIVE_POOL_CAP:
         raise PoolTooLargeError(
             f"pool of {len(candidate_pool.faces)} faces exceeds the cap of "
             f"{EXHAUSTIVE_POOL_CAP}; use minimize_local")
     d = candidate_pool.dim
-    touched = support_vertices(K, constraints)
-    pool = [f for f in candidate_pool.faces
-            if touched.isdisjoint(K.simplex(d, f))]
+    spans = spanning_predicate(K, constraints, d)
+    touched = set().union(*(_resolve(K, c, d).touching for c in constraints))
+    pool = [f for f in candidate_pool.faces if f not in touched]
     if not is_spanning(K, FaceSet(K, d, tuple(pool)), constraints):
         raise InfeasibleError(
             "no subset of the candidate pool satisfies the constraints")
-    spans = spanning_predicate(K, constraints, d)
     vols = _face_volumes(K, d)
     costs = [float(weight.at(f) * vols[f]) for f in pool]
 
@@ -240,11 +242,11 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
             raise PreconditionError("pool is incompatible with the initial set")
         pool_faces = pool.faces
     if region is not None:
-        pool_faces = [f for f in pool_faces if region.contains_face(K, d, f)]
+        inside = set(region.faces(K, d))
+        pool_faces = inside.intersection(pool_faces)
     pool_faces = sorted(set(pool_faces) | set(init.faces))
     # init faces outside the region stay in every state
-    movable = [region is None or region.contains_face(K, d, f)
-               for f in pool_faces]
+    movable = [region is None or f in inside for f in pool_faces]
 
     vols = _face_volumes(K, d)
     costs = [float(weight.at(f) * vols[f]) for f in pool_faces]

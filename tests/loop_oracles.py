@@ -1,15 +1,16 @@
 """Per-simplex Python loops kept as references for the array code.
 
 `spanmin` builds grid complexes, face closures, face volumes, generated
-face sets and constraint contact sets with integer-array code; these are
-the plain loops it must agree with, table for table and bit for bit.  The
-dense boundary matrix is the `np.linalg.matrix_rank` oracle of the
-homology tests.
+face sets, lattice-box face sets, constraint contact sets, the dual graph
+and each vertex's top simplex with integer-array code; these are the plain
+loops it must agree with, table for table and bit for bit.  The dense
+boundary matrix is the `np.linalg.matrix_rank` oracle of the homology
+tests, and `cofacets` serves the whole-box oracles of `relative_cochains`.
 """
 
 import itertools
 import math
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +51,61 @@ def faces_where_by_scan(K: Complex, d: int, predicate) -> tuple:
                  if predicate([points[v] for v in s]))
 
 
+def faces_in_box_by_scan(K: Complex, d: int, region) -> tuple:
+    """The d-faces that `region.contains_face` accepts, one call each."""
+    return tuple(i for i in range(K.n_simplices(d))
+                 if region.contains_face(K, d, i))
+
+
 def touching_by_scan(K: Complex, d: int, vertices: set) -> frozenset:
     """The d-faces holding one of `vertices`."""
     return frozenset(i for i, s in enumerate(K.simplices(d))
                      if not vertices.isdisjoint(s))
+
+
+def contact_free_by_scan(K: Complex, d: int, faces: Sequence[int],
+                         constraints) -> tuple:
+    """The faces sharing no vertex with a lattice point of a constraint's
+    points or items (points off the lattice are skipped)."""
+    touched = set()
+    for c in constraints:
+        pts = list(c.points) + [q for term, _ in c.items for q in term]
+        touched.update(K.grid.lattice[p] for p in pts if p in K.grid.lattice)
+    return tuple(f for f in faces if touched.isdisjoint(K.simplex(d, f)))
+
+
+def cofacets(K: Complex, k: int) -> List[List[int]]:
+    """For each k-simplex, the indices of its (k+1)-cofaces, increasing;
+    cached in `K.cache`."""
+    key = ("cofacets", k)
+    if key not in K.cache:
+        out: List[List[int]] = [[] for _ in range(K.n_simplices(k))]
+        for j, s in enumerate(K.simplices(k + 1)):
+            for i in range(len(s)):
+                out[K.index(s[:i] + s[i + 1:])].append(j)
+        K.cache[key] = out
+    return K.cache[key]
+
+
+def dual_graph_by_cofacets(K: Complex) -> List[List[Tuple[int, int]]]:
+    """Per top simplex, (facet, top across it): the facets in order, each
+    joining its lowest top to every other one."""
+    adj: List[List[Tuple[int, int]]] = [
+        [] for _ in range(K.n_simplices(K.dim))]
+    for f, tops in enumerate(cofacets(K, K.dim - 1)):
+        for t in tops[1:]:
+            adj[tops[0]].append((f, t))
+            adj[t].append((f, tops[0]))
+    return adj
+
+
+def top_by_walk(K: Complex, verts: Tuple[int, ...]) -> int:
+    """A top simplex containing the simplex `verts`: from it, the first
+    cofacet dimension by dimension."""
+    s = K.index(verts)
+    for k in range(len(verts) - 1, K.dim):
+        s = cofacets(K, k)[s][0]
+    return s
 
 
 def boundary_matrix(K: Complex, k: int) -> np.ndarray:

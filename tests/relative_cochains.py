@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from loop_oracles import cofacets, top_by_walk
 from spanmin.complement import ComplementModel
 from spanmin.homology import (HomologyGroup, _boundary_columns,
                               _snf_diagonal_sparse)
@@ -27,7 +28,7 @@ def outside(model: ComplementModel) -> List[bool]:
     K, offsets = model.K, model.offsets
     n = K.dim
     on_boundary = np.zeros(offsets[-1], dtype=bool)
-    for f, tops in enumerate(K.cofacets(n - 1)):
+    for f, tops in enumerate(cofacets(K, n - 1)):
         if len(tops) == 1:
             s = K.simplex(n - 1, f)
             for r in range(1, n + 1):
@@ -74,7 +75,7 @@ def crossings(K) -> List[List[Tuple[int, int, int]]]:
     T = np.array(K.simplices(n), dtype=np.int64)
     X = K.coords
     eps = np.sign(np.linalg.det(X[T[:, 1:]] - X[T[:, :1]]))
-    index, cof = K._index[n - 1], K.cofacets(n - 1)
+    index, cof = K._index[n - 1], cofacets(K, n - 1)
     out = []
     for t, (verts, e) in enumerate(zip(K.simplices(n), eps.tolist())):
         row = []
@@ -105,28 +106,20 @@ def star_path(K, cross, inside, t0: int, t1: int) -> List[Tuple[int, int]]:
     return path
 
 
-def top_of(K, verts) -> int:
-    """A top simplex containing the simplex `verts`: from it, the first
-    cofacet dimension by dimension."""
-    s = K.index(verts)
-    for k in range(len(verts) - 1, K.dim):
-        s = K.cofacets(k)[s][0]
-    return s
-
-
 def crossing_cocycle(model: ComplementModel,
                      chain: Dict[Tuple[int, int], int]) -> Dict[int, int]:
     """The signed crossings of the 1-chain {(u, v): coeff} on K, subdivided
     (u -> v with coeff c is c (u, uv) - c (v, uv)) and pushed onto the whole
-    dual graph: a simplex s goes to `top_of(s)`, and a piece (a, e) to a
-    path between the tops of a and e through the open star of a."""
+    dual graph: a simplex s goes to `top_by_walk(K, s)`, and a piece
+    (a, e) to a path between the tops of a and e through the open star of
+    a."""
     K = model.K
     cross = crossings(K)
     z: Dict[int, int] = {}
     for (u, v), c in chain.items():
         for a, coeff in ((u, c), (v, -c)):
-            for f, s in star_path(K, cross, {a}, top_of(K, (a,)),
-                                  top_of(K, (u, v))):
+            for f, s in star_path(K, cross, {a}, top_by_walk(K, (a,)),
+                                  top_by_walk(K, (u, v))):
                 z[f] = z.get(f, 0) + s * coeff
     return z
 

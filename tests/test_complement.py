@@ -6,17 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from spanmin import (Chain, ConstraintCycle, FaceSet, InvalidInputError,
-                     PreconditionError, RealizationError, Region, WeightField,
-                     boundary, build_grid_complex, competitor_check,
-                     complement_subcomplex, free_collapse_candidates,
-                     homology_group, is_null_homologous, is_spanning,
-                     minimize_local, realize_constraint, spanning_check,
-                     spanning_predicate)
-from spanmin.complement import ComplementModel, _resolve, support_vertices
+from spanmin import (Chain, Complex, ConstraintCycle, FaceSet,
+                     InvalidInputError, PreconditionError, RealizationError,
+                     Region, WeightField, boundary, build_grid_complex,
+                     competitor_check, complement_subcomplex,
+                     free_collapse_candidates, homology_group,
+                     is_null_homologous, is_spanning, minimize_local,
+                     realize_constraint, spanning_check, spanning_predicate)
+from spanmin.complement import (ComplementModel, _dual_graph, _resolve,
+                                _support_vertices)
 from spanmin.problems import generate_faceset, linking_loops
 
-from loop_oracles import touching_by_scan
+from loop_oracles import (dual_graph_by_cofacets, faces_in_box_by_scan,
+                          top_by_walk, touching_by_scan)
 
 
 def separating_row(K):
@@ -45,6 +47,33 @@ def test_constraint_kind_validation():
                            points=((0, 0), (1, 0), (1, 1))).degree == 1
     with pytest.raises(InvalidInputError):
         ConstraintCycle(kind="cycle", degree=-1)
+
+
+def test_constraint_rejects_fields_its_kind_ignores():
+    # on the 4x4 separating row, a stray term at (2, 2) would count as a
+    # vertex of the cycle and put it in contact, though the cycle itself,
+    # the 0-cycle (0, 4) - (0, 0) in both forms, passes
+    K = build_grid_complex(2, [4, 4])
+    row = separating_row(K)
+    ends = ((0, 0), (0, 4))
+    terms = ((((0, 0),), -1), (((0, 4),), 1))
+    stray = ((((2, 2),), 1),)
+    clean = [ConstraintCycle(kind="point-pair", points=ends),
+             ConstraintCycle(kind="cycle", degree=0, items=terms)]
+    assert [s.reason for s in spanning_check(K, row, clean)] == [
+        "nontrivial", "nontrivial"]
+    with pytest.raises(InvalidInputError, match="not items"):
+        ConstraintCycle(kind="point-pair", points=ends, items=stray)
+    with pytest.raises(InvalidInputError, match="not points"):
+        ConstraintCycle(kind="cycle", degree=0, points=((2, 2),), items=terms)
+    with pytest.raises(InvalidInputError, match="not items"):
+        ConstraintCycle(kind="loop", points=ends + ((4, 4),), items=stray)
+    # a point pair is a 0-cycle and a loop a 1-cycle, whatever is passed
+    with pytest.raises(InvalidInputError, match="degree 0, not 7"):
+        ConstraintCycle(kind="point-pair", points=ends, degree=7)
+    with pytest.raises(InvalidInputError, match="degree 1, not 0"):
+        ConstraintCycle(kind="loop", points=ends + ((4, 4),), degree=0)
+    assert ConstraintCycle(kind="point-pair", points=ends, degree=0) == clean[0]
 
 
 # -- complement model ---------------------------------------------------------
@@ -554,6 +583,33 @@ def test_region_arity_must_match_the_complex():
         free_collapse_candidates(F, region=R)
 
 
+@pytest.mark.parametrize("box,lo,hi", [
+    ((5,), (1,), (3,)), ((5,), (2,), (2,)),
+    ((4, 3), (1, 0), (3, 2)), ((4, 3), (0, 1), (4, 1)), ((3, 1), (1, 0), (2, 1)),
+    ((3, 2, 3), (1, 0, 1), (2, 2, 3)), ((3, 2, 3), (0, 1, 0), (3, 1, 3)),
+    ((1, 2, 1), (0, 0, 0), (1, 2, 1)),
+    ((2, 3, 1, 2), (0, 1, 0, 1), (2, 3, 1, 2)),
+    ((2, 2, 2, 2), (1, 0, 1, 0), (1, 2, 1, 2))])
+def test_region_faces_match_the_contains_face_scan(box, lo, hi):
+    # lo = hi axes cut a slab, width-1 axes hold both layers of the box
+    K = build_grid_complex(len(box), list(box))
+    R = Region(lo=lo, hi=hi)
+    sizes = []
+    for d in range(K.dim + 1):
+        faces = R.faces(K, d)
+        assert faces == faces_in_box_by_scan(K, d, R)
+        sizes.append(len(faces))
+    assert sizes[0] == np.prod([b - a + 1 for a, b in zip(lo, hi)])
+    with pytest.raises(InvalidInputError, match="axes"):
+        Region(lo=lo + (0,), hi=hi + (0,)).faces(K, 1)
+
+
+def test_region_faces_need_a_grid():
+    K = Complex.from_maximal([(0, 1, 2)], np.eye(3)[:, :2])
+    with pytest.raises(InvalidInputError, match="grid-built"):
+        Region(lo=(0, 0), hi=(1, 1)).faces(K, 1)
+
+
 # -- free-face collapses --------------------------------------------------------
 
 def test_collapse_candidates_on_path():
@@ -969,4 +1025,31 @@ def test_touching_matches_the_scan_of_every_face(box, d):
     for spec in cons:
         rec = _resolve(K, spec, d)
         assert rec.touching == touching_by_scan(
-            K, d, support_vertices(K, [spec]))
+            K, d, _support_vertices(K, spec))
+
+
+@pytest.mark.parametrize("box", [(6,), (4, 4), (3, 1), (3, 2, 4), (1, 1, 1),
+                                 (2, 2, 1, 3), (3, 3, 3, 3)])
+def test_dual_graph_and_vertex_tops_match_the_cofacet_walk(box):
+    K = build_grid_complex(len(box), list(box))
+    assert _dual_graph(K) == dual_graph_by_cofacets(K)
+    # every vertex as one end of a point pair: its top is the walk's
+    n, far = len(box), tuple(box)
+    for v, p in enumerate(K.grid.points):
+        if p == far:
+            continue
+        spec = ConstraintCycle(kind="point-pair", points=(p, far))
+        rec = _resolve(K, spec, n - 1)
+        # the chain of the pair p, q is q - p, q first
+        assert rec.tops == ((top_by_walk(K, (len(K.coords) - 1,)), 1),
+                            (top_by_walk(K, (v,)), -1))
+
+
+def test_dual_graph_matches_the_cofacets_off_the_grid():
+    # a facet of three tops joins the lowest to each of the others, and a
+    # triangle that shares no edge has an empty list
+    K = Complex.from_maximal([(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 5),
+                              (6, 7, 8), (2, 9)], np.zeros((10, 2)))
+    adj = _dual_graph(K)
+    assert adj == dual_graph_by_cofacets(K)
+    assert adj[0] == [(0, 1), (0, 2), (4, 3)] and adj[4] == []

@@ -121,6 +121,14 @@ def test_characteristic_angles_parameterized():
         assert (pair.alpha1, pair.alpha2) == pytest.approx((theta, phi))
 
 
+def test_plane_pair_angles_are_not_constructor_arguments():
+    # the angles come from the frames alone
+    with pytest.raises(TypeError):
+        PlanePair(E[:2], E[2:], alpha1=0.1, alpha2=0.2)
+    pair = PlanePair(E[:2], E[2:])
+    assert (pair.alpha1, pair.alpha2) == pytest.approx((math.pi / 2,) * 2)
+
+
 def test_characteristic_angles_symmetric_and_invariant():
     rng = np.random.default_rng(3)
     for _ in range(10):

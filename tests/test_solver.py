@@ -14,7 +14,7 @@ from spanmin.grassmann import PlanePair
 from spanmin.problems import generate_faceset
 from spanmin.solver import _face_volumes, _rasterize_area
 
-from loop_oracles import face_volumes_by_loop
+from loop_oracles import contact_free_by_scan, face_volumes_by_loop
 
 
 def edge_index(K, a, b):
@@ -408,6 +408,52 @@ def test_exhaustive_skips_faces_touching_a_constraint():
     assert mixed.faces.faces == alone.faces.faces == row.faces
     assert mixed.objective == alone.objective == 2.0
     assert mixed.evaluations == alone.evaluations
+
+
+def test_exhaustive_rejects_a_pool_of_another_complex():
+    K = build_grid_complex(2, [4, 4])
+    cons = [ConstraintCycle(kind="point-pair", points=((2, 0), (2, 4)))]
+    row = generate_faceset("separating-row", build_grid_complex(2, [4, 4]), 1)
+    with pytest.raises(PreconditionError, match="different complex"):
+        minimize_exhaustive(K, cons, WeightField.uniform(1.0), row)
+
+
+SQUARE = ((1, 1, 0), (2, 1, 0), (2, 2, 0), (1, 2, 0))
+
+
+@pytest.mark.parametrize("box,d,cons", [
+    ((4, 4), 1, [ConstraintCycle(kind="point-pair", points=((2, 0), (2, 4))),
+                 ConstraintCycle(kind="point-pair", points=((1, 1), (3, 2)))]),
+    ((3, 3, 3), 1, [ConstraintCycle(kind="loop", points=SQUARE)]),
+    ((3, 3, 3), 2, [ConstraintCycle(kind="point-pair",
+                                    points=((0, 1, 1), (3, 2, 1))),
+                    ConstraintCycle(kind="loop", points=SQUARE),
+                    # off the box: no chain, and the corner still touches
+                    ConstraintCycle(kind="point-pair",
+                                    points=((0, 0, 0), (4, 4, 4)))])])
+def test_exhaustive_pool_reduction_matches_the_vertex_scan(monkeypatch, box,
+                                                           d, cons):
+    # the pool is cut by the predicate's `touching` sets, and must equal the
+    # faces sharing no vertex with a constraint's points
+    import spanmin.solver as solver
+    K = build_grid_complex(len(box), list(box))
+    rng = np.random.default_rng(len(cons))
+    seen = []
+
+    def first_check(K, F, constraints):
+        seen.append(F.faces)
+        return False  # stop at the P0 check
+
+    monkeypatch.setattr(solver, "is_spanning", first_check)
+    cut = 0
+    for _ in range(12):
+        pool = FaceSet(K, d, rng.choice(K.n_simplices(d), size=30,
+                                        replace=False).tolist())
+        with pytest.raises(InfeasibleError):
+            minimize_exhaustive(K, cons, WeightField.uniform(1.0), pool)
+        assert seen[-1] == contact_free_by_scan(K, d, pool.faces, cons)
+        cut += len(pool) - len(seen[-1])
+    assert cut > 0
 
 
 # -- pinned search trajectories ------------------------------------------------
