@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from . import grassmann
-from .complement import complement_subcomplex, spanning_check
+from .complement import complement_subcomplex, is_spanning, spanning_check
 from .complexes import FaceSet
 from .errors import (InfeasibleError, PoolTooLargeError, PreconditionError,
                      ProblemFormatError)
@@ -147,6 +147,11 @@ def cmd_solve(args) -> int:
                 if args.exhaustive:
                     raise
         if result is None:
+            # the local search needs a spanning start: the pool, when the
+            # initial set does not span and the pool does
+            if not is_spanning(K, init, constraints) and is_spanning(
+                    K, pool_set, constraints):
+                init = pool_set
             result = minimize_local(K, constraints, weight, init=init,
                                     budget=spec.budget, seed=spec.seed,
                                     pool=pool_set)

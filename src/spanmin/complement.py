@@ -40,8 +40,8 @@ from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
 
 import numpy as np
 
-from .complexes import (Chain, Complex, FaceSet, _row_ranks,
-                        canonical_vertices, kuhn_tops)
+from .complexes import (Chain, Complex, FaceSet, _kuhn_tops, _row_ranks,
+                        canonical_vertices)
 from .errors import InvalidInputError, PreconditionError, RealizationError
 from . import homology as _hom
 
@@ -165,6 +165,14 @@ def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
         adj = [pairs[i:j] for i, j in zip([0] + ends[:-1], ends)]
         K.cache["dual"] = adj
     return adj
+
+
+def _first_top(tops: np.ndarray, s: Sequence[int]) -> int:
+    """The index of the first row of `tops` holding all of s (one must)."""
+    held = np.ones(len(tops), dtype=bool)
+    for v in s:
+        held &= (tops == v).any(axis=1)
+    return int(np.argmax(held))
 
 
 def _reachable(adj: List[List[Tuple[int, int]]], t0: int, t1: int,
@@ -486,9 +494,10 @@ class _Resolved:
 def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
     """`_Resolved` of a constraint, cached per complex and d: none of it
     depends on the face set, so a solve decides each candidate by one
-    `_reason` call.  `touching` and a vertex's top (the lowest top holding
-    it) are read from `K.rows`.  Raises `RealizationError` when a chain of
-    degree >= 1 has a boundary: it is not a cycle, whatever the face set."""
+    `_reason` call.  `touching` and a vertex's top (`_first_top`, the
+    lowest top holding it) are read from `K.rows`.  Raises
+    `RealizationError` when a chain of degree >= 1 has a boundary: it is
+    not a cycle, whatever the face set."""
     cache = K.cache.setdefault("constraints", {})
     rec = cache.get((spec, d))
     if rec is not None:
@@ -507,9 +516,7 @@ def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
         np.flatnonzero(on_cycle[K.rows(d)].any(axis=1)).tolist())
     tops, dual, y = [], None, None
     if chain and spec.degree == 0 and d == K.dim - 1:
-        rows = K.rows(K.dim)
-        tops = [(int(np.argmax((rows == v).any(axis=1))), c)
-                for (v,), c in chain.items()]
+        tops = [(_first_top(K.rows(K.dim), s), c) for s, c in chain.items()]
         dual = _dual_graph(K)
     elif chain and spec.degree == 1:
         y = _cobound(K, chain, vertices)
@@ -525,7 +532,9 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
 
     K' is the sub-box of the cycle's vertices grown by one and clipped to
     the box: a ball holding the open star of every simplex on the cycle.
-    A simplex goes to the first top of K' containing it.  An edge u -> v
+    Its tops and their signs are the rows of `_kuhn_tops`, as in the box
+    build, and a simplex goes to the first of them containing it
+    (`_first_top`, the top rule of `_resolve`).  An edge u -> v
     with coefficient c becomes the two halves of its barycentric
     subdivision: a dual path from the top of u to that of uv through the
     open star of u, counted +c, and one from the top of v to that of uv
@@ -536,29 +545,22 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
     a witness over delta_{n-2} off dK', whose cofaces all lie in K', so
     delta(y) = z on (K, dK) too.
     """
-    n, lattice, points = K.dim, K.grid.lattice, K.grid.points
+    n, points = K.dim, K.grid.points
     coords = list(zip(*(points[v] for v in vertices)))
     lo = [max(min(c) - 1, 0) for c in coords]
     hi = [min(max(c) + 1, b) for c, b in zip(coords, K.grid.box)]
-    tops, eps = [], []
+    rows, signs = _kuhn_tops([b + 1 for b in K.grid.box], lo, hi)
+    tops, eps = [tuple(t) for t in rows.tolist()], signs.tolist()
     on_facet: Dict[Tuple[int, ...], List[int]] = {}
-    on_vertex: Dict[int, List[int]] = {}
-    for top, perm in kuhn_tops(lattice, lo, hi):
+    for t, top in enumerate(tops):
         for i in range(n + 1):
-            on_facet.setdefault(top[:i] + top[i + 1:], []).append(len(tops))
-        for v in top:
-            on_vertex.setdefault(v, []).append(len(tops))
-        tops.append(top)
-        eps.append(canonical_vertices(perm)[1])
+            on_facet.setdefault(top[:i] + top[i + 1:], []).append(t)
     index = K._index[n - 1]
-
-    def home(s: Tuple[int, ...]) -> int:
-        return next(t for t in on_vertex[s[0]] if all(v in tops[t] for v in s))
 
     z: Dict[int, int] = {}
     for (u, v), c in chain.items():
         for a, coeff in ((u, c), (v, -c)):
-            t0, t1 = home((a,)), home((u, v))
+            t0, t1 = _first_top(rows, (a,)), _first_top(rows, (u, v))
             prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
             queue = deque([t0])
             while t1 not in prev:  # breadth first through the star of a

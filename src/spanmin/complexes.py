@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +42,16 @@ class GridInfo:
 
     box: Tuple[int, ...]
     scale: float
-    lattice: Dict[Tuple[int, ...], int]  # integer lattice point -> vertex id
     points: Tuple[Tuple[int, ...], ...]  # vertex id -> lattice point
 
     def vertex_at(self, point: Sequence[int]) -> int:
+        """The id of a lattice point: its row-major rank in the box."""
         key = tuple(int(c) for c in point)
-        if key not in self.lattice:
+        if len(key) != len(self.box) or not all(
+                0 <= c <= b for c, b in zip(key, self.box)):
             raise InvalidInputError(f"lattice point {key} outside the box")
-        return self.lattice[key]
+        return sum(c * math.prod(b + 1 for b in self.box[a + 1:])
+                   for a, c in enumerate(key))
 
 
 class Complex:
@@ -311,20 +312,24 @@ def faceset_to_chain(F: FaceSet, orientation: Optional[Dict[int, int]] = None) -
     return Chain(F.complex, F.dim, coeffs)
 
 
-def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],
-              hi: Sequence[int]) -> Iterator[Tuple[Vertices, Tuple[int, ...]]]:
-    """(vertices, axis permutation) per top simplex of the lattice cubes
-    with corners in lo..hi: per cube in row-major order, one path from its
-    lower corner per permutation, a unit step along each axis in turn.
-    Lattice ids are row-major, so the vertices increase along the path."""
-    for origin in itertools.product(*[range(a, b) for a, b in zip(lo, hi)]):
-        for perm in itertools.permutations(range(len(lo))):
-            p = list(origin)
-            verts = [lattice[tuple(p)]]
-            for axis in perm:
-                p[axis] += 1
-                verts.append(lattice[tuple(p)])
-            yield tuple(verts), perm
+def _kuhn_tops(shape: Sequence[int], lo: Sequence[int],
+               hi: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The Kuhn tops of the lattice cubes with lower corners in lo..hi-1 on
+    a lattice of the given shape (row-major ids), and each one's sign.
+
+    Per cube in row-major order, one row per axis permutation: the corner's
+    id plus the running id strides along it, an increasing path of unit
+    steps.  Its sign is the permutation's, sign(det) of its edge vectors.
+    """
+    n = len(shape)
+    stride = [math.prod(shape[a + 1:]) for a in range(n)]
+    perms = list(itertools.permutations(range(n)))
+    corners = (np.indices(np.subtract(hi, lo)).reshape(n, -1).T + lo) @ stride
+    paths = np.array([np.cumsum([0] + [stride[a] for a in perm])
+                      for perm in perms])
+    tops = (corners[:, None, None] + paths).reshape(-1, n + 1)
+    signs = [canonical_vertices(perm)[1] for perm in perms]
+    return tops, np.tile(signs, len(corners))
 
 
 def _row_ranks(rows: np.ndarray) -> np.ndarray:
@@ -373,12 +378,11 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
     """Triangulated box grid in R^n (each cube split into n! simplices).
 
     Every unit cell is subdivided along its main diagonal into the n!
-    Kuhn simplices of `kuhn_tops`, so the result is closed under faces and
-    two cells always meet in a common face.  Vertex ids follow row-major
-    lattice order.  The tops are one integer array (a cube corner's id plus
-    the running sums of the id strides along one axis permutation) and the
-    faces come from the array closure of `Complex.from_maximal`, so no
-    Python loop runs per simplex.
+    Kuhn simplices of `_kuhn_tops`, so the result is closed under faces and
+    two cells always meet in a common face.  Vertex ids are row-major
+    lattice ranks (`GridInfo.vertex_at`).  The tops are one integer array
+    and the faces come from the array closure of `Complex.from_maximal`,
+    so no Python loop runs per simplex.
     """
     if not (1 <= int(n) <= 4):
         raise InvalidInputError(f"ambient dimension {n} unsupported (need 1..4)")
@@ -389,16 +393,9 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
         raise InvalidInputError("scale must be positive")
 
     shape = tuple(b + 1 for b in box)
-    points = list(itertools.product(*[range(s) for s in shape]))
-    lattice = {p: i for i, p in enumerate(points)}
+    points = tuple(itertools.product(*[range(s) for s in shape]))
     coords = float(scale) * np.array(points, dtype=float)
-
-    stride = [math.prod(shape[a + 1:]) for a in range(n)]
-    corners = np.ravel_multi_index(np.indices(box).reshape(n, -1), shape)
-    paths = np.array([np.cumsum([0] + [stride[a] for a in perm])
-                      for perm in itertools.permutations(range(n))])
-    tops = (corners[:, None, None] + paths).reshape(-1, n + 1)
+    tops, _ = _kuhn_tops(shape, (0,) * n, box)
     K = Complex._from_rows(_closure_rows([tops]), coords)
-    K.grid = GridInfo(box=box, scale=float(scale), lattice=lattice,
-                      points=tuple(points))
+    K.grid = GridInfo(box=box, scale=float(scale), points=points)
     return K

@@ -1,16 +1,17 @@
 """Per-simplex Python loops kept as references for the array code.
 
-`spanmin` builds grid complexes, face closures, face volumes, generated
-face sets, lattice-box face sets, constraint contact sets, the dual graph
-and each vertex's top simplex with integer-array code; these are the plain
-loops it must agree with, table for table and bit for bit.  The dense
-boundary matrix is the `np.linalg.matrix_rank` oracle of the homology
-tests, and `cofacets` serves the whole-box oracles of `relative_cochains`.
+`spanmin` builds grid complexes (and a loop's sub-box) from Kuhn top
+arrays, and face closures, face volumes, generated face sets, lattice-box
+face sets, constraint contact sets, the dual graph and each simplex's top
+with integer-array code; these are the plain loops it must agree with,
+table for table and bit for bit.  The dense boundary matrix is the
+`np.linalg.matrix_rank` oracle of the homology tests, and `cofacets`
+serves the whole-box oracles of `relative_cochains`.
 """
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,9 +70,34 @@ def contact_free_by_scan(K: Complex, d: int, faces: Sequence[int],
     points or items (points off the lattice are skipped)."""
     touched = set()
     for c in constraints:
-        pts = list(c.points) + [q for term, _ in c.items for q in term]
-        touched.update(K.grid.lattice[p] for p in pts if p in K.grid.lattice)
+        for p in list(c.points) + [q for term, _ in c.items for q in term]:
+            try:
+                touched.add(K.grid.vertex_at(p))
+            except InvalidInputError:
+                pass
     return tuple(f for f in faces if touched.isdisjoint(K.simplex(d, f)))
+
+
+def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],
+              hi: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...],
+                                                   Tuple[int, ...]]]:
+    """(vertices, axis permutation) per top simplex of the lattice cubes
+    with corners in lo..hi: per cube in row-major order, one path from its
+    lower corner per permutation, a unit step along each axis in turn."""
+    for origin in itertools.product(*[range(a, b) for a, b in zip(lo, hi)]):
+        for perm in itertools.permutations(range(len(lo))):
+            p = list(origin)
+            verts = [lattice[tuple(p)]]
+            for axis in perm:
+                p[axis] += 1
+                verts.append(lattice[tuple(p)])
+            yield tuple(verts), perm
+
+
+def first_top_by_scan(tops: Sequence[Sequence[int]],
+                      s: Sequence[int]) -> int:
+    """The first of `tops` holding every vertex of s."""
+    return next(t for t, top in enumerate(tops) if set(s) <= set(top))
 
 
 def cofacets(K: Complex, k: int) -> List[List[int]]:

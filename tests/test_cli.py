@@ -174,6 +174,51 @@ def test_solve_infeasible_exit_2(problem_file, capsys):
     assert "status: infeasible" in out
 
 
+SLAB = """\
+n 3
+d 2
+box 3 3 3
+init faces
+constraint point-pair 0 1 1 ; 3 1 1
+region {}
+budget 5
+"""
+
+
+def test_solve_starts_from_a_spanning_region_pool(problem_file, capsys):
+    # the empty initial set does not span; the 138-face pool of the slab
+    # 1 <= x0 <= 2 does (it holds the plane x0 = 1, of area 9), so the
+    # local search starts from the whole pool, of area 80.18
+    code, out, err = run_cli(capsys, ["solve", "--input", problem_file(
+        SLAB.format("1 0 0 ; 2 3 3"))])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines()[5:] == [
+        "status: ok", "objective: 73.1126983722", "faces: " + (
+        "120 121 123 124 127 128 132 133 135 136 139 140 142 143 144 "
+        "145 146 147 148 149 150 151 152 153 154 155 156 157 158 159 "
+        "160 161 162 163 164 165 166 167 168 169 170 171 172 173 174 "
+        "175 176 177 178 179 180 181 182 183 184 185 186 187 188 189 "
+        "190 191 192 193 194 195 196 197 198 199 200 201 202 203 204 "
+        "205 206 207 208 209 210 211 212 213 214 215 216 217 218 219 "
+        "220 221 222 223 224 225 226 227 228 229 230 231 232 233 234 "
+        "235 236 237 238 239 240 243 252 255 264 267 278 281 290 293 "
+        "302 305 316 319 328 331 340 343"),
+        "certificate_lower_bound: None", "certificate_method: local",
+        "evaluations: 5"]
+
+
+def test_solve_infeasible_when_neither_init_nor_pool_spans(problem_file,
+                                                          capsys):
+    # the 138-face slab 2 <= x1 <= 3 misses the pair's line and does not
+    # separate it
+    code, out, _ = run_cli(capsys, ["solve", "--input", problem_file(
+        SLAB.format("0 2 0 ; 3 3 3"))])
+    assert code == 2
+    assert strip_time(out).splitlines()[5:] == [
+        "status: infeasible",
+        "detail: initial face set violates the constraints"]
+
+
 def test_lemmas_orthogonal(problem_file, capsys):
     code, out, _ = run_cli(capsys, ["lemmas", "--pair", "orthogonal",
                                     "--samples", "5000", "--seed", "3"])

@@ -13,12 +13,13 @@ from spanmin import (Chain, Complex, ConstraintCycle, FaceSet,
                      free_collapse_candidates, homology_group,
                      is_null_homologous, is_spanning, minimize_local,
                      realize_constraint, spanning_check, spanning_predicate)
-from spanmin.complement import (ComplementModel, _dual_graph, _resolve,
-                                _support_vertices)
+from spanmin.complement import (ComplementModel, _dual_graph, _first_top,
+                                _realize_raw, _resolve, _support_vertices)
+from spanmin.complexes import _kuhn_tops
 from spanmin.problems import generate_faceset, linking_loops
 
 from loop_oracles import (dual_graph_by_cofacets, faces_in_box_by_scan,
-                          top_by_walk, touching_by_scan)
+                          first_top_by_scan, top_by_walk, touching_by_scan)
 
 
 def separating_row(K):
@@ -389,6 +390,25 @@ def test_deg1_fast_path_matches_full_complex_oracle(case):
                 assert boundary(witness) == chain
             verdicts.add(fast)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("case", sorted(DEG1_CASES))
+def test_first_top_matches_a_scan_on_the_loops(case):
+    # the top rule of `_resolve` and `_cobound`, on the whole box and on
+    # each loop's sub-box (its vertices grown by one and clipped to the
+    # box), for every vertex and edge of the loop
+    box, _, _, linked, _ = DEG1_CASES[case]
+    K = build_grid_complex(len(box), list(box))
+    for loop in linked:
+        edges = list(_realize_raw(loop, K))
+        at = list(zip(*(K.grid.points[v] for e in edges for v in e)))
+        lo = [max(min(c) - 1, 0) for c in at]
+        hi = [min(max(c) + 1, b) for c, b in zip(at, box)]
+        sub, _ = _kuhn_tops([b + 1 for b in box], lo, hi)
+        for tops in (K.rows(K.dim), sub):
+            rows = tops.tolist()
+            for s in edges + [(v,) for e in edges for v in e]:
+                assert _first_top(tops, s) == first_top_by_scan(rows, s)
 
 
 HOMOLOGY_CASES = [((3, 3), 0), ((3, 3), 1), ((2, 2, 2), 1), ((2, 2, 2), 2),

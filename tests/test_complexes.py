@@ -9,10 +9,10 @@ import pytest
 
 from spanmin import (Chain, Complex, FaceSet, InvalidInputError, boundary,
                      build_grid_complex, faceset_to_chain)
-from spanmin.complexes import (GridInfo, _unique_rows, canonical_vertices,
-                               kuhn_tops)
+from spanmin.complexes import (GridInfo, _kuhn_tops, _unique_rows,
+                               canonical_vertices)
 
-from loop_oracles import boundary_matrix, closure_by_sets
+from loop_oracles import boundary_matrix, closure_by_sets, kuhn_tops
 
 
 # -- canonicalization --------------------------------------------------------
@@ -128,9 +128,55 @@ def test_grid_build_matches_the_closure_of_kuhn_tops(n, box):
     coords = 0.37 * np.array(points, dtype=float)
     same_complex(K, Complex.from_maximal(tops, coords))
     same_complex(K, closure_by_sets(tops, coords))
-    assert K.grid == GridInfo(box=box, scale=0.37, lattice=lattice,
-                              points=tuple(points))
+    assert K.grid == GridInfo(box=box, scale=0.37, points=tuple(points))
     assert all(type(v) is int for s in K.simplices(n) for v in s)
+
+
+@pytest.mark.parametrize("n,box", GRID_BOXES)
+def test_vertex_at_is_the_row_major_rank(n, box):
+    grid = build_grid_complex(n, box).grid
+    points = list(grid.points)
+    assert [grid.vertex_at(p) for p in points] == [
+        points.index(p) for p in points]
+    for a in range(n):
+        for c in (-1, box[a] + 1):
+            p = [0] * n
+            p[a] = c
+            with pytest.raises(InvalidInputError, match="outside the box"):
+                grid.vertex_at(p)
+    for p in ((0,) * (n - 1), (0,) * (n + 1)):
+        with pytest.raises(InvalidInputError, match="outside the box"):
+            grid.vertex_at(p)
+
+
+KUHN_SUB_BOXES = [
+    # (box, lo, hi): the cubes with lower corners in lo..hi-1, among them
+    # width-1 axes and sub-boxes against the far walls
+    ((5,), (0,), (5,)), ((5,), (4,), (5,)), ((5,), (2,), (3,)),
+    ((3, 2), (1, 0), (3, 2)), ((4, 4), (3, 0), (4, 4)),
+    ((1, 4), (0, 3), (1, 4)), ((2, 2, 2), (0, 0, 0), (2, 2, 2)),
+    ((3, 2, 3), (1, 1, 0), (3, 2, 3)), ((4, 3, 2), (3, 0, 1), (4, 3, 2)),
+    ((2, 2, 2, 2), (1, 0, 1, 0), (2, 2, 2, 2)),
+    ((3, 1, 2, 2), (2, 0, 0, 1), (3, 1, 2, 2)),
+    ((4, 4, 4, 4), (0, 3, 1, 2), (2, 4, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("box,lo,hi", KUHN_SUB_BOXES)
+def test_kuhn_tops_match_the_oracle_rows_and_signs(box, lo, hi):
+    shape = tuple(b + 1 for b in box)
+    points = list(itertools.product(*[range(s) for s in shape]))
+    lattice = {p: i for i, p in enumerate(points)}
+    rows, signs = _kuhn_tops(shape, lo, hi)
+    expected = list(kuhn_tops(lattice, lo, hi))
+    assert len(expected) == math.factorial(len(box)) * math.prod(
+        b - a for a, b in zip(lo, hi))
+    assert rows.tolist() == [list(t) for t, _ in expected]
+    assert signs.tolist() == [canonical_vertices(p)[1] for _, p in expected]
+    at = np.array(points)
+    for top, sign in zip(rows, signs):
+        edges = at[top[1:]] - at[top[0]]
+        assert np.sign(np.linalg.det(edges)) == sign
 
 
 def test_from_maximal_matches_the_set_closure_on_random_complexes():
