@@ -13,14 +13,14 @@ the box.
 A constraint is resolved once per complex and face dimension d into a
 chain on K (a point pair p, q is the 0-cycle q - p), the d-faces holding
 a vertex of its cycle, and what its degree needs; one decision,
-`_reason`, then answers every face set, for `ComplementModel.check` and
-`spanning_predicate` alike.  A 0-cycle bounds when its coefficients sum
-to 0 on each component: for d < n-1 the complement is connected, and
-for d = n-1 early-exit searches on the dual graph of K (top simplices
-joined across (n-1)-faces outside F) group its vertices.  A 1-cycle
-pushed onto dual paths near it gives a cocycle z = delta(y) of (K, dK);
-it bounds in the complement of |F| exactly when y restricted to cl F is a
-coboundary of (cl F, cl F n dK).
+`_reason`, then answers every face set for `ComplementModel.check`, and
+`spanning_predicate` makes it on the subsets of a pool.  A 0-cycle
+bounds when its coefficients sum to 0 on each component: for d < n-1
+the complement is connected, and for d = n-1 one flood of the dual graph
+of K (top simplices joined across (n-1)-faces outside F) labels its
+vertices by component.  A 1-cycle pushed onto dual paths near it gives a
+cocycle z = delta(y) of (K, dK); it bounds in the complement of |F|
+exactly when y restricted to cl F is a coboundary of (cl F, cl F n dK).
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  It is built only for the
@@ -35,8 +35,8 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Container, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Container, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -130,10 +130,28 @@ def _subdivide_simplex(K: Complex, verts: Tuple[int, ...], coeff: int,
 
 # -- the dual graph ----------------------------------------------------------
 
-def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
-    """The dual graph of K, cached per complex: per top simplex, (facet,
-    top across it) for each interior facet, sorted by facet id; a facet of
-    several tops joins the lowest to each other one.
+class _Dual(NamedTuple):
+    """A graph as flat lists: node t's edges are the slots
+    start[t]:start[t+1] of `facet`, the facet an edge crosses, and `top`,
+    the node across it, ordered by (facet, top)."""
+
+    start: List[int]
+    facet: List[int]
+    top: List[int]
+
+
+def _flat_graph(owner: np.ndarray, facet: np.ndarray, across: np.ndarray,
+                n: int) -> _Dual:
+    """The `_Dual` of n nodes with one slot per (owner, facet, across)."""
+    order = np.lexsort((across, facet, owner))
+    start = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+    return _Dual(start.tolist(), facet[order].tolist(), across[order].tolist())
+
+
+def _dual_graph(K: Complex) -> _Dual:
+    """The dual graph of K, cached per complex: top simplices as nodes, one
+    edge per interior facet; a facet of several tops joins the lowest to
+    each other one.
 
     In a triangulated box the open star of a simplex outside cl F is a
     connected set that misses |F| and meets every top simplex containing
@@ -147,8 +165,8 @@ def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
     One pass over the tops' facets: a facet's id is the rank of its row
     among the (n-1)-face rows, and a stable sort by id groups its tops.
     """
-    adj = K.cache.get("dual")
-    if adj is None:
+    dual = K.cache.get("dual")
+    if dual is None:
         n, tops, table = K.dim, K.rows(K.dim), K.rows(K.dim - 1)
         cols = list(itertools.combinations(range(n + 1), n))
         facet = _row_ranks(np.concatenate(
@@ -158,13 +176,10 @@ def _dual_graph(K: Complex) -> List[List[Tuple[int, int]]]:
         head = np.concatenate(([True], facet[1:] != facet[:-1]))
         low = top[np.flatnonzero(head)[np.cumsum(head) - 1]][~head]
         facet, top = np.tile(facet[~head], 2), top[~head]
-        owner, across = np.concatenate([low, top]), np.concatenate([top, low])
-        order = np.lexsort((across, facet, owner))
-        pairs = list(zip(facet[order].tolist(), across[order].tolist()))
-        ends = np.cumsum(np.bincount(owner, minlength=len(tops))).tolist()
-        adj = [pairs[i:j] for i, j in zip([0] + ends[:-1], ends)]
-        K.cache["dual"] = adj
-    return adj
+        dual = K.cache["dual"] = _flat_graph(
+            np.concatenate([low, top]), facet, np.concatenate([top, low]),
+            len(tops))
+    return dual
 
 
 def _first_top(tops: np.ndarray, s: Sequence[int]) -> int:
@@ -175,22 +190,42 @@ def _first_top(tops: np.ndarray, s: Sequence[int]) -> int:
     return int(np.argmax(held))
 
 
-def _reachable(adj: List[List[Tuple[int, int]]], t0: int, t1: int,
-               cut: Container[int]) -> bool:
-    """True iff a dual-graph path joins tops t0 and t1 without crossing a
-    facet in `cut` (depth first, stopping at t1)."""
-    if t0 == t1:
-        return True
-    seen = {t0}
-    stack = [t0]
-    while stack:
-        for f, u in adj[stack.pop()]:
-            if u not in seen and f not in cut:
-                if u == t1:
-                    return True
-                seen.add(u)
-                stack.append(u)
-    return False
+def _flood(graph: _Dual, cut: Container[int], seeds: Sequence[int]
+           ) -> List[int]:
+    """Component labels of the `seeds` in `graph` less its edges across
+    the facets in `cut`: two seeds share a label exactly when a path joins
+    them.  Each label is one depth-first flood from the first seed still
+    unlabelled, and the search stops as soon as every seed has a label."""
+    start, facet, top = graph
+    label: Dict[int, int] = {}
+    left = set(seeds)
+    n = 0
+    for s in seeds:
+        if s in label:
+            continue
+        label[s] = n
+        left.discard(s)
+        stack = [s]
+        while stack and left:
+            t = stack.pop()
+            for i in range(start[t], start[t + 1]):
+                u = top[i]
+                if u not in label and facet[i] not in cut:
+                    label[u] = n
+                    left.discard(u)
+                    stack.append(u)
+        n += 1
+    return [label[s] for s in seeds]
+
+
+def _unbalanced(coeffs: Sequence[int], labels: Sequence[int]) -> bool:
+    """True iff the coefficients summed per label are not all 0: a
+    0-cycle with these coefficients at points of the labelled components
+    does not bound."""
+    sums: Dict[int, int] = {}
+    for c, label in zip(coeffs, labels):
+        sums[label] = sums.get(label, 0) + c
+    return any(sums.values())
 
 
 # -- relative cochains ------------------------------------------------------
@@ -487,7 +522,7 @@ class _Resolved:
     chain: Optional[Dict[Tuple[int, ...], int]]
     touching: FrozenSet[int]
     tops: Tuple[Tuple[int, int], ...] = ()
-    dual: Optional[List[List[Tuple[int, int]]]] = None
+    dual: Optional[_Dual] = None
     y: Optional[Dict[int, int]] = None
 
 
@@ -597,33 +632,22 @@ def _reason(rec: _Resolved, faces: Tuple[int, ...],
     only.
 
     A 0-cycle bounds when its coefficients sum to 0 on every component of
-    the complement: for d < n-1 it is connected, and for d = n-1 the tops
-    of the cycle's vertices are grouped by dual-graph searches that cross
-    no face of F.  For a 1-cycle, the solutions of delta(y') = z on
-    (K, dK) are y + delta(w), as H^{n-2}(K, dK) = 0, so z = delta(y') with
-    y' = 0 on cl F u dK (the cycle bounds in the complement) exactly when
-    y|cl F = delta(w|cl F), one small solve on cl F.  Higher degrees are
-    solved on the subdivision.
+    the complement: for d < n-1 it is connected, and for d = n-1 one
+    `_flood` of the dual graph less the faces of F labels the tops of the
+    cycle's vertices by component.  For a 1-cycle, the solutions of
+    delta(y') = z on (K, dK) are y + delta(w), as H^{n-2}(K, dK) = 0, so
+    z = delta(y') with y' = 0 on cl F u dK (the cycle bounds in the
+    complement) exactly when y|cl F = delta(w|cl F), one small solve on
+    cl F.  Higher degrees are solved on the subdivision.
     """
     if rec.chain is None or not rec.touching.isdisjoint(faces):
         return "contact"
     if not rec.chain:
         return "degenerate"
     if rec.tops:
-        # the component of the first pending top: its coefficient sum
-        adj, cut, pending = rec.dual, set(faces), rec.tops
-        while pending:
-            (t, total), rest = pending[0], []
-            for u, c in pending[1:]:
-                if _reachable(adj, u, t, cut):
-                    total += c
-                else:
-                    rest.append((u, c))
-            if total:
-                return "nontrivial"
-            pending = rest
-        return "null-homologous"
-    if rec.spec.degree == 0:
+        tops, coeffs = zip(*rec.tops)
+        null = not _unbalanced(coeffs, _flood(rec.dual, set(faces), tops))
+    elif rec.spec.degree == 0:
         null = not sum(rec.chain.values())
     elif rec.spec.degree == 1:
         K, A = model.K, model._relative
@@ -685,36 +709,94 @@ def spanning_check(K: Complex, F: FaceSet,
 
 def is_spanning(K: Complex, F: FaceSet,
                 constraints: Sequence[ConstraintCycle]) -> bool:
-    """True iff F passes every constraint (see `spanning_predicate`)."""
+    """True iff F passes every constraint: `spanning_predicate` over the
+    faces of F, with every bit set."""
     if F.complex is not K:
         raise PreconditionError("face set belongs to a different complex")
-    return spanning_predicate(K, constraints, F.dim)(F.faces)
+    spans = spanning_predicate(K, constraints, F.dim, F.faces)
+    return spans((1 << len(F.faces)) - 1)
 
 
 def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
-                       d: int) -> Callable[[Tuple[int, ...]], bool]:
-    """`is_spanning` for d-face sets of K, as a function of the face tuple.
+                       d: int, pool: Sequence[int]
+                       ) -> Callable[[int], bool]:
+    """`is_spanning` for the subsets of `pool`, distinct d-faces of K, as a
+    function of a bitmask over pool positions (bit p stands for pool[p]).
 
-    Built once per solve: each constraint is resolved once per complex
-    and d (`_resolve`), and a call decides the face tuple by `_reason`, the
-    decision `ComplementModel.check` makes.  Degree-0 constraints go first
-    and build no face set or model; one `ComplementModel` is built per
-    call only when they all pass and a constraint of degree >= 1 is left.
+    Built once per solve, from each constraint resolved once per complex
+    and d (`_resolve`).  The pool faces in a constraint's contact set make
+    one mask, and a cycle that is not one of K, the zero chain, or a
+    0-cycle whose coefficients sum to 0 below codimension 1 fails every
+    state.  For d = n-1 the 0-cycles are decided on the dual graph
+    contracted along the facets off the pool: one `_flood` with the pool
+    as its cut labels the tops of the cycles and of the pool facets, and
+    the complement of a state is the small graph on those labels whose
+    edges are the pool facets outside the state.  A call floods that graph
+    from the cycles' labels, with no face tuple built; the verdict depends
+    only on the state's bits at the small graph's edges, and is kept per
+    pattern of them for the calls to come.  One face tuple
+    and `ComplementModel` are built per call only when the 0-cycles pass
+    and a constraint of degree >= 1 is left, decided by `_reason`, the
+    decision `ComplementModel.check` makes.
     """
     if not 0 <= d < K.dim:
         raise InvalidInputError(
             f"face dimension {d} must lie strictly below {K.dim}")
     resolved = [_resolve(K, c, d) for c in constraints]
-    deg0 = [rec for rec in resolved if rec.spec.degree == 0]
     rest = [rec for rec in resolved if rec.spec.degree > 0]
     max_dim = max([c.degree for c in constraints] or [0]) + 1
+    pool = tuple(pool)
+    touched = set().union(*(rec.touching for rec in resolved))
+    contact = sum(1 << p for p, f in enumerate(pool) if f in touched)
+    never = any(not rec.chain or (not rec.tops and rec.spec.degree == 0
+                                  and not sum(rec.chain.values()))
+                for rec in resolved)
+    # the 0-cycles decided on the dual graph, by their (top, coefficient)
+    # terms; per cycle, its coefficients and the slice of `nodes` holding
+    # the small graph's nodes of its tops
+    terms = [rec.tops for rec in resolved if rec.tops]
+    cycles: List[Tuple[int, int, List[int]]] = []
+    # their verdicts per pattern of the state's bits at the small graph's
+    # edges, the only bits they read
+    edges, separated = 0, {}
+    if terms and not never:
+        dual, at = _dual_graph(K), {f: p for p, f in enumerate(pool)}
+        slots = np.flatnonzero(np.isin(dual.facet, pool)).tolist()
+        owner = (np.searchsorted(dual.start, slots, side="right") - 1).tolist()
+        seeds = [t for tops in terms for t, _ in tops] + owner
+        node = dict(zip(seeds, _flood(dual, at, seeds)))
+        # the small graph crosses pool positions, not facet ids; a pool
+        # facet with both sides in one node never separates anything
+        ends = np.array([(node[t], at[dual.facet[i]], node[dual.top[i]])
+                         for t, i in zip(owner, slots)],
+                        dtype=np.int64).reshape(-1, 3)
+        ends = ends[ends[:, 0] != ends[:, 2]]
+        small = _flat_graph(ends[:, 0], ends[:, 1], ends[:, 2],
+                            max(node.values()) + 1)
+        nodes = [node[t] for tops in terms for t, _ in tops]
+        for tops in terms:
+            i = cycles[-1][1] if cycles else 0
+            cycles.append((i, i + len(tops), [c for _, c in tops]))
+        edges = sum(1 << p for p in set(small.facet))
 
-    def spans(faces: Tuple[int, ...]) -> bool:
-        for rec in deg0:
-            if _reason(rec, faces, None) != "nontrivial":
+    def positions(state: int) -> List[int]:
+        return [p for p, bit in enumerate(bin(state)[:1:-1]) if bit == "1"]
+
+    def spans(state: int) -> bool:
+        if never or state & contact:
+            return False
+        if cycles:
+            key = state & edges
+            hit = separated.get(key)
+            if hit is None:
+                labels = _flood(small, set(positions(key)), nodes)
+                hit = separated[key] = all(
+                    _unbalanced(coeffs, labels[i:j]) for i, j, coeffs in cycles)
+            if not hit:
                 return False
         if not rest:
             return True
+        faces = tuple(pool[p] for p in positions(state))
         model = ComplementModel(K, FaceSet(K, d, faces), max_dim)
         return all(_reason(rec, faces, model) == "nontrivial" for rec in rest)
 

@@ -109,10 +109,12 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
 
     Subsets are popped from a heap in (cost, lexicographic face tuple) order;
     the first feasible subset is the global optimum with deterministic ties.
-    Candidates are decided on face tuples by one `spanning_predicate` built
-    for the solve.  The search runs over P0, the pool faces outside the
-    `touching` sets that predicate resolved (`_resolve`): any other face
-    puts a cycle in contact, so it is in no feasible set.  Adding faces
+    The search runs over P0, the pool faces outside the constraints'
+    `touching` sets (`_resolve`): any other face puts a cycle in contact,
+    so it is in no feasible set.  A heap entry carries its subset's
+    bitmask over P0 after the face tuple (tuples are distinct, so the mask
+    never decides the order), and one `spanning_predicate` over P0, built
+    for the solve, decides the mask.  Adding faces
     only shrinks the complement, so when P0 itself does not span, no subset
     does; that one check (not counted in `evaluations`) then raises
     InfeasibleError.  A pool from another complex raises PreconditionError,
@@ -126,31 +128,32 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
             f"pool of {len(candidate_pool.faces)} faces exceeds the cap of "
             f"{EXHAUSTIVE_POOL_CAP}; use minimize_local")
     d = candidate_pool.dim
-    spans = spanning_predicate(K, constraints, d)
     touched = set().union(*(_resolve(K, c, d).touching for c in constraints))
     pool = [f for f in candidate_pool.faces if f not in touched]
+    spans = spanning_predicate(K, constraints, d, pool)
     if not is_spanning(K, FaceSet(K, d, tuple(pool)), constraints):
         raise InfeasibleError(
             "no subset of the candidate pool satisfies the constraints")
     vols = _face_volumes(K, d)
     costs = [float(weight.at(f) * vols[f]) for f in pool]
 
-    heap: List[Tuple[float, Tuple[int, ...], int]] = [(0.0, (), -1)]
+    heap: List[Tuple[float, Tuple[int, ...], int, int]] = [(0.0, (), 0, -1)]
     evaluations = 0
     while heap:
-        cost, faces, last = heapq.heappop(heap)
+        cost, faces, mask, last = heapq.heappop(heap)
         evaluations += 1
         if evaluations > EXHAUSTIVE_EVALUATION_CAP:
             raise PoolTooLargeError(
                 f"exhaustive search passed {EXHAUSTIVE_EVALUATION_CAP} "
                 f"evaluations; use minimize_local")
-        if spans(faces):
+        if spans(mask):
             return SolveResult(faces=FaceSet(K, d, faces), objective=cost,
                                certificate={"method": "exhaustive",
                                             "lower_bound": cost},
                                evaluations=evaluations, accepted=0, seed=None)
         for j in range(last + 1, len(pool)):
-            heapq.heappush(heap, (cost + costs[j], faces + (pool[j],), j))
+            heapq.heappush(heap, (cost + costs[j], faces + (pool[j],),
+                                  mask | 1 << j, j))
     raise InfeasibleError("no subset of the candidate pool satisfies the constraints")
 
 
@@ -182,14 +185,14 @@ def _move_table(costs: Sequence[float], movable: Sequence[bool]) -> _MoveTable:
     return _MoveTable(first, second, sums, mov[first] & mov[second])
 
 
-def _exchange_moves(table: _MoveTable, state: int) -> List[List[int]]:
+def _exchange_moves(table: _MoveTable, state: int) -> List[int]:
     """All strictly improving exchanges with at most two faces each way.
 
     `state` is a bitmask over pool positions.  Removal rows are removable
     rows inside the state, addition rows the empty set and the rows outside
-    it.  Returns moves [removed first, removed second, added first, added
-    second] of pool positions, ordered by (delta, removed, added) so the
-    descent is deterministic.
+    it.  Returns one int code per move, removal row * len(table.first) +
+    addition row, ordered by (delta, removed, added) so the descent is
+    deterministic; a caller decodes only the moves it tries.
     """
     first, second, sums, removable = table
     size = int(first[0]) + 1  # pool positions and the sentinel
@@ -200,13 +203,12 @@ def _exchange_moves(table: _MoveTable, state: int) -> List[List[int]]:
     rem = np.flatnonzero(a & b & removable)
     add = np.flatnonzero(~(a | b))
     delta = sums[add] - sums[rem][:, None]
-    # row-major nonzero lists (removed, added) in table order, so a stable
-    # sort on delta alone gives (delta, removed, added)
-    ri, ai = np.nonzero(delta < -1e-12)
-    order = np.argsort(delta[ri, ai], kind="stable")
-    rem, add = rem[ri[order]], add[ai[order]]
-    return np.array((first[rem], second[rem], first[add],
-                     second[add])).T.tolist()
+    # flat indices into delta run row-major, (removed, added) in table
+    # order, so a stable sort on delta alone gives (delta, removed, added)
+    flat = np.flatnonzero(delta < -1e-12)
+    flat = flat[np.argsort(delta.ravel()[flat], kind="stable")]
+    return (rem[flat // len(add)] * len(first)
+            + add[flat % len(add)]).tolist()
 
 
 def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
@@ -228,9 +230,12 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     seed.  With a region, pool faces outside it are dropped and init faces
     outside it are never removed.
 
-    One move table over the sorted pool is built per solve, states are
-    bitmasks over pool positions, and verdicts are cached by state; a face
-    tuple is built only for a `spanning_predicate` call and the result.
+    One move table over the sorted pool and one `spanning_predicate` over
+    it are built per solve.  States are bitmasks over pool positions,
+    verdicts are cached by state, and the predicate decides a state with
+    no face tuple for degree-0 constraints; a face tuple is built for the
+    result.  A step's moves are flat codes (`_exchange_moves`), decoded
+    into table rows only when tried.
     """
     if not is_spanning(K, init, constraints):
         raise PreconditionError("initial face set violates the constraints")
@@ -251,21 +256,17 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     vols = _face_volumes(K, d)
     costs = [float(weight.at(f) * vols[f]) for f in pool_faces]
     table = _move_table(costs, movable)
+    # the table as Python lists, to decode the moves tried; a value moves
+    # by the table's sums, so it matches the moves' order bit for bit
+    first, second, sums = (table.first.tolist(), table.second.tolist(),
+                           table.sums.tolist())
     # states are bitmasks over pool positions; position len(pool) is the
     # table's sentinel, with no bit and no cost
     bits = [1 << p for p in range(len(pool_faces))] + [0]
-    padded = costs + [0.0]
     rng = random.Random(seed)
-
-    def faces_of(state: int) -> Tuple[int, ...]:
-        return tuple(f for f, bit in zip(pool_faces, bits) if state & bit)
 
     def cost_of(state: int) -> float:
         return float(sum(c for c, bit in zip(costs, bits) if state & bit))
-
-    def row_sum(f: int, g: int) -> float:
-        # the table's sums, so deltas match its ordering bit for bit
-        return padded[f] if f == g else padded[f] + padded[g]
 
     init_faces = set(init.faces)
     current = sum(bit for f, bit in zip(pool_faces, bits) if f in init_faces)
@@ -276,12 +277,12 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     accepted = 0
     max_candidates = 4000
     verdicts: Dict[int, bool] = {current: True}
-    spans = spanning_predicate(K, constraints, d)
+    spans = spanning_predicate(K, constraints, d, pool_faces)
 
     def feasible(state: int) -> bool:
         hit = verdicts.get(state)
         if hit is None:
-            hit = verdicts[state] = spans(faces_of(state))
+            hit = verdicts[state] = spans(state)
         return hit
 
     def descend(state, value, shuffled=False):
@@ -290,24 +291,26 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
         nonlocal evaluations
         while evaluations < budget:
             moves = _exchange_moves(table, state)
-            order = list(range(len(moves)))
-            if len(order) > max_candidates:
-                head = order[:max_candidates // 2]
-                tail = rng.sample(order[max_candidates // 2:],
-                                  max_candidates - len(head))
-                order = sorted(head + tail)
+            if len(moves) > max_candidates:
+                # the first half and a sample of the rest, in order; the
+                # indices are drawn from a range as from a list of them
+                half = max_candidates // 2
+                tail = rng.sample(range(half, len(moves)),
+                                  max_candidates - half)
+                moves = moves[:half] + [moves[i] for i in sorted(tail)]
             progressed = False
-            for k in range(len(order)):
+            for k in range(len(moves)):
                 if shuffled:
                     # partial Fisher-Yates: draw only the moves tried
-                    j = rng.randrange(k, len(order))
-                    order[k], order[j] = order[j], order[k]
-                rf, rs, af, ag = moves[order[k]]
+                    j = rng.randrange(k, len(moves))
+                    moves[k], moves[j] = moves[j], moves[k]
+                r, a = divmod(moves[k], len(first))
+                rf, rs, af, ag = first[r], second[r], first[a], second[a]
                 cand = state & ~(bits[rf] | bits[rs]) | bits[af] | bits[ag]
                 evaluations += 1
                 if feasible(cand):
                     state = cand
-                    value += row_sum(af, ag) - row_sum(rf, rs)
+                    value += sums[a] - sums[r]
                     progressed = True
                     break
                 if evaluations >= budget:
@@ -353,7 +356,8 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
         else:
             stall += 1
 
-    return SolveResult(faces=FaceSet(K, d, faces_of(best)),
+    faces = tuple(f for f, bit in zip(pool_faces, bits) if best & bit)
+    return SolveResult(faces=FaceSet(K, d, faces),
                        objective=cost_of(best),
                        certificate={"method": "local", "lower_bound": None},
                        evaluations=evaluations, accepted=accepted, seed=seed,

@@ -4,14 +4,16 @@
 arrays, and face closures, face volumes, generated face sets, lattice-box
 face sets, constraint contact sets, the dual graph and each simplex's top
 with integer-array code; these are the plain loops it must agree with,
-table for table and bit for bit.  The dense boundary matrix is the
+table for table and bit for bit.  `reachable`, one depth-first search
+between two tops, is the reference for the component labels that decide
+point pairs.  The dense boundary matrix is the
 `np.linalg.matrix_rank` oracle of the homology tests, and `cofacets`
 serves the whole-box oracles of `relative_cochains`.
 """
 
 import itertools
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -123,6 +125,48 @@ def dual_graph_by_cofacets(K: Complex) -> List[List[Tuple[int, int]]]:
             adj[tops[0]].append((f, t))
             adj[t].append((f, tops[0]))
     return adj
+
+
+def reachable(adj: List[List[Tuple[int, int]]], t0: int, t1: int,
+              cut: set) -> bool:
+    """True iff a path of the per-top dual graph `adj` joins tops t0 and
+    t1 without crossing a facet in `cut` (depth first, stopping at t1)."""
+    if t0 == t1:
+        return True
+    seen = {t0}
+    stack = [t0]
+    while stack:
+        for f, u in adj[stack.pop()]:
+            if u not in seen and f not in cut:
+                if u == t1:
+                    return True
+                seen.add(u)
+                stack.append(u)
+    return False
+
+
+def pairs_span_by_search(K: Complex, pairs) -> Callable[[tuple], bool]:
+    """`is_spanning` for point pairs on (n-1)-face sets of K, as a function
+    of the face tuple: a pair fails when a point is off the grid or on a
+    face of the set, when its points coincide, and when `reachable` joins
+    tops holding its points on `dual_graph_by_cofacets`."""
+    adj = dual_graph_by_cofacets(K)
+    ends = []
+    for c in pairs:
+        try:
+            u, v = (K.grid.vertex_at(p) for p in c.points)
+        except InvalidInputError:
+            return lambda faces: False
+        ends.append((touching_by_scan(K, K.dim - 1, {u, v}), u == v,
+                     top_by_walk(K, (u,)), top_by_walk(K, (v,))))
+
+    def spans(faces) -> bool:
+        cut = set(faces)
+        return all(touch.isdisjoint(cut) and not same
+                   and not reachable(adj, t0, t1, cut)
+                   for touch, same, t0, t1 in ends)
+
+    return spans
 
 
 def top_by_walk(K: Complex, verts: Tuple[int, ...]) -> int:

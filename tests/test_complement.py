@@ -1,6 +1,7 @@
 """Complement models, constraint realization, spanning and competitor checks."""
 
 import itertools
+import random
 import warnings
 
 import numpy as np
@@ -19,12 +20,27 @@ from spanmin.complexes import _kuhn_tops
 from spanmin.problems import generate_faceset, linking_loops
 
 from loop_oracles import (dual_graph_by_cofacets, faces_in_box_by_scan,
-                          first_top_by_scan, top_by_walk, touching_by_scan)
+                          first_top_by_scan, pairs_span_by_search,
+                          top_by_walk, touching_by_scan)
 
 
 def separating_row(K):
     """All horizontal edges across the middle of a 2D grid box."""
     return generate_faceset("separating-row", K, 1)
+
+
+def pool_spans(K, constraints, F, extra):
+    """`spanning_predicate` on F as the state of a pool of F's faces and
+    `extra` d-faces."""
+    pool = sorted(set(F.faces) | set(extra))
+    state = sum(1 << p for p, f in enumerate(pool) if f in F.faces)
+    return spanning_predicate(K, constraints, F.dim, pool)(state)
+
+
+def per_top(dual):
+    """A flat `_dual_graph` as per-top lists of (facet, top across)."""
+    return [list(zip(dual.facet[a:b], dual.top[a:b]))
+            for a, b in zip(dual.start, dual.start[1:])]
 
 
 def point_pair(box):
@@ -519,7 +535,7 @@ def test_non_cycles_raise_in_every_degree():
         for F in (FaceSet(K, d, ()), FaceSet(K, d, on)):
             for call in (lambda: spanning_check(K, F, [c]),
                          lambda: is_spanning(K, F, [c]),
-                         lambda: spanning_predicate(K, [c], d),
+                         lambda: spanning_predicate(K, [c], d, F.faces),
                          lambda: realize_constraint(
                              c, complement_subcomplex(K, F))):
                 with pytest.raises(RealizationError, match="not a cycle"):
@@ -748,6 +764,8 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
     rng = np.random.default_rng(sum(box) * 10 + d)
     K = build_grid_complex(len(box), list(box))
     points = list(K.grid.points)
+    # the predicate decides F as one state of a pool with more faces
+    every_third = range(0, K.n_simplices(d), 3)
     seen_verdicts = set()
     for trial in range(6):
         n_faces = int(rng.integers(0, size + 1)) if trial else 0
@@ -773,7 +791,7 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
                 for u, v in picks]
         statuses = spanning_check(K, F, cons)
         for (u, v), c, st in zip(picks, cons, statuses):
-            assert spanning_predicate(K, [c], d)(F.faces) == st.passed
+            assert pool_spans(K, [c], F, every_third) == st.passed
             assert is_spanning(K, F, [c]) == st.passed
             if not (good[u] and good[v]):
                 want = "contact"
@@ -794,7 +812,7 @@ def test_dual_graph_deg0_matches_subdivision_oracle(box, d, size):
         assert [s.reason for s in model.check([off])] == ["contact"]
         for mixed in ([cons[0], loop], [loop, cons[-2]], [cons[-2], off]):
             want = all(s.passed for s in model.check(mixed))
-            assert spanning_predicate(K, mixed, d)(F.faces) == want
+            assert pool_spans(K, mixed, F, every_third) == want
             assert is_spanning(K, F, mixed) == want
     assert {"contact", "degenerate", "null-homologous"} <= seen_verdicts
     if d == len(box) - 1:
@@ -1001,6 +1019,8 @@ def test_entry_points_agree(box, d):
     points = K.grid.points
     flat = tuple(i for i, s in enumerate(K.simplices(d))
                  if all(points[v][a] == 1 for v in s for a in range(n - d)))
+    # the predicate decides F as one state of a pool with more faces
+    every_third = range(0, K.n_simplices(d), 3)
     reasons, answers = set(), set()
     for trial in range(6):
         extra = rng.choice(K.n_simplices(d), size=int(rng.integers(0, n)),
@@ -1024,7 +1044,7 @@ def test_entry_points_agree(box, d):
                   for _ in range(2)]
         for sub in lists:
             want = all(s.passed for s in spanning_check(K, F, sub))
-            assert spanning_predicate(K, sub, d)(F.faces) == want
+            assert pool_spans(K, sub, F, every_third) == want
             assert is_spanning(K, F, sub) == want
             answers.add(want)
     assert {"contact", "null-homologous", "nontrivial"} <= reasons
@@ -1052,7 +1072,7 @@ def test_touching_matches_the_scan_of_every_face(box, d):
                                  (2, 2, 1, 3), (3, 3, 3, 3)])
 def test_dual_graph_and_vertex_tops_match_the_cofacet_walk(box):
     K = build_grid_complex(len(box), list(box))
-    assert _dual_graph(K) == dual_graph_by_cofacets(K)
+    assert per_top(_dual_graph(K)) == dual_graph_by_cofacets(K)
     # every vertex as one end of a point pair: its top is the walk's
     n, far = len(box), tuple(box)
     for v, p in enumerate(K.grid.points):
@@ -1070,6 +1090,119 @@ def test_dual_graph_matches_the_cofacets_off_the_grid():
     # triangle that shares no edge has an empty list
     K = Complex.from_maximal([(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 5),
                               (6, 7, 8), (2, 9)], np.zeros((10, 2)))
-    adj = _dual_graph(K)
+    adj = per_top(_dual_graph(K))
     assert adj == dual_graph_by_cofacets(K)
     assert adj[0] == [(0, 1), (0, 2), (4, 3)] and adj[4] == []
+
+
+# -- the pool predicate against one search per pair ---------------------------
+
+def link_faces(K, p):
+    """The (n-1)-faces opposite the vertex at p in the tops holding it: a
+    set of them all separates p from the rest of the box."""
+    v = K.grid.vertex_at(p)
+    return sorted(K.index(tuple(w for w in top if w != v))
+                  for top in K.simplices(K.dim) if v in top)
+
+
+def face_at(K, d, pts):
+    return K.index(tuple(sorted(K.grid.vertex_at(p) for p in pts)))
+
+
+def sampled_states(n, count, rng, avoid):
+    """None, all, all but one per position, and `count` seeded masks of
+    random density, every other one without the positions in `avoid`."""
+    full = (1 << n) - 1
+    states = [0, full] + [full & ~(1 << p) for p in range(n)]
+    for k in range(count):
+        q = rng.random()
+        states.append(sum(1 << p for p in range(n)
+                          if rng.random() < q and not (k % 2 and p in avoid)))
+    return states
+
+
+def pool_cases():
+    rng = random.Random(19)
+    cases = []
+    # 4x4: the criterion-4 pair with the middle row, a contact edge at
+    # (2, 0), a boundary edge and random band edges; up to three pairs on
+    # the edges cutting off (2, 2), (0, 0) and (0, 4), two of the middle
+    # row and random interior edges, in shuffled order
+    K = build_grid_complex(2, [4, 4])
+    pts = K.grid.points
+    row = [i for i, s in enumerate(K.simplices(1))
+           if all(pts[v][1] == 2 for v in s)]
+    band = [i for i in Region((0, 1), (4, 3)).faces(K, 1) if i not in row]
+    pair = pp((2, 0), (2, 4))
+    pool = row + [face_at(K, 1, [(2, 0), (3, 0)]),
+                  face_at(K, 1, [(0, 3), (0, 4)])] + rng.sample(band, 6)
+    cases.append(("4x4-row", K, [pair], [], pool))
+    hexagon = link_faces(K, (2, 2))
+    assert len(hexagon) == 6
+    inner = [i for i in Region((1, 1), (3, 3)).faces(K, 1)
+             if i not in hexagon]
+    corners = link_faces(K, (0, 0)) + link_faces(K, (0, 4))
+    assert len(corners) == 3
+    pairs = [pp((2, 2), (4, 4)), pp((0, 0), (4, 0)), pp((0, 4), (2, 2))]
+    for k in (1, 2, 3):
+        pool = hexagon + corners + row[:1] + rng.sample(inner, 2)
+        rng.shuffle(pool)
+        cases.append((f"4x4-{k}-pairs", K, pairs[:k], [], pool))
+    # a degenerate pair fails every state
+    cases.append(("4x4-degenerate", K, [pairs[0], pp((1, 1), (1, 1))], [],
+                  hexagon + row[:4]))
+    # a loop alongside: the outline of the box links every nonempty set
+    # of interior edges and touches an edge at (0, 2); a face set must
+    # also cut (2, 2) off
+    outline = rectangle_loop((0, 1), (0, 0), (4, 4), (0, 0))
+    cases.append(("4x4-loop", K, [pairs[0]], [outline],
+                  hexagon + [face_at(K, 1, [(0, 2), (1, 2)])]
+                  + rng.sample(inner, 3)))
+    # 3^3, d = 2: the six triangles cutting the corner off, a contact
+    # triangle at the far corner, a boundary triangle and random ones
+    K = build_grid_complex(3, [3, 3, 3])
+    corner = link_faces(K, (0, 0, 0))
+    far = face_at(K, 2, [(3, 3, 3), (2, 3, 3), (2, 2, 3)])
+    wall = face_at(K, 2, [(3, 0, 0), (3, 1, 0), (3, 1, 1)])
+    rest = [i for i in range(K.n_simplices(2))
+            if i not in corner + [far, wall]]
+    pool = corner + [far, wall] + rng.sample(rest, 4)
+    cases.append(("3^3-corner", K, [pp((0, 0, 0), (3, 3, 3))], [], pool))
+    cases.append(("3^3-two-pairs", K, [pp((0, 0, 0), (3, 3, 3)),
+                                       pp((0, 0, 0), (3, 0, 0))], [], pool))
+    # every edge of a 3x3 box, on sampled states
+    K = build_grid_complex(2, [3, 3])
+    cases.append(("3x3-every-edge", K, [pp((1, 0), (2, 3)),
+                                        pp((0, 0), (3, 3))], [],
+                  list(range(K.n_simplices(1)))))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+def pp(p, q):
+    return ConstraintCycle(kind="point-pair", points=(p, q))
+
+
+@pytest.mark.parametrize("name,K,pairs,loops,pool", pool_cases())
+def test_pool_predicate_matches_the_search_oracle(name, K, pairs, loops,
+                                                  pool):
+    # every state of a pool of at most 12 faces (sampled above that): the
+    # predicate's flood of the contracted graph against one search per
+    # pair on the whole dual graph, and `check` for the loop
+    d = K.dim - 1
+    spans = spanning_predicate(K, pairs + loops, d, pool)
+    by_search = pairs_span_by_search(K, pairs)
+    points = {K.grid.vertex_at(p) for c in pairs for p in c.points}
+    contact = touching_by_scan(K, d, points)
+    states = (range(1 << len(pool)) if len(pool) <= 12 else sampled_states(
+        len(pool), 1500, random.Random(len(pool)),
+        {p for p, f in enumerate(pool) if f in contact}))
+    seen = set()
+    for state in states:
+        faces = tuple(f for p, f in enumerate(pool) if state >> p & 1)
+        want = by_search(faces)
+        if want and loops:
+            model = ComplementModel(K, FaceSet(K, d, faces), max_dim=2)
+            want = all(s.passed for s in model.check(loops))
+        assert spans(state) == want, (name, faces)
+        seen.add(want)
+    assert seen == ({False} if "degenerate" in name else {True, False})

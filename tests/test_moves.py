@@ -41,10 +41,18 @@ def improving(moves):
     return [m for m in moves if m[0] < -1e-12]
 
 
+def decode(table, code):
+    """A move code of `_exchange_moves` as [removed first, removed second,
+    added first, added second] pool positions."""
+    r, a = divmod(code, len(table.first))
+    return [int(table.first[r]), int(table.second[r]),
+            int(table.first[a]), int(table.second[a])]
+
+
 def table_moves(current, pool, costs):
-    """`_exchange_moves` on the table of a sorted pool, read back as
-    (delta, removed, added) with face tuples; a row's cost sum is c_a for
-    a single and c_a + c_b for a pair, as the descent adds them."""
+    """`_exchange_moves` on the table of a sorted pool, decoded and read
+    back as (delta, removed, added) with face tuples; a row's cost sum is
+    c_a for a single and c_a + c_b for a pair, as the descent adds them."""
     pool = sorted(pool)
     c = [costs[f] for f in pool]
     table = _move_table(c, [True] * len(pool))
@@ -58,8 +66,10 @@ def table_moves(current, pool, costs):
     def total(f, g):
         return sums[f] if f == g else sums[f] + sums[g]
 
+    codes = _exchange_moves(table, state)
+    assert all(type(code) is int for code in codes)
     return [(total(af, ag) - total(rf, rs), subset(rf, rs), subset(af, ag))
-            for rf, rs, af, ag in _exchange_moves(table, state)]
+            for rf, rs, af, ag in (decode(table, c) for c in codes)]
 
 
 def grid_costs(K, weight):
@@ -118,9 +128,13 @@ def test_move_table_rows_and_region_mask():
     assert table.sums.tolist() == [0.0, 1.0, 3.0, 5.0, 2.0, 6.0, 4.0]
     assert table.removable.tolist() == [False, True, False, True, False,
                                         False, True]
-    # all three faces in: position 1 is never taken out
+    # all three faces in: position 1 is never taken out; a code is the
+    # removal row times the 7 rows plus the addition row (here the empty
+    # set, row 0)
     moves = _exchange_moves(table, 0b111)
-    assert moves == [[0, 2, 3, 3], [2, 2, 3, 3], [0, 0, 3, 3]]
+    assert moves == [3 * 7, 6 * 7, 1 * 7]
+    assert [decode(table, m) for m in moves] == [
+        [0, 2, 3, 3], [2, 2, 3, 3], [0, 0, 3, 3]]
 
 
 def reference_minimize_local(K, constraints, weight, init, budget, seed,
