@@ -22,8 +22,7 @@ from .complexes import FaceSet
 from .errors import (InfeasibleError, PoolTooLargeError, PreconditionError,
                      ProblemFormatError)
 from .problems import ProblemSpec, parse_problem
-from .solver import (EXHAUSTIVE_POOL_CAP, minimize_exhaustive,
-                     minimize_local)
+from .solver import minimize_exhaustive, minimize_local
 
 
 class RunReport:
@@ -136,17 +135,14 @@ def cmd_solve(args) -> int:
         pool = tuple(range(K.n_simplices(spec.d)))
     pool_set = FaceSet(K, spec.d, pool)
     try:
-        result = None
-        if args.exhaustive or len(pool) <= EXHAUSTIVE_POOL_CAP:
-            try:
-                result = minimize_exhaustive(K, constraints, weight,
-                                             candidate_pool=pool_set)
-            except PoolTooLargeError:
-                # too many subsets before the optimum: search locally
-                # unless the exhaustive search was asked for
-                if args.exhaustive:
-                    raise
-        if result is None:
+        try:
+            result = minimize_exhaustive(K, constraints, weight,
+                                         candidate_pool=pool_set)
+        except PoolTooLargeError:
+            # too large a pool, or too many subsets before the optimum:
+            # search locally unless the exhaustive search was asked for
+            if args.exhaustive:
+                raise
             # the local search needs a spanning start: the pool, when the
             # initial set does not span and the pool does
             if not is_spanning(K, init, constraints) and is_spanning(

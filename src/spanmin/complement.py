@@ -40,7 +40,8 @@ from typing import (Callable, Container, Dict, FrozenSet, List, NamedTuple,
 
 import numpy as np
 
-from .complexes import (Chain, Complex, FaceSet, _kuhn_tops, _row_ranks,
+from .complexes import (Chain, Complex, FaceSet, _boundary_columns,
+                        _closure_rows, _kuhn_tops, _row_ranks,
                         canonical_vertices)
 from .errors import InvalidInputError, PreconditionError, RealizationError
 from . import homology as _hom
@@ -230,6 +231,30 @@ def _unbalanced(coeffs: Sequence[int], labels: Sequence[int]) -> bool:
 
 # -- relative cochains ------------------------------------------------------
 
+def _simplex_ids(K: Complex, r: int, rows: np.ndarray) -> List[int]:
+    """The ids in K of the r-simplices given as rows of vertex ids."""
+    index = K._index[r]
+    return [index[s] for s in zip(*rows.T.tolist())]
+
+
+def _off_walls(K: Complex, rows: Dict[int, np.ndarray], lo: Sequence[int],
+               hi: Sequence[int]) -> Dict[int, set]:
+    """Per dimension r of `rows`, the ids of the rows[r] simplices that no
+    wall of the lattice box lo..hi holds: on no axis do all their vertices
+    sit at lo, or all at hi.  A vertex id is its point's row-major rank in
+    K's box, so `np.unravel_index` reads the points off the rows."""
+    shape = [b + 1 for b in K.grid.box]
+    walls = np.reshape([lo, hi], (2, -1, 1, 1))
+    out = {}
+    for r, table in rows.items():
+        # points[a, i, j] is coordinate a of vertex i of row j, so each
+        # reduction over a row's vertices runs along whole columns
+        points = np.array(np.unravel_index(table.T, shape))
+        walled = (points == walls).all(axis=2).any(axis=(0, 1))
+        out[r] = set(_simplex_ids(K, r, table[~walled]))
+    return out
+
+
 def _coboundary(K: Complex, A: Dict[int, set], r: int
                 ) -> Dict[int, Dict[int, int]]:
     """Columns {r-simplex: {(r+1)-simplex: sign}} of delta_r on the
@@ -238,15 +263,11 @@ def _coboundary(K: Complex, A: Dict[int, set], r: int
     cols: Dict[int, Dict[int, int]] = {}
     if r not in A or r + 1 not in A:
         return cols
-    index, table, keep = K._index[r], K.simplices(r + 1), A[r]
-    for j in sorted(A[r + 1]):
-        s = table[j]
-        sign = 1
-        for i in range(len(s)):
-            f = index[s[:i] + s[i + 1:]]
+    keep = A[r]
+    for j, col in _boundary_columns(K, r + 1, A[r + 1]).items():
+        for f, sign in col.items():
             if f in keep:
                 cols.setdefault(f, {})[j] = sign
-            sign = -sign
     return cols
 
 
@@ -281,19 +302,14 @@ class ComplementModel:
         self.max_dim = max_dim
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
+        self._cochains: Dict[int, set] = {}
 
-    @cached_property
-    def _closure(self) -> List[set]:
-        """Per dimension r = 0..d: the r-simplices of cl F."""
-        K, d = self.K, self.F.dim
-        cl: List[set] = [set() for _ in range(d + 1)]
-        for f in self.F.faces:
-            verts = K.simplex(d, f)
-            for r in range(d + 1):
-                index = K._index[r]
-                cl[r].update(index[s]
-                             for s in itertools.combinations(verts, r + 1))
-        return cl
+    def _closure(self, dims: Optional[Sequence[int]] = None
+                 ) -> Dict[int, np.ndarray]:
+        """Per dimension r of `dims` (every r = 0..d by default): the
+        r-simplices of cl F, as sorted rows."""
+        return _closure_rows([self.K.rows(self.F.dim)[list(self.F.faces)]],
+                             dims)
 
     # -- the barycentric subdivision (lazy) ---------------------------------
 
@@ -309,8 +325,9 @@ class ComplementModel:
     def bad(self) -> np.ndarray:
         """True per subdivision id whose simplex lies in cl F."""
         bad = np.zeros(self.offsets[-1], dtype=bool)
-        for r, faces in enumerate(self._closure):
-            bad[[self.offsets[r] + i for i in faces]] = True
+        for r, rows in self._closure().items():
+            bad[[self.offsets[r] + i
+                 for i in _simplex_ids(self.K, r, rows)]] = True
         return bad
 
     @cached_property
@@ -345,31 +362,22 @@ class ComplementModel:
 
     # -- relative cochains of (cl F, cl F n dK) -------------------------------
 
-    @cached_property
-    def _relative(self) -> Dict[int, set]:
-        """Per dimension r = 0..d: the r-simplices of cl F off dK (no
-        bounding hyperplane of the box holds all their vertices), which
-        carry the relative cochains of (cl F, cl F n dK)."""
-        K, grid = self.K, self.K.grid
+    def _relative(self, dims: Sequence[int]) -> Dict[int, set]:
+        """Per dimension r of `dims` in 0..d: the r-simplices of cl F off
+        dK, which carry the relative cochains of (cl F, cl F n dK):
+        `_off_walls` of the closure in the whole box, the rule `_cobound`
+        applies to a loop's sub-box.  A dimension is built on first use,
+        as a question reads at most three of them."""
+        grid = self.K.grid
         if grid is None:
             raise PreconditionError(
                 "complement homology needs a grid-built complex")
-        # per vertex of cl F, one bit per bounding hyperplane holding it
-        walls = {}
-        for v in self._closure[0]:
-            p = grid.points[v]
-            walls[v] = sum(1 << (2 * a + (p[a] > 0)) for a in range(K.dim)
-                           if p[a] in (0, grid.box[a]))
-        out = {}
-        for r, faces in enumerate(self._closure):
-            out[r] = set()
-            for i in faces:
-                shared = -1
-                for v in K.simplex(r, i):
-                    shared &= walls[v]
-                if not shared:
-                    out[r].add(i)
-        return out
+        new = [r for r in dims
+               if 0 <= r <= self.F.dim and r not in self._cochains]
+        if new:
+            self._cochains.update(_off_walls(
+                self.K, self._closure(new), [0] * len(grid.box), grid.box))
+        return {r: self._cochains[r] for r in dims if r in self._cochains}
 
     # -- bounding tests -----------------------------------------------------
 
@@ -400,8 +408,9 @@ class ComplementModel:
         if not 0 <= k <= n:
             raise InvalidInputError(
                 f"homology dimension {k} out of range 0..{n}")
-        rank, torsion = _relative_cohomology(self.K, self._relative,
-                                             n - k - 1)
+        j = n - k - 1
+        rank, torsion = _relative_cohomology(
+            self.K, self._relative((j - 1, j, j + 1)), j)
         return _hom.HomologyGroup(k=k, rank=rank + (k == 0), torsion=torsion)
 
 
@@ -577,8 +586,10 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
     facet opposite its vertex i counts eps_t (-1)^(i+1), eps_t = sign(det
     t) = the sign of t's axis permutation, so the crossings sum to a
     cocycle z of (K', dK'), where H^{n-1} = 0: y is one sparse solve with
-    a witness over delta_{n-2} off dK', whose cofaces all lie in K', so
-    delta(y) = z on (K, dK) too.
+    a witness over delta_{n-2} on the (n-2)- and (n-1)-simplices of K' off
+    dK' (`_off_walls` of the closure of its tops, with the sub-box's walls,
+    the rule `_relative` applies to cl F in the box), whose cofaces all lie
+    in K', so delta(y) = z on (K, dK) too.
     """
     n, points = K.dim, K.grid.points
     coords = list(zip(*(points[v] for v in vertices)))
@@ -611,13 +622,7 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
             while prev[t1] is not None:
                 t1, f, sign = prev[t1]
                 z[f] = z.get(f, 0) + sign * coeff
-    inner = [f for f, ts in on_facet.items() if len(ts) == 2]
-    outer = {f[:i] + f[i + 1:] for f, ts in on_facet.items() if len(ts) == 1
-             for i in range(n)}
-    A = {n - 1: {index[f] for f in inner}}
-    if n >= 2:
-        A[n - 2] = {K._index[n - 2][f[:i] + f[i + 1:]] for f in inner
-                    for i in range(n) if f[:i] + f[i + 1:] not in outer}
+    A = _off_walls(K, _closure_rows([rows], range(max(n - 2, 0), n)), lo, hi)
     return _hom._snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
                                      witness=True).witness
 
@@ -650,11 +655,12 @@ def _reason(rec: _Resolved, faces: Tuple[int, ...],
     elif rec.spec.degree == 0:
         null = not sum(rec.chain.values())
     elif rec.spec.degree == 1:
-        K, A = model.K, model._relative
-        on_f = A.get(K.dim - 2, ())
+        K, n = model.K, model.K.dim
+        on_f = model._relative((n - 2,)).get(n - 2, ())
         rhs = {i: c for i, c in rec.y.items() if i in on_f}
         null = not rhs or _hom._snf_diagonal_sparse(
-            _coboundary(K, A, K.dim - 3), rhs=rhs).solvable
+            _coboundary(K, model._relative((n - 3, n - 2)), n - 3),
+            rhs=rhs).solvable
     else:
         null, _ = _hom.is_null_homologous(realize_constraint(rec.spec, model))
     return "null-homologous" if null else "nontrivial"
@@ -709,12 +715,9 @@ def spanning_check(K: Complex, F: FaceSet,
 
 def is_spanning(K: Complex, F: FaceSet,
                 constraints: Sequence[ConstraintCycle]) -> bool:
-    """True iff F passes every constraint: `spanning_predicate` over the
-    faces of F, with every bit set."""
-    if F.complex is not K:
-        raise PreconditionError("face set belongs to a different complex")
-    spans = spanning_predicate(K, constraints, F.dim, F.faces)
-    return spans((1 << len(F.faces)) - 1)
+    """True iff F passes every constraint of `spanning_check`, which
+    raises `PreconditionError` for a face set of another complex."""
+    return all(s.passed for s in spanning_check(K, F, constraints))
 
 
 def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
@@ -732,12 +735,13 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     as its cut labels the tops of the cycles and of the pool facets, and
     the complement of a state is the small graph on those labels whose
     edges are the pool facets outside the state.  A call floods that graph
-    from the cycles' labels, with no face tuple built; the verdict depends
-    only on the state's bits at the small graph's edges, and is kept per
-    pattern of them for the calls to come.  One face tuple
+    from the cycles' labels, with no face tuple built.  One face tuple
     and `ComplementModel` are built per call only when the 0-cycles pass
     and a constraint of degree >= 1 is left, decided by `_reason`, the
-    decision `ComplementModel.check` makes.
+    decision `ComplementModel.check` makes.  The verdict is kept per
+    pattern of the bits it reads, the contact and small graph's edge bits
+    or, with a constraint of degree >= 1 left, every bit, so a state seen
+    before is answered from that memo.
     """
     if not 0 <= d < K.dim:
         raise InvalidInputError(
@@ -756,9 +760,7 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     # the small graph's nodes of its tops
     terms = [rec.tops for rec in resolved if rec.tops]
     cycles: List[Tuple[int, int, List[int]]] = []
-    # their verdicts per pattern of the state's bits at the small graph's
-    # edges, the only bits they read
-    edges, separated = 0, {}
+    edges = 0
     if terms and not never:
         dual, at = _dual_graph(K), {f: p for p, f in enumerate(pool)}
         slots = np.flatnonzero(np.isin(dual.facet, pool)).tolist()
@@ -782,23 +784,30 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     def positions(state: int) -> List[int]:
         return [p for p, bit in enumerate(bin(state)[:1:-1]) if bit == "1"]
 
-    def spans(state: int) -> bool:
+    def decide(state: int) -> bool:
         if never or state & contact:
             return False
         if cycles:
-            key = state & edges
-            hit = separated.get(key)
-            if hit is None:
-                labels = _flood(small, set(positions(key)), nodes)
-                hit = separated[key] = all(
-                    _unbalanced(coeffs, labels[i:j]) for i, j, coeffs in cycles)
-            if not hit:
+            labels = _flood(small, set(positions(state & edges)), nodes)
+            if not all(_unbalanced(coeffs, labels[i:j])
+                       for i, j, coeffs in cycles):
                 return False
         if not rest:
             return True
         faces = tuple(pool[p] for p in positions(state))
         model = ComplementModel(K, FaceSet(K, d, faces), max_dim)
         return all(_reason(rec, faces, model) == "nontrivial" for rec in rest)
+
+    # the verdicts per pattern of the bits `decide` reads
+    reads = -1 if rest else edges | contact
+    verdicts: Dict[int, bool] = {}
+
+    def spans(state: int) -> bool:
+        key = state & reads
+        hit = verdicts.get(key)
+        if hit is None:
+            hit = verdicts[key] = decide(key)
+        return hit
 
     return spans
 
@@ -887,18 +896,10 @@ def free_collapse_candidates(F: FaceSet,
     K = F.complex
     d = F.dim
     inside = None if region is None else set(region.faces(K, d))
-    incidence: Dict[Tuple[int, ...], List[int]] = {}
-    for f in F.faces:
-        s = K.simplex(d, f)
-        for i in range(len(s)):
-            sub = s[:i] + s[i + 1:]
+    incidence: Dict[int, List[int]] = {}
+    for f, col in _boundary_columns(K, d, F.faces).items():
+        for sub in col:
             incidence.setdefault(sub, []).append(f)
-    out = []
-    for sub, owners in incidence.items():
-        if len(owners) != 1:
-            continue
-        f = owners[0]
-        if inside is not None and f not in inside:
-            continue
-        out.append((f, K.index(sub)))
-    return sorted(out)
+    return sorted((owners[0], sub) for sub, owners in incidence.items()
+                  if len(owners) == 1
+                  and (inside is None or owners[0] in inside))

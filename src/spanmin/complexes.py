@@ -241,23 +241,30 @@ class Chain:
         return f"Chain(dim={self.dim}, {terms or '0'})"
 
 
+def _boundary_columns(K: Complex, k: int, ids: Optional[Iterable[int]] = None
+                      ) -> Dict[int, Dict[int, int]]:
+    """Sparse columns {k-simplex: {(k-1)-face: sign}} of the k-th boundary,
+    for the k-simplices `ids` (every one by default) in increasing order.
+
+    The empty face is not a simplex of K, so a vertex has no facets and
+    every column of the 0-th boundary is empty.
+    """
+    table, lower = K.simplices(k), K._index.get(k - 1, {})
+    signs = [(i, (-1) ** i) for i in range(k + 1)] if k else []
+    cols: Dict[int, Dict[int, int]] = {}
+    for j in range(len(table)) if ids is None else sorted(ids):
+        s = table[j]
+        cols[j] = {lower[s[:i] + s[i + 1:]]: sign for i, sign in signs}
+    return cols
+
+
 def boundary(c: Chain) -> Chain:
     """Alternating-sign sum of facets, extended linearly; zero on 0-chains."""
-    K = c.complex
-    if c.dim <= 0:
-        return Chain(K, c.dim - 1, {})
     out: Dict[int, int] = {}
-    table = K.simplices(c.dim)
-    lower = K._index[c.dim - 1]
-    for idx, coeff in c.coeffs.items():
-        s = table[idx]
-        sign = 1
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            j = lower[face]
-            out[j] = out.get(j, 0) + sign * coeff
-            sign = -sign
-    return Chain(K, c.dim - 1, out)
+    for j, col in _boundary_columns(c.complex, c.dim, c.coeffs).items():
+        for f, sign in col.items():
+            out[f] = out.get(f, 0) + sign * c.coeffs[j]
+    return Chain(c.complex, c.dim - 1, out)
 
 
 @dataclass(frozen=True)
@@ -361,13 +368,17 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _closure_rows(groups: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
-    """Every face of the given simplices, dimension by dimension, as sorted
-    unique rows.  Each group is an (m, s) array of increasing vertex ids,
-    one group per simplex size s; the k-faces are the (k+1)-column subsets
-    of the rows."""
+def _closure_rows(groups: Sequence[np.ndarray],
+                  dims: Optional[Iterable[int]] = None
+                  ) -> Dict[int, np.ndarray]:
+    """Every face of the given simplices, dimension by dimension (each one
+    in `dims`, every one by default), as sorted unique rows.  Each group is
+    an (m, s) array of increasing vertex ids, one group per simplex size s;
+    the k-faces are the (k+1)-column subsets of the rows."""
     out: Dict[int, np.ndarray] = {}
-    for k in range(max((g.shape[1] for g in groups), default=0)):
+    if dims is None:
+        dims = range(max((g.shape[1] for g in groups), default=0))
+    for k in dims:
         out[k] = _unique_rows(np.concatenate([
             g[:, list(cols)] for g in groups if g.shape[1] > k
             for cols in itertools.combinations(range(g.shape[1]), k + 1)]))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import Chain, Complex, boundary
+from .complexes import Chain, Complex, _boundary_columns, boundary
 from .errors import InvalidInputError, PreconditionError
 
 
@@ -221,20 +221,6 @@ class HomologyGroup:
     def __repr__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return f"H_{self.k} = " + (" + ".join(parts) if parts else "0")
-
-
-def _boundary_columns(K: Complex, k: int) -> Dict[int, Dict[int, int]]:
-    """Sparse columns {k-simplex: {(k-1)-face: sign}} of the k-th boundary.
-
-    The empty face is not a simplex of K, so a vertex has no facets and
-    every column of the 0-th boundary is empty.
-    """
-    lower = K._index.get(k - 1, {})
-    cols: Dict[int, Dict[int, int]] = {}
-    for j, s in enumerate(K.simplices(k)):
-        facets = (s[:i] + s[i + 1:] for i in range(len(s)))
-        cols[j] = {lower[f]: (-1) ** i for i, f in enumerate(facets) if f}
-    return cols
 
 
 def homology_group(K: Complex, k: int) -> HomologyGroup:

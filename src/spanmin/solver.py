@@ -114,11 +114,12 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     so it is in no feasible set.  A heap entry carries its subset's
     bitmask over P0 after the face tuple (tuples are distinct, so the mask
     never decides the order), and one `spanning_predicate` over P0, built
-    for the solve, decides the mask.  Adding faces
-    only shrinks the complement, so when P0 itself does not span, no subset
-    does; that one check (not counted in `evaluations`) then raises
-    InfeasibleError.  A pool from another complex raises PreconditionError,
-    and popping more than EXHAUSTIVE_EVALUATION_CAP subsets raises
+    for the solve, decides the mask.  Adding faces only shrinks the
+    complement, so when P0 itself does not span, no subset does: the
+    predicate's call on the full mask (not counted in `evaluations`) then
+    raises InfeasibleError.  A pool from another complex raises
+    PreconditionError; a pool of more than EXHAUSTIVE_POOL_CAP faces, or
+    popping more than EXHAUSTIVE_EVALUATION_CAP subsets, raises
     PoolTooLargeError.
     """
     if candidate_pool.complex is not K:
@@ -131,7 +132,7 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     touched = set().union(*(_resolve(K, c, d).touching for c in constraints))
     pool = [f for f in candidate_pool.faces if f not in touched]
     spans = spanning_predicate(K, constraints, d, pool)
-    if not is_spanning(K, FaceSet(K, d, tuple(pool)), constraints):
+    if not spans((1 << len(pool)) - 1):
         raise InfeasibleError(
             "no subset of the candidate pool satisfies the constraints")
     vols = _face_volumes(K, d)
@@ -231,10 +232,11 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     outside it are never removed.
 
     One move table over the sorted pool and one `spanning_predicate` over
-    it are built per solve.  States are bitmasks over pool positions,
-    verdicts are cached by state, and the predicate decides a state with
-    no face tuple for degree-0 constraints; a face tuple is built for the
-    result.  A step's moves are flat codes (`_exchange_moves`), decoded
+    it are built per solve.  States are bitmasks over pool positions; the
+    predicate keeps its verdicts, and decides a state with no face tuple
+    for degree-0 constraints; a face tuple is built for the result.  Every
+    candidate tried counts as an evaluation, answered from that memo or
+    not.  A step's moves are flat codes (`_exchange_moves`), decoded
     into table rows only when tried.
     """
     if not is_spanning(K, init, constraints):
@@ -276,14 +278,7 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     evaluations = 0
     accepted = 0
     max_candidates = 4000
-    verdicts: Dict[int, bool] = {current: True}
     spans = spanning_predicate(K, constraints, d, pool_faces)
-
-    def feasible(state: int) -> bool:
-        hit = verdicts.get(state)
-        if hit is None:
-            hit = verdicts[state] = spans(state)
-        return hit
 
     def descend(state, value, shuffled=False):
         """Descent to a local optimum: steepest, or first-improvement in a
@@ -308,7 +303,7 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
                 rf, rs, af, ag = first[r], second[r], first[a], second[a]
                 cand = state & ~(bits[rf] | bits[rs]) | bits[af] | bits[ag]
                 evaluations += 1
-                if feasible(cand):
+                if spans(cand):
                     state = cand
                     value += sums[a] - sums[r]
                     progressed = True
@@ -344,7 +339,7 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
             kick = rng.sample(outside, min(len(outside), rng.randint(1, 4)))
             cand = best | sum(kick)
         evaluations += 1
-        if not feasible(cand):
+        if not spans(cand):
             stall += 1
             continue
         state, value = descend(cand, cost_of(cand), shuffled=True)

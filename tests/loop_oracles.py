@@ -6,7 +6,9 @@ face sets, constraint contact sets, the dual graph and each simplex's top
 with integer-array code; these are the plain loops it must agree with,
 table for table and bit for bit.  `reachable`, one depth-first search
 between two tops, is the reference for the component labels that decide
-point pairs.  The dense boundary matrix is the
+point pairs.  The per-vertex wall bits of cl F and the facet-count rule
+for a loop's sub-box are the references for the one lattice-wall rule of
+the relative cochains.  The dense boundary matrix is the
 `np.linalg.matrix_rank` oracle of the homology tests, and `cofacets`
 serves the whole-box oracles of `relative_cochains`.
 """
@@ -176,6 +178,64 @@ def top_by_walk(K: Complex, verts: Tuple[int, ...]) -> int:
     for k in range(len(verts) - 1, K.dim):
         s = cofacets(K, k)[s][0]
     return s
+
+
+def closure_by_combinations(K: Complex, d: int,
+                            faces: Iterable[int]) -> Dict[int, set]:
+    """Per dimension r = 0..d: the ids of the r-simplices of the closure of
+    the given d-faces."""
+    cl: Dict[int, set] = {r: set() for r in range(d + 1)}
+    for f in faces:
+        verts = K.simplex(d, f)
+        for r in range(d + 1):
+            cl[r].update(K.index(s)
+                         for s in itertools.combinations(verts, r + 1))
+    return cl
+
+
+def off_walls_by_vertex_bits(K: Complex, cl: Dict[int, set],
+                             lo: Sequence[int], hi: Sequence[int]
+                             ) -> Dict[int, set]:
+    """Per dimension r of `cl`, the r-simplices of cl[r] that no wall of
+    the lattice box lo..hi holds: each vertex gets one bit per wall through
+    its point, and a simplex is on a wall when its vertices share a bit."""
+    walls: Dict[int, int] = {}
+    out = {}
+    for r, faces in cl.items():
+        out[r] = set()
+        for i in faces:
+            shared = -1
+            for v in K.simplex(r, i):
+                if v not in walls:
+                    p = K.grid.points[v]
+                    walls[v] = sum(1 << (2 * a + (p[a] == hi[a]))
+                                   for a in range(K.dim)
+                                   if p[a] in (lo[a], hi[a]))
+                shared &= walls[v]
+            if not shared:
+                out[r].add(i)
+    return out
+
+
+def subbox_cochains_by_facets(K: Complex, tops: Sequence[Sequence[int]]
+                              ) -> Dict[int, set]:
+    """The (n-1)- and (n-2)-simplices off the boundary of the ball that the
+    top simplices `tops` of K fill: an (n-1)-face is inner when two of the
+    tops hold it, and an (n-2)-face of an inner one is off the boundary
+    unless it is a face of a facet held by one top only."""
+    n = K.dim
+    on_facet: Dict[Tuple[int, ...], List[int]] = {}
+    for t, top in enumerate(map(tuple, tops)):
+        for i in range(n + 1):
+            on_facet.setdefault(top[:i] + top[i + 1:], []).append(t)
+    inner = [f for f, ts in on_facet.items() if len(ts) == 2]
+    outer = {f[:i] + f[i + 1:] for f, ts in on_facet.items() if len(ts) == 1
+             for i in range(n)}
+    A = {n - 1: {K.index(f) for f in inner}}
+    if n >= 2:
+        A[n - 2] = {K.index(f[:i] + f[i + 1:]) for f in inner
+                    for i in range(n) if f[:i] + f[i + 1:] not in outer}
+    return A
 
 
 def boundary_matrix(K: Complex, k: int) -> np.ndarray:

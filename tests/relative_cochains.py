@@ -19,8 +19,8 @@ import numpy as np
 
 from loop_oracles import cofacets, top_by_walk
 from spanmin.complement import ComplementModel
-from spanmin.homology import (HomologyGroup, _boundary_columns,
-                              _snf_diagonal_sparse)
+from spanmin.complexes import _boundary_columns
+from spanmin.homology import HomologyGroup, _snf_diagonal_sparse
 
 
 def outside(model: ComplementModel) -> List[bool]:

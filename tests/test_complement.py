@@ -661,6 +661,14 @@ def test_collapse_candidates_on_path():
     assert faces[1] not in collapsible
 
 
+def test_collapse_candidates_of_vertex_sets_are_empty():
+    # a vertex's only facet is the empty face, which is not a simplex of
+    # K: no vertex set has a collapse move, one vertex or several
+    K = build_grid_complex(2, [2, 2])
+    for faces in ((4,), (0, 1), ()):
+        assert free_collapse_candidates(FaceSet(K, 0, faces)) == []
+
+
 def test_collapse_candidates_respect_region():
     K = build_grid_complex(2, [2, 2])
     pts = [((0, 0), (1, 0)), ((1, 0), (2, 0))]

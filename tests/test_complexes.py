@@ -9,8 +9,8 @@ import pytest
 
 from spanmin import (Chain, Complex, FaceSet, InvalidInputError, boundary,
                      build_grid_complex, faceset_to_chain)
-from spanmin.complexes import (GridInfo, _kuhn_tops, _unique_rows,
-                               canonical_vertices)
+from spanmin.complexes import (GridInfo, _boundary_columns, _kuhn_tops,
+                               _unique_rows, canonical_vertices)
 
 from loop_oracles import boundary_matrix, closure_by_sets, kuhn_tops
 
@@ -235,6 +235,30 @@ def test_boundary_matrix_range_check():
         boundary_matrix(K, 0)
     with pytest.raises(InvalidInputError):
         boundary_matrix(K, 3)
+
+
+@pytest.mark.parametrize("box", [(2, 3), (2, 1, 2), (1, 1, 1, 1)])
+def test_boundary_columns_of_some_ids_are_the_full_table_restricted(box):
+    # one facet-sign loop for homology, boundaries, cochains and collapses:
+    # any ids, in any order and repeated, give the full table's columns,
+    # in increasing order, and those columns are the dense matrix's
+    rng = random.Random(len(box))
+    K = build_grid_complex(len(box), list(box))
+    for k in range(K.dim + 1):
+        full = _boundary_columns(K, k)
+        assert list(full) == list(range(K.n_simplices(k)))
+        if k:
+            M = boundary_matrix(K, k)
+            assert all(M[i, j] == v for j, col in full.items()
+                       for i, v in col.items())
+            assert all(len(col) == k + 1 for col in full.values())
+        else:
+            assert not any(full.values())
+        for size in (0, 1, 5):
+            ids = rng.choices(range(K.n_simplices(k)), k=size)
+            got = _boundary_columns(K, k, ids)
+            assert list(got) == sorted(set(ids))
+            assert got == {j: full[j] for j in ids}
 
 
 def test_boundary_zero_on_vertices():

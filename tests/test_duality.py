@@ -11,10 +11,13 @@ from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
                      WeightField, build_grid_complex,
                      complement_subcomplex, homology_group,
                      minimize_exhaustive)
-from spanmin.complement import (ComplementModel, _realize_raw,
-                                _relative_cohomology)
+from spanmin.complement import (ComplementModel, _off_walls, _realize_raw,
+                                _relative_cohomology, _simplex_ids)
+from spanmin.complexes import _closure_rows, _kuhn_tops
 
 import relative_cochains as oracle
+from loop_oracles import (closure_by_combinations, off_walls_by_vertex_bits,
+                          subbox_cochains_by_facets)
 from test_complement import (DEG0_CASES, DEG1_CASES, HOMOLOGY_CASES,
                              box_loops, lattice_faces, meridians,
                              rectangle_loop, subdivision_oracle, touches)
@@ -68,6 +71,56 @@ def test_duality_homology_matches_relative_cochain_oracle(box):
                 if 1 <= k < n:
                     ranks.add(h.rank)
     assert ranks - {0}
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_wall_rule_matches_the_vertex_bits_of_the_closure(box):
+    # the closure rows of a face set against a combinations closure, and
+    # the one wall rule against the per-vertex wall bits: with the box's
+    # walls (the `_relative` cochains) and with a random sub-box's
+    n = len(box)
+    rng = np.random.default_rng(sum(box) * 1000 + n)
+    K = build_grid_complex(n, list(box))
+    walled = set()
+    for d in range(n):
+        for F in random_face_sets(K, d, rng, 6):
+            model = complement_subcomplex(K, F)
+            cl = closure_by_combinations(K, d, F.faces)
+            assert {r: set(_simplex_ids(K, r, rows))
+                    for r, rows in model._closure().items()} == cl
+            whole = off_walls_by_vertex_bits(K, cl, [0] * n, box)
+            assert model._relative(range(d + 1)) == whole
+            walled.update(r for r in cl if whole[r] != cl[r])
+            lo = [int(rng.integers(0, b)) for b in box]
+            hi = [int(rng.integers(a + 1, b + 1)) for a, b in zip(lo, box)]
+            assert _off_walls(K, model._closure(), lo, hi) == \
+                off_walls_by_vertex_bits(K, cl, lo, hi)
+    assert walled
+
+
+@pytest.mark.parametrize("case", sorted(DEG1_CASES))
+def test_wall_rule_matches_the_facet_counts_of_each_loop_sub_box(case):
+    # the cochains of `_cobound` on a loop's sub-box K' (its vertices
+    # grown by one and clipped to the box): the wall rule on the closure
+    # of K''s tops against the facets held by two tops, and their faces
+    # off the facets held by one
+    box, _, _, linked, _ = DEG1_CASES[case]
+    K = build_grid_complex(len(box), list(box))
+    n = K.dim
+    loops = box_loops(box)
+    rng = np.random.default_rng(61)
+    for loop in linked + [loops[i] for i in rng.choice(len(loops), size=4,
+                                                        replace=False)]:
+        at = list(zip(*(K.grid.points[v] for e in _realize_raw(loop, K)
+                        for v in e)))
+        lo = [max(min(c) - 1, 0) for c in at]
+        hi = [min(max(c) + 1, b) for c, b in zip(at, box)]
+        tops, _ = _kuhn_tops([b + 1 for b in box], lo, hi)
+        closure = _closure_rows([tops], (n - 2, n - 1))
+        full = _closure_rows([tops])
+        assert all((closure[r] == full[r]).all() for r in closure)
+        got = _off_walls(K, closure, lo, hi)
+        assert got == subbox_cochains_by_facets(K, tops.tolist())
 
 
 @pytest.mark.parametrize("case", sorted(DEG1_CASES))

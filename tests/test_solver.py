@@ -382,17 +382,24 @@ def test_exhaustive_infeasible_pool_decided_by_one_check(monkeypatch):
     low = [i for i, s in enumerate(K.simplices(1))
            if all(pts[v][1] <= 2 for v in s)]
     pool = FaceSet(K, 1, low[:30])
-    calls = []
-    real = solver.is_spanning
+    pools, calls = [], []
+    real = solver.spanning_predicate
 
-    def counted(K, F, constraints):
-        calls.append(F.faces)
-        return real(K, F, constraints)
+    def counted(K, constraints, d, pool):
+        pools.append(tuple(pool))
+        spans = real(K, constraints, d, pool)
 
-    monkeypatch.setattr(solver, "is_spanning", counted)
+        def counted_spans(state):
+            calls.append(state)
+            return spans(state)
+
+        return counted_spans
+
+    monkeypatch.setattr(solver, "spanning_predicate", counted)
     with pytest.raises(InfeasibleError):
         minimize_exhaustive(K, cons, WeightField.uniform(1.0), pool)
-    assert calls == [pool.faces]
+    assert pools == [pool.faces]
+    assert calls == [(1 << 30) - 1]
 
 
 def test_exhaustive_skips_faces_touching_a_constraint():
@@ -438,13 +445,18 @@ def test_exhaustive_pool_reduction_matches_the_vertex_scan(monkeypatch, box,
     import spanmin.solver as solver
     K = build_grid_complex(len(box), list(box))
     rng = np.random.default_rng(len(cons))
-    seen = []
+    seen, calls = [], []
 
-    def first_check(K, F, constraints):
-        seen.append(F.faces)
-        return False  # stop at the P0 check
+    def first_check(K, constraints, d, pool):
+        seen.append(tuple(pool))
 
-    monkeypatch.setattr(solver, "is_spanning", first_check)
+        def spans(state):
+            calls.append(state)
+            return False  # stop at the P0 check
+
+        return spans
+
+    monkeypatch.setattr(solver, "spanning_predicate", first_check)
     cut = 0
     for _ in range(12):
         pool = FaceSet(K, d, rng.choice(K.n_simplices(d), size=30,
@@ -452,6 +464,8 @@ def test_exhaustive_pool_reduction_matches_the_vertex_scan(monkeypatch, box,
         with pytest.raises(InfeasibleError):
             minimize_exhaustive(K, cons, WeightField.uniform(1.0), pool)
         assert seen[-1] == contact_free_by_scan(K, d, pool.faces, cons)
+        assert calls == [(1 << len(seen[-1])) - 1]
+        calls.clear()
         cut += len(pool) - len(seen[-1])
     assert cut > 0
 
