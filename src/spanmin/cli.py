@@ -126,6 +126,7 @@ def cmd_solve(args) -> int:
     weight = spec.weight_field()
     constraints = spec.constraint_cycles()
     init = spec.initial_faceset(K)
+    FaceSet(K, spec.d, [f for f, _ in spec.weight_table])  # w faces must exist
     region = spec.region_box()
     if region is not None and K.grid is not None:
         pool = region.faces(K, spec.d)

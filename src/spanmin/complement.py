@@ -10,17 +10,14 @@ Topology, Thm 3.44).  Its cochains are the simplices of cl F off dK, so
 homology is one or two sparse eliminations whose size follows |F|, not
 the box.
 
-A constraint is resolved once per complex and face dimension d into a
-chain on K (a point pair p, q is the 0-cycle q - p), the d-faces holding
-a vertex of its cycle, and what its degree needs; one decision,
-`_reason`, then answers every face set for `ComplementModel.check`, and
-`spanning_predicate` makes it on the subsets of a pool.  A 0-cycle
-bounds when its coefficients sum to 0 on each component: for d < n-1
-the complement is connected, and for d = n-1 one flood of the dual graph
-of K (top simplices joined across (n-1)-faces outside F) labels its
-vertices by component.  A 1-cycle pushed onto dual paths near it gives a
-cocycle z = delta(y) of (K, dK); it bounds in the complement of |F|
-exactly when y restricted to cl F is a coboundary of (cl F, cl F n dK).
+A constraint is resolved once per complex and face dimension d into one
+record, `_Resolved`, by which `check` and `spanning_predicate` decide it.
+It holds a verdict no face set changes (a degree-g cycle with d < n-1-g
+bounds as in the box: cl F has no (n-g-1)-cochains), or a 0-cycle's tops,
+labelled by component by one flood of K's dual graph when d = n-1, or a
+loop's cochain y per d-face: z = delta(y) is the loop's crossing cocycle
+on (K, dK), and the loop bounds in the complement of |F| exactly when y
+restricted to cl F is a coboundary of (cl F, cl F n dK).
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  It is built only for the
@@ -287,11 +284,10 @@ def _relative_cohomology(K: Complex, A: Dict[int, set], j: int
 class ComplementModel:
     """The complement of |F| in the box of K, with fast bounding tests.
 
-    Homology in every degree and degree-1 cycles are decided on the
-    relative cochains of (cl F, cl F n dK), degree-0 cycles by their
-    coefficient sums and, when F is (n-1)-dimensional, searches on K's
-    dual graph (see `_reason`); the subdivision arrays (`sd`, `good`, the
-    kept edges) are built on first use.
+    cl F and its relative cochains off dK are built whole, once, on first
+    use: homology and the loop solves read them.  Constraint checks go
+    through each constraint's record (see `_reason`).  The subdivision
+    arrays (`sd`, `good`, the kept edges) are built on first use too.
     """
 
     def __init__(self, K: Complex, F: FaceSet, max_dim: int):
@@ -302,14 +298,11 @@ class ComplementModel:
         self.max_dim = max_dim
         self._complex: Optional[Complex] = None
         self._id_map: Optional[Dict[int, int]] = None
-        self._cochains: Dict[int, set] = {}
 
-    def _closure(self, dims: Optional[Sequence[int]] = None
-                 ) -> Dict[int, np.ndarray]:
-        """Per dimension r of `dims` (every r = 0..d by default): the
-        r-simplices of cl F, as sorted rows."""
-        return _closure_rows([self.K.rows(self.F.dim)[list(self.F.faces)]],
-                             dims)
+    @cached_property
+    def _closure(self) -> Dict[int, np.ndarray]:
+        """Per dimension r = 0..d: the r-simplices of cl F, as sorted rows."""
+        return _closure_rows([self.K.rows(self.F.dim)[list(self.F.faces)]])
 
     # -- the barycentric subdivision (lazy) ---------------------------------
 
@@ -325,7 +318,7 @@ class ComplementModel:
     def bad(self) -> np.ndarray:
         """True per subdivision id whose simplex lies in cl F."""
         bad = np.zeros(self.offsets[-1], dtype=bool)
-        for r, rows in self._closure().items():
+        for r, rows in self._closure.items():
             bad[[self.offsets[r] + i
                  for i in _simplex_ids(self.K, r, rows)]] = True
         return bad
@@ -362,22 +355,17 @@ class ComplementModel:
 
     # -- relative cochains of (cl F, cl F n dK) -------------------------------
 
-    def _relative(self, dims: Sequence[int]) -> Dict[int, set]:
-        """Per dimension r of `dims` in 0..d: the r-simplices of cl F off
-        dK, which carry the relative cochains of (cl F, cl F n dK):
-        `_off_walls` of the closure in the whole box, the rule `_cobound`
-        applies to a loop's sub-box.  A dimension is built on first use,
-        as a question reads at most three of them."""
+    @cached_property
+    def _relative(self) -> Dict[int, set]:
+        """Per dimension r = 0..d: the r-simplices of cl F off dK, the
+        relative cochains of (cl F, cl F n dK), by the wall rule
+        (`_off_walls`) that `_cobound` applies to a loop's sub-box."""
         grid = self.K.grid
         if grid is None:
             raise PreconditionError(
                 "complement homology needs a grid-built complex")
-        new = [r for r in dims
-               if 0 <= r <= self.F.dim and r not in self._cochains]
-        if new:
-            self._cochains.update(_off_walls(
-                self.K, self._closure(new), [0] * len(grid.box), grid.box))
-        return {r: self._cochains[r] for r in dims if r in self._cochains}
+        return _off_walls(self.K, self._closure, [0] * len(grid.box),
+                          grid.box)
 
     # -- bounding tests -----------------------------------------------------
 
@@ -390,12 +378,10 @@ class ComplementModel:
                 raise PreconditionError(
                     f"a degree-{c.degree} cycle needs max_dim >= "
                     f"{c.degree + 1}, got {self.max_dim}")
-        out: List[ConstraintStatus] = []
-        for i, c in enumerate(constraints):
-            rec = _resolve(self.K, c, self.F.dim)
-            reason = _reason(rec, self.F.faces, self)
-            out.append(ConstraintStatus(i, reason == "nontrivial", reason))
-        return out
+        reasons = [_reason(_resolve(self.K, c, self.F.dim), self)
+                   for c in constraints]
+        return [ConstraintStatus(i, reason == "nontrivial", reason)
+                for i, reason in enumerate(reasons)]
 
     def homology(self, k: int) -> _hom.HomologyGroup:
         """H_k of the complement of |F|: H^{n-k-1}(cl F, cl F n dK) by
@@ -408,9 +394,8 @@ class ComplementModel:
         if not 0 <= k <= n:
             raise InvalidInputError(
                 f"homology dimension {k} out of range 0..{n}")
-        j = n - k - 1
-        rank, torsion = _relative_cohomology(
-            self.K, self._relative((j - 1, j, j + 1)), j)
+        rank, torsion = _relative_cohomology(self.K, self._relative,
+                                             n - k - 1)
         return _hom.HomologyGroup(k=k, rank=rank + (k == 0), torsion=torsion)
 
 
@@ -521,27 +506,28 @@ def _realize_raw(spec: ConstraintCycle,
 
 @dataclass(frozen=True)
 class _Resolved:
-    """A constraint resolved on K for d-face sets: its chain on K (None
-    when the cycle is not one of K), the d-faces holding a vertex of its
-    cycle (the one contact rule), for degree 0 with d = n-1 a (top,
-    coefficient) per vertex of the chain and the dual graph to search, and
-    for degree 1 the cochain y of `_cobound`."""
+    """A constraint resolved on K for d-face sets: the d-faces holding a
+    vertex of its cycle (the one contact rule), then the verdict of every
+    face set they miss, or a (top, coefficient) per vertex of a 0-cycle
+    (d = n-1), or a loop's cochain y of `_cobound` per d-face (`_per_face`).
+    A higher cycle with none of these is decided on the subdivision."""
 
     spec: ConstraintCycle
-    chain: Optional[Dict[Tuple[int, ...], int]]
     touching: FrozenSet[int]
+    verdict: Optional[str] = None
     tops: Tuple[Tuple[int, int], ...] = ()
-    dual: Optional[_Dual] = None
-    y: Optional[Dict[int, int]] = None
+    y: Optional[Dict[int, Tuple[Tuple[int, int], ...]]] = None
 
 
 def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
     """`_Resolved` of a constraint, cached per complex and d: none of it
     depends on the face set, so a solve decides each candidate by one
-    `_reason` call.  `touching` and a vertex's top (`_first_top`, the
-    lowest top holding it) are read from `K.rows`.  Raises
-    `RealizationError` when a chain of degree >= 1 has a boundary: it is
-    not a cycle, whatever the face set."""
+    `_reason` call.  Its verdict is 'contact' for a cycle not of K,
+    'degenerate' for the zero chain, and the box's for a degree-g cycle
+    with d < n-1-g: H~_g of the complement is H^{n-g-1}(cl F, cl F n dK),
+    and cl F has no cochains of that degree.  Raises `RealizationError`
+    when a chain of degree >= 1 has a boundary: it is not a cycle,
+    whatever the face set."""
     cache = K.cache.setdefault("constraints", {})
     rec = cache.get((spec, d))
     if rec is not None:
@@ -550,23 +536,46 @@ def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
         chain = _realize_raw(spec, K)
     except RealizationError:
         chain = None
-    if chain and spec.degree >= 1 and not _hom.is_cycle(Chain(
-            K, spec.degree, {K.index(s): c for s, c in chain.items()})):
+    g, n = spec.degree, K.dim
+    if chain and g >= 1 and not _hom.is_cycle(Chain(
+            K, g, {K.index(s): c for s, c in chain.items()})):
         raise RealizationError("constraint chain has a boundary: not a cycle")
     vertices = _support_vertices(K, spec)
     on_cycle = np.zeros(len(K.coords), dtype=bool)
     on_cycle[list(vertices)] = True
     touching = frozenset(
         np.flatnonzero(on_cycle[K.rows(d)].any(axis=1)).tolist())
-    tops, dual, y = [], None, None
-    if chain and spec.degree == 0 and d == K.dim - 1:
-        tops = [(_first_top(K.rows(K.dim), s), c) for s, c in chain.items()]
-        dual = _dual_graph(K)
-    elif chain and spec.degree == 1:
-        y = _cobound(K, chain, vertices)
-    rec = cache[(spec, d)] = _Resolved(spec, chain, touching, tuple(tops),
-                                       dual, y)
+    verdict, tops, y = None, (), None
+    if chain is None:
+        verdict = "contact"
+    elif not chain:
+        verdict = "degenerate"
+    elif d < n - 1 - g:
+        bounds = g > 0 or not sum(chain.values())
+        verdict = "null-homologous" if bounds else "nontrivial"
+    elif g == 0:
+        tops = tuple((_first_top(K.rows(n), s), c) for s, c in chain.items())
+    elif g == 1:
+        y = _per_face(K, _cobound(K, chain, vertices), d)
+    rec = cache[(spec, d)] = _Resolved(spec, touching, verdict, tops, y)
     return rec
+
+
+def _per_face(K: Complex, y: Dict[int, int], d: int
+              ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+    """y per d-face: the nonzero terms of the (n-2)-cochain y on the faces
+    each d-face holds, for the d-faces with any.  Those have n-1 vertices
+    on y's support, found as `touching` is, by one vertex mask."""
+    r, rows, index = K.dim - 2, K.rows(d), K._index[K.dim - 2]
+    on_y = np.zeros(len(K.coords), dtype=bool)
+    on_y[K.rows(r)[list(y)]] = True
+    near = np.flatnonzero(on_y[rows].sum(axis=1) > r)
+    out = {}
+    for f, row in zip(near.tolist(), rows[near].tolist()):
+        ids = [index[s] for s in itertools.combinations(row, r + 1)]
+        if any(y.get(i) for i in ids):
+            out[f] = tuple((i, y[i]) for i in ids if y.get(i))
+    return out
 
 
 def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
@@ -627,39 +636,33 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
                                      witness=True).witness
 
 
-def _reason(rec: _Resolved, faces: Tuple[int, ...],
-            model: Optional[ComplementModel]) -> str:
-    """The spanning decision on a resolved constraint for the d-face set
-    `faces`: 'contact' when the cycle is not one of K or a vertex of it
-    lies in cl F, 'degenerate' for the zero chain, then 'null-homologous'
-    when the cycle bounds in the complement of |F|, else 'nontrivial'.
-    `model`, the complement model of the face set, is read in degree >= 1
-    only.
+def _reason(rec: _Resolved, model: ComplementModel) -> str:
+    """The spanning decision on a resolved constraint for the face set of
+    `model`: 'contact' when a vertex of the cycle lies in cl F, then the
+    record's verdict if it has one, else 'null-homologous' when the cycle
+    bounds in the complement of |F| and 'nontrivial' when it does not.
 
-    A 0-cycle bounds when its coefficients sum to 0 on every component of
-    the complement: for d < n-1 it is connected, and for d = n-1 one
-    `_flood` of the dual graph less the faces of F labels the tops of the
-    cycle's vertices by component.  For a 1-cycle, the solutions of
-    delta(y') = z on (K, dK) are y + delta(w), as H^{n-2}(K, dK) = 0, so
-    z = delta(y') with y' = 0 on cl F u dK (the cycle bounds in the
-    complement) exactly when y|cl F = delta(w|cl F), one small solve on
-    cl F.  Higher degrees are solved on the subdivision.
+    A 0-cycle bounds when its coefficients sum to 0 on every component,
+    which one `_flood` of the dual graph less F labels.  For a 1-cycle,
+    delta(y') = z on (K, dK) iff y' = y + delta(w), as H^{n-2}(K, dK) = 0,
+    so the cycle bounds (some y' is 0 on cl F u dK) iff y|cl F =
+    delta(w|cl F).  As y is 0 on dK, y|cl F joins y over the faces of F:
+    empty, the cycle bounds; else one small solve on cl F decides.
+    Higher degrees are solved on the subdivision.
     """
-    if rec.chain is None or not rec.touching.isdisjoint(faces):
+    faces = model.F.faces
+    if not rec.touching.isdisjoint(faces):
         return "contact"
-    if not rec.chain:
-        return "degenerate"
+    if rec.verdict:
+        return rec.verdict
     if rec.tops:
         tops, coeffs = zip(*rec.tops)
-        null = not _unbalanced(coeffs, _flood(rec.dual, set(faces), tops))
-    elif rec.spec.degree == 0:
-        null = not sum(rec.chain.values())
+        null = not _unbalanced(
+            coeffs, _flood(_dual_graph(model.K), set(faces), tops))
     elif rec.spec.degree == 1:
-        K, n = model.K, model.K.dim
-        on_f = model._relative((n - 2,)).get(n - 2, ())
-        rhs = {i: c for i, c in rec.y.items() if i in on_f}
+        rhs = dict(term for f in faces for term in rec.y.get(f, ()))
         null = not rhs or _hom._snf_diagonal_sparse(
-            _coboundary(K, model._relative((n - 3, n - 2)), n - 3),
+            _coboundary(model.K, model._relative, model.K.dim - 3),
             rhs=rhs).solvable
     else:
         null, _ = _hom.is_null_homologous(realize_constraint(rec.spec, model))
@@ -726,35 +729,30 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     """`is_spanning` for the subsets of `pool`, distinct d-faces of K, as a
     function of a bitmask over pool positions (bit p stands for pool[p]).
 
-    Built once per solve, from each constraint resolved once per complex
-    and d (`_resolve`).  The pool faces in a constraint's contact set make
-    one mask, and a cycle that is not one of K, the zero chain, or a
-    0-cycle whose coefficients sum to 0 below codimension 1 fails every
-    state.  For d = n-1 the 0-cycles are decided on the dual graph
+    Built once per solve from each constraint's record (`_resolve`): the
+    pool faces in contact make one mask, and a failing verdict fails
+    every state.  For d = n-1 the 0-cycles are decided on the dual graph
     contracted along the facets off the pool: one `_flood` with the pool
     as its cut labels the tops of the cycles and of the pool facets, and
     the complement of a state is the small graph on those labels whose
     edges are the pool facets outside the state.  A call floods that graph
-    from the cycles' labels, with no face tuple built.  One face tuple
-    and `ComplementModel` are built per call only when the 0-cycles pass
-    and a constraint of degree >= 1 is left, decided by `_reason`, the
-    decision `ComplementModel.check` makes.  The verdict is kept per
-    pattern of the bits it reads, the contact and small graph's edge bits
-    or, with a constraint of degree >= 1 left, every bit, so a state seen
-    before is answered from that memo.
+    from the cycles' labels, with no face tuple built.  A face set and
+    `ComplementModel` are built per call only when the 0-cycles pass and a
+    record of degree >= 1 with no verdict is left, for `_reason`, the
+    decision `check` makes.  Verdicts are kept per pattern of the bits
+    read (contact and small-graph edge bits, or every bit with such a
+    record left) for states seen again.
     """
     if not 0 <= d < K.dim:
         raise InvalidInputError(
             f"face dimension {d} must lie strictly below {K.dim}")
     resolved = [_resolve(K, c, d) for c in constraints]
-    rest = [rec for rec in resolved if rec.spec.degree > 0]
+    rest = [rec for rec in resolved if rec.verdict is None and rec.spec.degree]
     max_dim = max([c.degree for c in constraints] or [0]) + 1
     pool = tuple(pool)
     touched = set().union(*(rec.touching for rec in resolved))
     contact = sum(1 << p for p, f in enumerate(pool) if f in touched)
-    never = any(not rec.chain or (not rec.tops and rec.spec.degree == 0
-                                  and not sum(rec.chain.values()))
-                for rec in resolved)
+    never = any(rec.verdict not in (None, "nontrivial") for rec in resolved)
     # the 0-cycles decided on the dual graph, by their (top, coefficient)
     # terms; per cycle, its coefficients and the slice of `nodes` holding
     # the small graph's nodes of its tops
@@ -794,9 +792,9 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
                 return False
         if not rest:
             return True
-        faces = tuple(pool[p] for p in positions(state))
-        model = ComplementModel(K, FaceSet(K, d, faces), max_dim)
-        return all(_reason(rec, faces, model) == "nontrivial" for rec in rest)
+        F = FaceSet(K, d, tuple(pool[p] for p in positions(state)))
+        model = ComplementModel(K, F, max_dim)
+        return all(_reason(rec, model) == "nontrivial" for rec in rest)
 
     # the verdicts per pattern of the bits `decide` reads
     reads = -1 if rest else edges | contact

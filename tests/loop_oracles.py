@@ -8,7 +8,9 @@ table for table and bit for bit.  `reachable`, one depth-first search
 between two tops, is the reference for the component labels that decide
 point pairs.  The per-vertex wall bits of cl F and the facet-count rule
 for a loop's sub-box are the references for the one lattice-wall rule of
-the relative cochains.  The dense boundary matrix is the
+the relative cochains, and y restricted to cl F off the boundary,
+taken through both, is the reference for a loop's right-hand side read
+per face.  The dense boundary matrix is the
 `np.linalg.matrix_rank` oracle of the homology tests, and `cofacets`
 serves the whole-box oracles of `relative_cochains`.
 """
@@ -215,6 +217,17 @@ def off_walls_by_vertex_bits(K: Complex, cl: Dict[int, set],
             if not shared:
                 out[r].add(i)
     return out
+
+
+def loop_rhs_by_closure(K: Complex, y: Dict[int, int], d: int,
+                       faces: Iterable[int]) -> Dict[int, int]:
+    """The right-hand side of a loop check on the d-face set `faces`: the
+    nonzero terms of the (n-2)-cochain y on the (n-2)-simplices of cl F
+    that no wall of the box holds."""
+    r, faces = K.dim - 2, list(faces)
+    cl = {r: closure_by_combinations(K, d, faces)[r]}
+    off = off_walls_by_vertex_bits(K, cl, [0] * K.dim, K.grid.box)[r]
+    return {i: c for i, c in y.items() if c and i in off}
 
 
 def subbox_cochains_by_facets(K: Complex, tops: Sequence[Sequence[int]]

@@ -265,6 +265,21 @@ def test_parse_errors_reported(problem_file, capsys):
     assert err.count("error:") >= 2
 
 
+def test_solve_rejects_weight_lines_off_the_faces(problem_file, capsys):
+    # a `w` line names a face by index, so an index the box does not have
+    # fails as an `init faces` index does, instead of weighing nothing
+    table = SEPARATION + "weight table 1.0\n"
+    for line in ("w 999 2.0", "w -1 2.0", "init faces 999"):
+        code, out, err = run_cli(capsys, ["solve", "--input",
+                                          problem_file(table + line + "\n")])
+        index = line.split()[-2 if line.startswith("w") else -1]
+        assert (code, out, err) == (
+            1, "", f"error: face index {index} out of range\n")
+    code, out, _ = run_cli(capsys, ["solve", "--input",
+                                    problem_file(table + "w 0 2.0\n")])
+    assert code == 0 and "status: ok" in out
+
+
 def test_missing_input_flag(capsys):
     code, _, err = run_cli(capsys, ["check"])
     assert code == 1

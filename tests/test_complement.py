@@ -1144,7 +1144,7 @@ def pool_cases():
     pair = pp((2, 0), (2, 4))
     pool = row + [face_at(K, 1, [(2, 0), (3, 0)]),
                   face_at(K, 1, [(0, 3), (0, 4)])] + rng.sample(band, 6)
-    cases.append(("4x4-row", K, [pair], [], pool))
+    cases.append(("4x4-row", K, 1, [pair], [], pool))
     hexagon = link_faces(K, (2, 2))
     assert len(hexagon) == 6
     inner = [i for i in Region((1, 1), (3, 3)).faces(K, 1)
@@ -1155,15 +1155,15 @@ def pool_cases():
     for k in (1, 2, 3):
         pool = hexagon + corners + row[:1] + rng.sample(inner, 2)
         rng.shuffle(pool)
-        cases.append((f"4x4-{k}-pairs", K, pairs[:k], [], pool))
+        cases.append((f"4x4-{k}-pairs", K, 1, pairs[:k], [], pool))
     # a degenerate pair fails every state
-    cases.append(("4x4-degenerate", K, [pairs[0], pp((1, 1), (1, 1))], [],
-                  hexagon + row[:4]))
+    cases.append(("4x4-degenerate", K, 1, [pairs[0], pp((1, 1), (1, 1))],
+                  [], hexagon + row[:4]))
     # a loop alongside: the outline of the box links every nonempty set
     # of interior edges and touches an edge at (0, 2); a face set must
     # also cut (2, 2) off
     outline = rectangle_loop((0, 1), (0, 0), (4, 4), (0, 0))
-    cases.append(("4x4-loop", K, [pairs[0]], [outline],
+    cases.append(("4x4-loop", K, 1, [pairs[0]], [outline],
                   hexagon + [face_at(K, 1, [(0, 2), (1, 2)])]
                   + rng.sample(inner, 3)))
     # 3^3, d = 2: the six triangles cutting the corner off, a contact
@@ -1175,13 +1175,25 @@ def pool_cases():
     rest = [i for i in range(K.n_simplices(2))
             if i not in corner + [far, wall]]
     pool = corner + [far, wall] + rng.sample(rest, 4)
-    cases.append(("3^3-corner", K, [pp((0, 0, 0), (3, 3, 3))], [], pool))
-    cases.append(("3^3-two-pairs", K, [pp((0, 0, 0), (3, 3, 3)),
-                                       pp((0, 0, 0), (3, 0, 0))], [], pool))
+    cases.append(("3^3-corner", K, 2, [pp((0, 0, 0), (3, 3, 3))], [], pool))
+    cases.append(("3^3-two-pairs", K, 2, [pp((0, 0, 0), (3, 3, 3)),
+                                          pp((0, 0, 0), (3, 0, 0))], [], pool))
+    # loops in 3D, d = n-1: the tube's two walls y = 1 and y = 2, twelve
+    # triangles from face x = 0 to face x = 3, under the tube's meridians
+    walls = [c for c in tube_corners() if len({p[1] for p in c}) == 1]
+    cases.append(("3d-tube-walls", K, 2, [], meridians((3, 3, 3), (0, 2)),
+                  list(lattice_faces(K, walls))))
+    # loops in 3D, d = n-2: the wire through the cube's middle meridian
+    # and ten edges that miss that meridian or meet it
+    K = build_grid_complex(3, [2, 2, 2])
+    wire = lattice_faces(K, [((0, 1, 1), (1, 1, 1)), ((1, 1, 1), (2, 1, 1))])
+    others = [f for f in range(K.n_simplices(1)) if f not in wire]
+    cases.append(("3d-wire", K, 1, [], meridians((2, 2, 2), (1,)),
+                  list(wire) + rng.sample(others, 10)))
     # every edge of a 3x3 box, on sampled states
     K = build_grid_complex(2, [3, 3])
-    cases.append(("3x3-every-edge", K, [pp((1, 0), (2, 3)),
-                                        pp((0, 0), (3, 3))], [],
+    cases.append(("3x3-every-edge", K, 1, [pp((1, 0), (2, 3)),
+                                           pp((0, 0), (3, 3))], [],
                   list(range(K.n_simplices(1)))))
     return [pytest.param(*case, id=case[0]) for case in cases]
 
@@ -1190,13 +1202,12 @@ def pp(p, q):
     return ConstraintCycle(kind="point-pair", points=(p, q))
 
 
-@pytest.mark.parametrize("name,K,pairs,loops,pool", pool_cases())
-def test_pool_predicate_matches_the_search_oracle(name, K, pairs, loops,
+@pytest.mark.parametrize("name,K,d,pairs,loops,pool", pool_cases())
+def test_pool_predicate_matches_the_search_oracle(name, K, d, pairs, loops,
                                                   pool):
     # every state of a pool of at most 12 faces (sampled above that): the
     # predicate's flood of the contracted graph against one search per
-    # pair on the whole dual graph, and `check` for the loop
-    d = K.dim - 1
+    # pair on the whole dual graph, and `check` for the loops
     spans = spanning_predicate(K, pairs + loops, d, pool)
     by_search = pairs_span_by_search(K, pairs)
     points = {K.grid.vertex_at(p) for c in pairs for p in c.points}

@@ -10,17 +10,21 @@ import spanmin.complement
 from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
                      WeightField, build_grid_complex,
                      complement_subcomplex, homology_group,
-                     minimize_exhaustive)
-from spanmin.complement import (ComplementModel, _off_walls, _realize_raw,
-                                _relative_cohomology, _simplex_ids)
+                     is_null_homologous, minimize_exhaustive,
+                     realize_constraint, spanning_predicate)
+from spanmin.complement import (ComplementModel, _cobound, _off_walls,
+                                _realize_raw, _relative_cohomology, _resolve,
+                                _simplex_ids, _support_vertices)
 from spanmin.complexes import _closure_rows, _kuhn_tops
 
 import relative_cochains as oracle
-from loop_oracles import (closure_by_combinations, off_walls_by_vertex_bits,
+from loop_oracles import (closure_by_combinations, loop_rhs_by_closure,
+                          off_walls_by_vertex_bits,
                           subbox_cochains_by_facets)
 from test_complement import (DEG0_CASES, DEG1_CASES, HOMOLOGY_CASES,
-                             box_loops, lattice_faces, meridians,
-                             rectangle_loop, subdivision_oracle, touches)
+                             boundary_items, box_loops, lattice_faces,
+                             meridians, rectangle_loop, subdivision_oracle,
+                             touches)
 
 
 def sphere_faces(K, d):
@@ -87,13 +91,13 @@ def test_wall_rule_matches_the_vertex_bits_of_the_closure(box):
             model = complement_subcomplex(K, F)
             cl = closure_by_combinations(K, d, F.faces)
             assert {r: set(_simplex_ids(K, r, rows))
-                    for r, rows in model._closure().items()} == cl
+                    for r, rows in model._closure.items()} == cl
             whole = off_walls_by_vertex_bits(K, cl, [0] * n, box)
-            assert model._relative(range(d + 1)) == whole
+            assert model._relative == whole
             walled.update(r for r in cl if whole[r] != cl[r])
             lo = [int(rng.integers(0, b)) for b in box]
             hi = [int(rng.integers(a + 1, b + 1)) for a, b in zip(lo, box)]
-            assert _off_walls(K, model._closure(), lo, hi) == \
+            assert _off_walls(K, model._closure, lo, hi) == \
                 off_walls_by_vertex_bits(K, cl, lo, hi)
     assert walled
 
@@ -152,6 +156,98 @@ def test_loop_verdicts_match_relative_cochain_oracle(case):
             assert status.reason == want
             verdicts.add(want)
     assert verdicts == {"null-homologous", "nontrivial"}
+
+
+@pytest.mark.parametrize("case", sorted(DEG1_CASES))
+def test_loop_right_hand_side_per_face_matches_the_closure_oracle(case):
+    # y read per face of F and joined, against y restricted to the
+    # (n-2)-simplices of cl F off dK, for d = n-2 and d = n-1, on random
+    # face sets with and without faces that carry y
+    box, _, _, linked, _ = DEG1_CASES[case]
+    K = build_grid_complex(len(box), list(box))
+    n = K.dim
+    loops = box_loops(box)
+    rng = np.random.default_rng(67)
+    picked = linked + [loops[i] for i in rng.choice(len(loops), size=3,
+                                                    replace=False)]
+    seen = set()
+    for d in (n - 2, n - 1):
+        for loop in picked:
+            y = _cobound(K, _realize_raw(loop, K), _support_vertices(K, loop))
+            per_face = _resolve(K, loop, d).y
+            for trial in range(6):
+                faces = rng.choice(K.n_simplices(d), size=trial,
+                                   replace=False).tolist()
+                if trial % 2 and per_face:
+                    faces += rng.choice(sorted(per_face), size=2).tolist()
+                got = dict(t for f in faces for t in per_face.get(f, ()))
+                assert got == loop_rhs_by_closure(K, y, d, faces)
+                seen.add(bool(got))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("case", ["3d-tube", "4d-planes"])
+def test_loop_check_off_y_builds_no_closure(case, monkeypatch):
+    # a face set with no face that carries y bounds the loop at once, in
+    # `check` as in the pool predicate: cl F is not built and the wall
+    # rule does not run; a face set that links the loops needs both
+    calls = []
+    for name in ("_closure_rows", "_off_walls"):
+        def counted(*args, fn=getattr(spanmin.complement, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(spanmin.complement, name, counted)
+    box, d, base_faces, linked, _ = DEG1_CASES[case]
+    K = build_grid_complex(len(box), list(box))
+    recs = [_resolve(K, loop, d) for loop in linked]
+    calls.clear()
+    busy = set().union(*(set(rec.y) | rec.touching for rec in recs))
+    free = [f for f in range(K.n_simplices(d)) if f not in busy]
+    F = FaceSet(K, d, free[::max(1, len(free) // 12)])
+    assert len(F) >= 8
+    reasons = [s.reason for s in complement_subcomplex(K, F).check(linked)]
+    assert reasons == ["null-homologous"] * len(linked)
+    spans = spanning_predicate(K, linked, d, F.faces)
+    assert not spans((1 << len(F)) - 1)
+    assert calls == []
+    F = FaceSet(K, d, base_faces(K))
+    assert all(s.passed for s in complement_subcomplex(K, F).check(linked))
+    assert set(calls) == {"_closure_rows", "_off_walls"}
+
+
+def test_cycles_below_their_codimension_bound_as_in_the_box():
+    # a degree-g cycle with d < n-1-g: cl F has no (n-g-1)-cochains, so
+    # the record holds the box's verdict, that the cycle bounds; against
+    # the subdivision, on loops with d = 0 in 3D, and on loops with
+    # d = 0, 1 and boundaries of tetrahedra with d = 0 in 4D
+    cases = [((2, 2, 2), 0, 1), ((1, 1, 1, 1), 0, 1), ((1, 1, 1, 1), 1, 1),
+             ((1, 1, 1, 1), 0, 2)]
+    rng = np.random.default_rng(71)
+    for box, d, g in cases:
+        K = build_grid_complex(len(box), list(box))
+        if g == 1:
+            loops = box_loops(box)
+            cycles = [loops[i] for i in rng.choice(len(loops), size=3,
+                                                   replace=False)]
+        else:
+            cycles = [ConstraintCycle(kind="cycle", degree=2,
+                                      items=boundary_items(K, K.simplex(3, j)))
+                      for j in rng.choice(K.n_simplices(3), size=3,
+                                          replace=False)]
+        checked = 0
+        for trial, c in enumerate(cycles):
+            assert _resolve(K, c, d).verdict == "null-homologous"
+            faces = rng.choice(K.n_simplices(d), size=trial,
+                               replace=False).tolist()
+            model = complement_subcomplex(K, FaceSet(K, d, faces),
+                                          max_dim=g + 1)
+            [status] = model.check([c])
+            if status.reason == "contact":
+                continue
+            null, _ = is_null_homologous(realize_constraint(c, model))
+            assert null and status.reason == "null-homologous"
+            checked += 1
+        assert checked
 
 
 def deg0_face_sets():
