@@ -372,12 +372,6 @@ class ComplementModel:
     def check(self, constraints: Sequence[ConstraintCycle]
               ) -> List[ConstraintStatus]:
         """Per-constraint spanning verdicts in this model (see `_reason`)."""
-        for c in constraints:
-            if c.degree >= 2 and self.max_dim < c.degree + 1:
-                # a g-cycle bounds only through the (g+1)-simplices
-                raise PreconditionError(
-                    f"a degree-{c.degree} cycle needs max_dim >= "
-                    f"{c.degree + 1}, got {self.max_dim}")
         reasons = [_reason(_resolve(self.K, c, self.F.dim), self)
                    for c in constraints]
         return [ConstraintStatus(i, reason == "nontrivial", reason)
@@ -404,9 +398,10 @@ def complement_subcomplex(K: Complex, F: FaceSet,
     """Model of the open complement of |F| inside the box of K.
 
     `max_dim` truncates the skeleton of the subdivision behind the
-    `complex` view; testing a degree-g `cycle` constraint there needs
-    max_dim >= g+1, and `check` raises `PreconditionError` otherwise.
-    `homology` and the checks of degree 0 and 1 do not read it.
+    `complex` view; a degree-g `cycle` constraint whose verdict is left to
+    the subdivision (d >= n-1-g, no contact) needs max_dim >= g+1 there,
+    and `check` raises `PreconditionError` otherwise.  `homology`, the
+    checks of degree 0 and 1 and the fixed verdicts do not read it.
     """
     if max_dim is None:
         max_dim = K.dim
@@ -648,7 +643,8 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
     so the cycle bounds (some y' is 0 on cl F u dK) iff y|cl F =
     delta(w|cl F).  As y is 0 on dK, y|cl F joins y over the faces of F:
     empty, the cycle bounds; else one small solve on cl F decides.
-    Higher degrees are solved on the subdivision.
+    Higher degrees are solved on the subdivision, which must then reach
+    degree g+1 (`PreconditionError` otherwise).
     """
     faces = model.F.faces
     if not rec.touching.isdisjoint(faces):
@@ -665,6 +661,11 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
             _coboundary(model.K, model._relative, model.K.dim - 3),
             rhs=rhs).solvable
     else:
+        g = rec.spec.degree
+        if model.max_dim < g + 1:
+            # a g-cycle bounds only through the (g+1)-simplices
+            raise PreconditionError(f"a degree-{g} cycle needs max_dim >= "
+                                    f"{g + 1}, got {model.max_dim}")
         null, _ = _hom.is_null_homologous(realize_constraint(rec.spec, model))
     return "null-homologous" if null else "nontrivial"
 

@@ -5,15 +5,17 @@ the invariant factors of a set of sparse columns (the nonzero diagonal of
 their Smith normal form) and, on request, decides whether a right-hand side
 is an integer combination of them.  All arithmetic is over
 arbitrary-precision Python ints; no modular shortcuts, so torsion is exact.
-Every degree, 0 included, goes through it: homology groups read the
-invariant factors of the boundary operators, and null-homology tests solve
-over the columns of the next boundary operator, returning an explicit
-integer witness chain whenever the class vanishes.
+It pivots by one static rule: columns in order of their starting length,
+each on its unit in the row with the fewest columns, then the entry of
+smallest magnitude once that order is exhausted.  Every degree, 0
+included, goes through it: homology groups read the invariant factors of
+the boundary operators, and null-homology tests solve over the columns of
+the next boundary operator, returning an explicit integer witness chain
+whenever the class vanishes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -72,8 +74,11 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]],
     """Invariant factors from sparse dict-of-dict columns, and optionally
     the integer solve of sum_j x_j cols[j] = rhs.
 
-    Elimination prefers unit pivots with the least fill.  Returns the
-    nonzero diagonal as a divisibility chain.
+    One static pivot rule: the columns are taken in order of their starting
+    length, and each step pivots on the first one still holding a unit, at
+    its unit in the row with the fewest columns.  Once that order is
+    exhausted, the entry of smallest magnitude pivots.  Returns the nonzero
+    diagonal as a divisibility chain.
 
     The right-hand side z takes every row operation but is never a pivot.
     When a pivot p is retired its column is p e_i, so z is reduced by
@@ -94,20 +99,6 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]],
             else None)
     x: Dict[int, int] = {}
 
-    # unit-entry candidates in a lazy heap keyed by a fill estimate; entries
-    # are re-validated on pop, so stale scores are harmless
-    heap: List[Tuple[int, int, int]] = []
-    for j, col in cols.items():
-        cl = len(col) - 1
-        for i, v in col.items():
-            if abs(v) == 1:
-                heap.append(((len(rows[i]) - 1) * cl, i, j))
-    heapq.heapify(heap)
-
-    def push_unit(i: int, j: int) -> None:
-        fill = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-        heapq.heappush(heap, (fill, i, j))
-
     def result(diag: List[int], solvable: Optional[bool]) -> Elimination:
         out = Elimination(_divisibility_chain(diag))
         out.solvable = solvable
@@ -115,23 +106,25 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]],
             out.witness = x
         return out
 
+    # columns by starting length; the sort is stable, so ties keep input
+    # order and the witness stays deterministic
+    order = sorted(cols, key=lambda j: len(cols[j]))
+    k = 0
     diag: List[int] = []
     while cols:
-        i0 = j0 = None
-        while heap:
-            s, i, j = heapq.heappop(heap)
-            col = cols.get(j)
-            if not col or abs(col.get(i, 0)) != 1:
-                continue
-            now = (len(rows[i]) - 1) * (len(col) - 1)
-            if now > s:
-                heapq.heappush(heap, (now, i, j))
-                continue
-            i0, j0 = i, j
-            break
-        if i0 is None:
-            # no unit entries left: take the smallest magnitude, which
-            # guarantees Euclidean progress on this row/column
+        while k < len(order) and not any(
+                abs(v) == 1 for v in cols.get(order[k], {}).values()):
+            k += 1
+        if k < len(order):
+            # the first column still holding a unit pivots on its unit in
+            # the row with the fewest columns
+            j0 = order[k]
+            i0 = min((i for i, v in cols[j0].items() if abs(v) == 1),
+                     key=lambda i: len(rows[i]))
+        else:
+            # the ordered pass is over (a column it skipped may have gained
+            # a unit through fill since): take the smallest magnitude,
+            # which guarantees Euclidean progress on this row/column
             best = None
             for j, col in cols.items():
                 cl = len(col) - 1
@@ -157,8 +150,6 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]],
                 if nv:
                     colj[i] = nv
                     rows.setdefault(i, set()).add(j)
-                    if abs(nv) == 1:
-                        push_unit(i, j)
                 elif i in colj:
                     del colj[i]
                     rows[i].discard(j)
@@ -185,8 +176,6 @@ def _snf_diagonal_sparse(cols: Dict[int, Dict[int, int]],
             if r:
                 col0[i] = r
                 pending = True
-                if abs(r) == 1:
-                    push_unit(i, j0)
             else:
                 del col0[i]
                 rows[i].discard(j0)

@@ -511,6 +511,34 @@ def test_truncated_subdivision_rejects_high_degree_cycle():
         realize_constraint(sphere, complement_subcomplex(K, empty, max_dim=1))
 
 
+def test_truncated_subdivision_answers_a_fixed_verdict():
+    # a 2-cycle in 4D with d = 0 < n-1-g bounds whatever the vertices
+    # removed (cl F has no 1-cochains), a verdict its record holds, so a
+    # model truncated to its 1-skeleton reads no subdivision and answers
+    # as the full check does
+    K = build_grid_complex(4, [1, 1, 1, 1])
+    tet = K.simplex(3, 0)
+    cycle = ConstraintCycle(kind="cycle", degree=2,
+                            items=boundary_items(K, tet))
+    off = next(v for v in range(K.n_simplices(0)) if v not in tet)
+    for faces in ((), (off,)):
+        F = FaceSet(K, 0, faces)
+        [status] = complement_subcomplex(K, F, max_dim=1).check([cycle])
+        assert status.reason == "null-homologous"
+        assert spanning_check(K, F, [cycle]) == [status]
+    # in 3D, d = 0 is not below n-1-g = 0: whether the boundary sphere
+    # bounds depends on the vertices removed, so it is left to the
+    # subdivision, which a truncated model cannot reach
+    K = build_grid_complex(3, [3, 3, 3])
+    sphere = sphere_cycle(K)
+    empty = FaceSet(K, 0, ())
+    inner = FaceSet(K, 0, lattice_faces(K, [((1, 1, 1),)]))
+    assert spanning_check(K, empty, [sphere])[0].reason == "null-homologous"
+    assert spanning_check(K, inner, [sphere])[0].reason == "nontrivial"
+    with pytest.raises(PreconditionError):
+        complement_subcomplex(K, empty, max_dim=1).check([sphere])
+
+
 def boundary_items(K, verts):
     """The boundary of the simplex of K on the vertex ids `verts` as
     `cycle` items (lattice points of each facet, sign)."""

@@ -12,6 +12,7 @@ import pytest
 from spanmin import (Chain, Complex, InvalidInputError, PreconditionError,
                      boundary, build_grid_complex, homology_group, is_cycle,
                      is_null_homologous)
+from spanmin.complexes import _boundary_columns
 from spanmin.homology import _snf_diagonal_sparse
 
 from loop_oracles import boundary_matrix
@@ -102,6 +103,53 @@ def columns(A):
     A = [[int(v) for v in row] for row in A]
     return {j: {i: row[j] for i, row in enumerate(A) if row[j]}
             for j in range(len(A[0]) if A else 0)}
+
+
+def dense_smith(A, b):
+    """Invariant factors of A and, on the row operations that diagonalise
+    it, whether A x = b has an integer solution: a textbook dense Smith
+    form (smallest entry of the trailing block pivots; a pivot that leaves
+    a remainder or fails to divide the block is replaced), for matrices
+    beyond the reach of `determinantal_divisors`."""
+    M = [[int(v) for v in row] for row in A]
+    c = [int(v) for v in b]
+    m, n = len(M), len(M[0]) if M else 0
+    diag = []
+    for t in range(min(m, n)):
+        while True:
+            block = [(abs(M[i][j]), i, j) for i in range(t, m)
+                     for j in range(t, n) if M[i][j]]
+            if not block:
+                break
+            _, i, j = min(block)
+            M[t], M[i], c[t], c[i] = M[i], M[t], c[i], c[t]
+            for row in M:
+                row[t], row[j] = row[j], row[t]
+            p = M[t][t]
+            for i in range(t + 1, m):
+                q = M[i][t] // p
+                M[i] = [u - q * v for u, v in zip(M[i], M[t])]
+                c[i] -= q * c[t]
+            for j in range(t + 1, n):
+                q = M[t][j] // p
+                for row in M:
+                    row[j] -= q * row[t]
+            if any(M[i][t] for i in range(t + 1, m)) or any(M[t][t + 1:]):
+                continue  # a remainder is the next, smaller pivot
+            rest = next((i for i in range(t + 1, m)
+                         if any(v % p for v in M[i][t + 1:])), None)
+            if rest is None:
+                break
+            # p does not divide row `rest`: fold it into row t
+            M[t] = [u + v for u, v in zip(M[t], M[rest])]
+            c[t] += c[rest]
+        if not block:
+            break
+        diag.append(abs(M[t][t]))
+    r = len(diag)
+    solvable = (all(c[k] % diag[k] == 0 for k in range(r))
+                and not any(c[r:]))
+    return diag, solvable
 
 
 def test_divisor_oracle_known_cases():
@@ -373,7 +421,8 @@ def test_degree_zero_matches_breadth_first_oracle():
 
 def test_sparse_solve_matches_dense_oracle_random():
     """Solvability against the divisors of A and [A | b], invariants
-    against those of A, on 300 random systems."""
+    against those of A, on 300 random systems; the dense Smith form
+    oracle is checked against the same divisors."""
     rng = np.random.default_rng(29)
     verdicts = []
     for _ in range(300):
@@ -387,8 +436,11 @@ def test_sparse_solve_matches_dense_oracle_random():
         cols = columns(A)
         rhs = {i: int(b[i]) for i in range(m) if b[i]}
         sol = _snf_diagonal_sparse(cols, rhs=rhs, witness=True)
-        assert sol.solvable == divisor_solvable(A.tolist(), b.tolist())
-        assert _snf_diagonal_sparse(cols) == invariant_factors(A)
+        expected = (invariant_factors(A),
+                    divisor_solvable(A.tolist(), b.tolist()))
+        assert dense_smith(A, b) == expected
+        assert sol.solvable == expected[1]
+        assert _snf_diagonal_sparse(cols) == expected[0]
         verdicts.append(sol.solvable)
         if sol.solvable:
             # a yes runs the elimination to the end: same invariants
@@ -410,3 +462,88 @@ def test_sparse_solve_torsion_and_empty_cases():
     assert sol.solvable and sol.witness == {0: 1, 1: 1}
     assert not _snf_diagonal_sparse({}, rhs={0: 1}).solvable
     assert _snf_diagonal_sparse({}, rhs={}, witness=True).witness == {}
+
+
+# -- pivot rule edge paths ---------------------------------------------------
+
+def test_unit_gained_through_fill_after_the_ordered_pass():
+    # both columns have two entries; the first holds no unit when the
+    # ordered pass reaches it and is skipped, the second pivots at r0 and
+    # leaves the first with the unit 1 at r1, which the smallest-magnitude
+    # scan then takes
+    cols = {0: {0: 2, 1: 3}, 1: {0: 1, 1: 1}}
+    A = [[2, 1], [3, 1]]
+    assert _snf_diagonal_sparse(cols) == invariant_factors(A) == [1, 1]
+    for b in ([1, 0], [0, 5], [7, -4]):
+        sol = _snf_diagonal_sparse(cols, rhs={0: b[0], 1: b[1]},
+                                   witness=True)
+        assert sol.solvable and divisor_solvable(A, b)
+        x = [sol.witness.get(j, 0) for j in range(2)]
+        assert [sum(A[i][j] * x[j] for j in range(2))
+                for i in range(2)] == b
+
+
+def test_column_emptied_by_fill_before_its_turn():
+    # the boundary of a hollow triangle: the third edge is the sum of the
+    # first two, so the second pivot empties it before the ordered pass
+    # reaches it
+    A = [[1, 0, 1], [-1, 1, 0], [0, -1, -1]]
+    cols = columns(A)
+    assert _snf_diagonal_sparse(cols) == invariant_factors(A) == [1, 1]
+    for b, expected in (([1, 0, -1], True), ([1, 0, 0], False),
+                        ([2, -1, -1], True)):
+        assert divisor_solvable(A, b) == expected
+        rhs = {i: v for i, v in enumerate(b) if v}
+        sol = _snf_diagonal_sparse(cols, rhs=rhs, witness=True)
+        assert sol.solvable == expected
+        if expected:
+            x = [sol.witness.get(j, 0) for j in range(3)]
+            assert [sum(A[i][j] * x[j] for j in range(3))
+                    for i in range(3)] == b
+    # a column that is a multiple of an earlier one empties the same way
+    assert _snf_diagonal_sparse({0: {0: 1}, 1: {0: 3}}) == [1]
+
+
+def test_identical_calls_give_the_same_witness():
+    # on the 4x4 grid, d_1 x = z for the 0-cycle between opposite corners
+    # has a solution for every path between them; the stable column order
+    # makes every call pick the same one
+    K = build_grid_complex(2, [4, 4])
+    cols = _boundary_columns(K, 1)
+    z = {K.grid.vertex_at((4, 4)): 1, K.grid.vertex_at((0, 0)): -1}
+    first = _snf_diagonal_sparse(cols, rhs=z, witness=True)
+    second = _snf_diagonal_sparse(cols, rhs=z, witness=True)
+    assert first.solvable and first.witness == second.witness
+    assert boundary(Chain(K, 1, first.witness)).coeffs == z
+
+
+def test_random_boundary_shaped_matrices():
+    """Rank, invariant factors and solves on 200 seeded sparse 0/+-1
+    matrices of up to 15 x 15 with at most four entries per column, the
+    shape of boundary matrices, against the dense Smith form."""
+    rng = np.random.default_rng(97)
+    verdicts = []
+    for _ in range(200):
+        m, n = (int(s) for s in rng.integers(1, 16, size=2))
+        A = np.zeros((m, n), dtype=int)
+        for j in range(n):
+            rows = rng.choice(m, size=int(rng.integers(0, min(m, 4) + 1)),
+                              replace=False)
+            A[rows, j] = rng.choice([-1, 1], size=len(rows))
+        if rng.random() < 0.5:
+            b = A @ rng.integers(-2, 3, size=n)
+        else:
+            b = rng.integers(-2, 3, size=m)
+        diag, solvable = dense_smith(A, b)
+        cols = columns(A)
+        inv = _snf_diagonal_sparse(cols)
+        assert inv == diag
+        assert len(inv) == np.linalg.matrix_rank(A)
+        rhs = {i: int(b[i]) for i in range(m) if b[i]}
+        sol = _snf_diagonal_sparse(cols, rhs=rhs, witness=True)
+        assert sol.solvable == solvable
+        if solvable:
+            x = np.array([sol.witness.get(j, 0) for j in range(n)])
+            assert (A @ x == b).all()
+        verdicts.append(solvable)
+    assert 60 < sum(verdicts) < 180
