@@ -9,8 +9,7 @@ from .homology import (HomologyGroup, homology_group, is_cycle,
 from .complement import (CompetitorVerdict, ComplementModel, ConstraintCycle,
                          ConstraintStatus, Region, competitor_check,
                          complement_subcomplex, free_collapse_candidates,
-                         is_spanning, realize_constraint, spanning_check,
-                         spanning_predicate)
+                         is_spanning, spanning_check, spanning_predicate)
 from .solver import (PlaneRegion, SolveResult, WeightField,
                      minimize_exhaustive, minimize_local,
                      projection_lower_bound, weighted_measure)
@@ -31,7 +30,7 @@ __all__ = [
     "CompetitorVerdict", "ComplementModel", "ConstraintCycle",
     "ConstraintStatus", "Region", "competitor_check",
     "complement_subcomplex", "free_collapse_candidates", "is_spanning",
-    "realize_constraint", "spanning_check", "spanning_predicate",
+    "spanning_check", "spanning_predicate",
     "PlaneRegion", "SolveResult", "WeightField", "minimize_exhaustive",
     "minimize_local", "projection_lower_bound", "weighted_measure",
     "BoundReport", "PlanePair", "characteristic_angles", "equality_family",

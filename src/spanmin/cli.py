@@ -128,8 +128,9 @@ def cmd_solve(args) -> int:
     init = spec.initial_faceset(K)
     FaceSet(K, spec.d, [f for f, _ in spec.weight_table])  # w faces must exist
     region = spec.region_box()
-    if region is not None and K.grid is not None:
-        pool = region.faces(K, spec.d)
+    # the faces `minimize_local` searches: the region's and the initial set
+    if region is not None:
+        pool = region.faces(K, spec.d) + init.faces
     elif init.faces:
         pool = init.faces
     else:

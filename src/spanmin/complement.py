@@ -20,15 +20,15 @@ on (K, dK), and the loop bounds in the complement of |F| exactly when y
 restricted to cl F is a coboundary of (cl F, cl F n dK).
 
 The full subcomplex of the barycentric subdivision on the simplices outside
-cl F is a homotopy model of the same complement.  It is built only for the
-public `complex` view and for constraint cycles of degree 2 and above.
+cl F is a homotopy model of the same complement.  Only constraint cycles of
+degree 2 and above read it: a g-cycle, cut into its barycentric pieces,
+bounds when it is the boundary of a (g+1)-chain of subdivision chains
+outside cl F, one sparse solve over the chain table (`_reason`).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +67,6 @@ class _SdStructure:
     """
 
     def __init__(self, K: Complex, max_dim: int):
-        self.K = K
         self.max_dim = max_dim
         self.offsets = _sd_offsets(K)
         self.total = self.offsets[-1]
@@ -88,15 +87,6 @@ class _SdStructure:
                             if len(chain) <= max_dim:
                                 extendable.append(chain)
                 ends.append(extendable)
-
-    def sd_id(self, k: int, idx: int) -> int:
-        return self.offsets[k] + idx
-
-    def barycenter(self, sdid: int) -> np.ndarray:
-        """Barycenter of the simplex of K behind a subdivision vertex."""
-        k = bisect.bisect_right(self.offsets, sdid) - 1
-        verts = self.K.simplex(k, sdid - self.offsets[k])
-        return self.K.coords[list(verts)].mean(axis=0)
 
 
 def _sd_structure(K: Complex, max_dim: int) -> _SdStructure:
@@ -287,7 +277,8 @@ class ComplementModel:
     cl F and its relative cochains off dK are built whole, once, on first
     use: homology and the loop solves read them.  Constraint checks go
     through each constraint's record (see `_reason`).  The subdivision
-    arrays (`sd`, `good`, the kept edges) are built on first use too.
+    arrays (`sd`, `good`, the kept edges), which only cycles of degree 2
+    and above read, are built on first use too.
     """
 
     def __init__(self, K: Complex, F: FaceSet, max_dim: int):
@@ -296,8 +287,6 @@ class ComplementModel:
         self.K = K
         self.F = F
         self.max_dim = max_dim
-        self._complex: Optional[Complex] = None
-        self._id_map: Optional[Dict[int, int]] = None
 
     @cached_property
     def _closure(self) -> Dict[int, np.ndarray]:
@@ -335,23 +324,6 @@ class ComplementModel:
                         2 * len(edges)).reshape(-1, 2)
         a, b = E[:, 0], E[:, 1]
         return a[self.good[a] & self.good[b]]
-
-    @property
-    def complex(self) -> Complex:
-        if self._complex is None:
-            good = self.good
-            keep_v = [i for i in range(self.sd.total) if good[i]]
-            id_map = {old: new for new, old in enumerate(keep_v)}
-            simplices: Dict[int, List[Tuple[int, ...]]] = {
-                0: [(id_map[v],) for v in keep_v]}
-            for m in range(1, self.max_dim + 1):
-                simplices[m] = [tuple(id_map[v] for v in ch)
-                                for ch in self.sd.chains.get(m, ())
-                                if all(good[v] for v in ch)]
-            coords = [self.sd.barycenter(v) for v in keep_v]
-            self._complex = Complex(simplices, coords, validate=False)
-            self._id_map = id_map
-        return self._complex
 
     # -- relative cochains of (cl F, cl F n dK) -------------------------------
 
@@ -397,10 +369,10 @@ def complement_subcomplex(K: Complex, F: FaceSet,
                           max_dim: Optional[int] = None) -> ComplementModel:
     """Model of the open complement of |F| inside the box of K.
 
-    `max_dim` truncates the skeleton of the subdivision behind the
-    `complex` view; a degree-g `cycle` constraint whose verdict is left to
-    the subdivision (d >= n-1-g, no contact) needs max_dim >= g+1 there,
-    and `check` raises `PreconditionError` otherwise.  `homology`, the
+    `max_dim` truncates the skeleton of the subdivision; a degree-g
+    `cycle` constraint whose verdict is left to the subdivision
+    (d >= n-1-g, no contact) needs max_dim >= g+1 there, and `check`
+    raises `PreconditionError` otherwise.  `homology`, the
     checks of degree 0 and 1 and the fixed verdicts do not read it.
     """
     if max_dim is None:
@@ -643,8 +615,13 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
     so the cycle bounds (some y' is 0 on cl F u dK) iff y|cl F =
     delta(w|cl F).  As y is 0 on dK, y|cl F joins y over the faces of F:
     empty, the cycle bounds; else one small solve on cl F decides.
-    Higher degrees are solved on the subdivision, which must then reach
-    degree g+1 (`PreconditionError` otherwise).
+    A g-cycle of higher degree bounds in the complement when its
+    barycentric pieces (`_subdivide_simplex`) are the boundary of a
+    (g+1)-chain of the subdivision's full subcomplex off cl F: one solve
+    over the (g+1)-chains with every id `good`, each column its facet
+    chains with signs (-1)^i.  Chains are canonical id tuples, so they key
+    the rows directly.  The subdivision must reach degree g+1
+    (`PreconditionError` otherwise).
     """
     faces = model.F.faces
     if not rec.touching.isdisjoint(faces):
@@ -666,33 +643,16 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
             # a g-cycle bounds only through the (g+1)-simplices
             raise PreconditionError(f"a degree-{g} cycle needs max_dim >= "
                                     f"{g + 1}, got {model.max_dim}")
-        null, _ = _hom.is_null_homologous(realize_constraint(rec.spec, model))
+        chains = model.sd.chains[g + 1]
+        ids = np.array(chains, dtype=np.int64).reshape(-1, g + 2)
+        cols = {ch: {ch[:i] + ch[i + 1:]: (-1) ** i for i in range(g + 2)}
+                for ch, keep in zip(chains, model.good[ids].all(axis=1))
+                if keep}
+        rhs: Dict[Tuple[int, ...], int] = {}
+        for verts, c in _realize_raw(rec.spec, model.K).items():
+            _subdivide_simplex(model.K, verts, c, rhs)
+        null = _hom._snf_diagonal_sparse(cols, rhs=rhs).solvable
     return "null-homologous" if null else "nontrivial"
-
-
-_DEGENERATE = {"point-pair": "degenerate point pair (identical points)",
-               "loop": "degenerate loop (edges cancel)"}
-
-
-def realize_constraint(spec: ConstraintCycle, model: ComplementModel) -> Chain:
-    """Realize a constraint as a chain on the complement complex; warns when
-    a point pair or loop realizes as the zero chain."""
-    if spec.degree > model.max_dim:
-        raise PreconditionError(
-            f"a degree-{spec.degree} constraint needs max_dim >= "
-            f"{spec.degree}, got {model.max_dim}")
-    K = model.K
-    if not _resolve(K, spec, model.F.dim).touching.isdisjoint(model.F.faces):
-        raise RealizationError("constraint support touches the removed set")
-    chain = _realize_raw(spec, K)
-    if not chain and spec.kind in _DEGENERATE:
-        warnings.warn(_DEGENERATE[spec.kind])
-    C, remap = model.complex, model._id_map
-    pieces: Dict[Tuple[int, ...], int] = {}
-    for verts, c in chain.items():
-        _subdivide_simplex(K, verts, c, pieces)
-    return Chain(C, spec.degree, {C.index(tuple(remap[v] for v in key)): c
-                                  for key, c in pieces.items()})
 
 
 @dataclass(frozen=True)
@@ -729,6 +689,8 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
                        ) -> Callable[[int], bool]:
     """`is_spanning` for the subsets of `pool`, distinct d-faces of K, as a
     function of a bitmask over pool positions (bit p stands for pool[p]).
+    A repeated face, or an id that is not a d-face, raises
+    `InvalidInputError`.
 
     Built once per solve from each constraint's record (`_resolve`): the
     pool faces in contact make one mask, and a failing verdict fails
@@ -751,6 +713,11 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     rest = [rec for rec in resolved if rec.verdict is None and rec.spec.degree]
     max_dim = max([c.degree for c in constraints] or [0]) + 1
     pool = tuple(pool)
+    if len(set(pool)) != len(pool):
+        raise InvalidInputError("pool repeats a face")
+    outside = [f for f in pool if not 0 <= f < K.n_simplices(d)]
+    if outside:
+        raise InvalidInputError(f"pool face {outside[0]} out of range")
     touched = set().union(*(rec.touching for rec in resolved))
     contact = sum(1 << p for p, f in enumerate(pool) if f in touched)
     never = any(rec.verdict not in (None, "nontrivial") for rec in resolved)

@@ -63,12 +63,10 @@ class Complex:
     the dual graph, subdivisions) are filled lazily by the other modules.
     """
 
-    def __init__(self, simplices: Dict[int, Iterable[Vertices]], coords,
-                 validate: bool = True):
+    def __init__(self, simplices: Dict[int, Iterable[Vertices]], coords):
         self._fill({k: sorted(set(map(tuple, tab)))
                     for k, tab in simplices.items()}, coords, {})
-        if validate:
-            self._check_closure()
+        self._check_closure()
 
     def _fill(self, tables: Dict[int, List[Vertices]], coords,
               rows: Dict[int, np.ndarray]) -> None:

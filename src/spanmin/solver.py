@@ -441,8 +441,12 @@ def projection_lower_bound(F: FaceSet, frame1: np.ndarray, frame2: np.ndarray,
 
     Projects the faces onto the two planes, measures the covered target
     regions by rasterization, and divides by the projection constant of the
-    plane pair (`PlanePair.projection_bound`).
+    plane pair (`PlanePair.projection_bound`).  A resolution below 1
+    raises `InvalidInputError`.
     """
+    if resolution < 1:
+        raise InvalidInputError(
+            f"resolution must be at least 1, got {resolution}")
     if F.dim != 2:
         raise PreconditionError("projection certificate needs 2-dimensional faces")
     K = F.complex

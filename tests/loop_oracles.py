@@ -35,7 +35,7 @@ def closure_by_sets(maximal: Iterable[Sequence[int]], coords) -> Complex:
             bucket = simp.setdefault(r - 1, set())
             for sub in itertools.combinations(t, r):
                 bucket.add(sub)
-    return Complex(simp, coords, validate=False)
+    return Complex(simp, coords)
 
 
 def face_volumes_by_loop(K: Complex, d: int) -> np.ndarray:

@@ -9,6 +9,13 @@ box, is the coboundary of such a cochain.
 Both questions take eliminations over the whole box; `spanmin.complement`
 answers them on cl F alone by Alexander duality, and the tests check that
 the two agree.
+
+The complement complex, the full subcomplex of the barycentric subdivision
+on the simplices outside cl F assembled as a `Complex`, and a constraint
+cut into its barycentric pieces on it are the oracle of every degree: its
+homology, and a null-homology test with a witness, against the loop
+cochains, the duality and the degree >= 2 solve on the subdivision's
+chain table.
 """
 
 import itertools
@@ -18,9 +25,44 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from loop_oracles import cofacets, top_by_walk
-from spanmin.complement import ComplementModel
+from spanmin import Chain, Complex
+from spanmin.complement import (ComplementModel, _realize_raw,
+                                _subdivide_simplex)
 from spanmin.complexes import _boundary_columns
 from spanmin.homology import HomologyGroup, _snf_diagonal_sparse
+
+
+def vertex_ids(model: ComplementModel) -> Dict[int, int]:
+    """The vertex id in `complement_complex(model)` of each subdivision id
+    outside cl F: those ids in increasing order."""
+    return {old: i for i, old in
+            enumerate(np.flatnonzero(model.good).tolist())}
+
+
+def complement_complex(model: ComplementModel) -> Complex:
+    """The full subcomplex of the subdivision (up to `model.max_dim`) on
+    the simplices of K outside cl F, built and validated as a `Complex`
+    whose vertices (`vertex_ids`) sit at the barycenters of their
+    simplices of K."""
+    K, new = model.K, vertex_ids(model)
+    simplices = {m: [tuple(new[v] for v in ch) for ch in chains
+                     if all(v in new for v in ch)]
+                 for m, chains in model.sd.chains.items()}
+    centres = np.concatenate([K.coords[K.rows(k)].mean(axis=1)
+                              for k in range(K.dim + 1)])
+    return Complex(simplices, centres[list(new)])
+
+
+def realize(spec, model: ComplementModel) -> Chain:
+    """The constraint's chain on K cut into its barycentric pieces, as a
+    chain of `complement_complex(model)`.  The constraint must be out of
+    contact with F (a piece in cl F has no simplex there)."""
+    C, new = complement_complex(model), vertex_ids(model)
+    pieces: Dict[Tuple[int, ...], int] = {}
+    for verts, c in _realize_raw(spec, model.K).items():
+        _subdivide_simplex(model.K, verts, c, pieces)
+    return Chain(C, spec.degree, {C.index(tuple(new[v] for v in key)): c
+                                  for key, c in pieces.items()})
 
 
 def outside(model: ComplementModel) -> List[bool]:

@@ -167,11 +167,33 @@ def test_solve_whole_complex_pool_pinned(problem_file, capsys):
 
 
 def test_solve_infeasible_exit_2(problem_file, capsys):
-    text = "n 2\nd 1\nbox 2 2\ninit faces 4 11\n" \
+    # neither the edge x1 = 1 of the initial set nor the region's wall
+    # x0 = 2 separates the pair, nor do they together
+    text = "n 2\nd 1\nbox 2 2\ninit faces 4\n" \
            "constraint point-pair 1 0 ; 1 2\nregion 2 0 ; 2 2\n"
     code, out, _ = run_cli(capsys, ["solve", "--input", problem_file(text)])
     assert code == 2
-    assert "status: infeasible" in out
+    assert strip_time(out).splitlines()[5:] == [
+        "status: infeasible",
+        "detail: no subset of the candidate pool satisfies the constraints"]
+
+
+def test_solve_pool_holds_the_initial_set(problem_file, capsys):
+    # the region 0 <= x0 <= 2 cannot separate the pair across the box, but
+    # the initial row y = 2 does: both searches search the region's faces
+    # and the initial set, so the exhaustive search finds the row
+    text = ("n 2\nd 1\nbox 4 4\ninit generator separating-row\n"
+            "constraint point-pair 2 0 ; 2 4\nregion 0 1 ; 2 3\n")
+    path = problem_file(text)
+    code, out, _ = run_cli(capsys, ["check", "--input", path])
+    assert (code, "spanning: yes" in out) == (0, True)
+    code, out, err = run_cli(capsys, ["solve", "--input", path])
+    assert (code, err) == (0, "")
+    assert strip_time(out) == "\n".join([
+        "command: solve", "n: 2", "d: 1", "box: 4 4", "seed: 0",
+        "status: ok", "objective: 4", "faces: 7 20 33 46",
+        "certificate_lower_bound: 4.0", "certificate_method: exhaustive",
+        "evaluations: 1765"])
 
 
 SLAB = """\

@@ -13,12 +13,14 @@ from spanmin import (Chain, Complex, ConstraintCycle, FaceSet,
                      competitor_check, complement_subcomplex,
                      free_collapse_candidates, homology_group,
                      is_null_homologous, is_spanning, minimize_local,
-                     realize_constraint, spanning_check, spanning_predicate)
+                     spanning_check, spanning_predicate)
 from spanmin.complement import (ComplementModel, _dual_graph, _first_top,
                                 _realize_raw, _resolve, _support_vertices)
-from spanmin.complexes import _kuhn_tops
+import spanmin.homology
+from spanmin.complexes import _boundary_columns, _kuhn_tops
 from spanmin.problems import generate_faceset, linking_loops
 
+import relative_cochains as oracle
 from loop_oracles import (dual_graph_by_cofacets, faces_in_box_by_scan,
                           first_top_by_scan, pairs_span_by_search,
                           top_by_walk, touching_by_scan)
@@ -139,39 +141,31 @@ def test_wrong_complex_rejected():
 # -- realization and spanning -------------------------------------------------
 
 def test_point_pair_realizes_as_zero_cycle():
+    # the pair p, q is the 0-cycle q - p on K
     K = build_grid_complex(2, [2, 2])
-    model = complement_subcomplex(K, separating_row(K), max_dim=1)
-    chain = realize_constraint(point_pair(K.grid.box), model)
-    assert chain.dim == 0
-    assert sorted(chain.coeffs.values()) == [-1, 1]
+    chain = _realize_raw(point_pair(K.grid.box), K)
+    p, q = K.grid.vertex_at((0, 0)), K.grid.vertex_at((0, 2))
+    assert chain == {(q,): 1, (p,): -1}
 
 
 def test_loop_realizes_as_cycle():
     K = build_grid_complex(2, [3, 3])
     loop = ConstraintCycle(kind="loop", points=(
         (0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)))
-    model = complement_subcomplex(K, FaceSet(K, 1, ()), max_dim=2)
-    chain = realize_constraint(loop, model)
-    assert chain.dim == 1 and not chain.is_zero()
-
-
-def test_constraint_contact_raises():
-    K = build_grid_complex(2, [2, 2])
-    F = separating_row(K)
-    mid = K.grid.box[1] // 2
-    touching = ConstraintCycle(kind="point-pair",
-                               points=((0, mid), (2, 2)))
-    model = complement_subcomplex(K, F, max_dim=1)
-    with pytest.raises(RealizationError):
-        realize_constraint(touching, model)
+    chain = _realize_raw(loop, K)
+    assert len(chain) == 8 and all(len(s) == 2 for s in chain)
+    assert boundary(Chain(K, 1, {K.index(s): c
+                                 for s, c in chain.items()})).is_zero()
 
 
 def test_loop_must_follow_grid_edges():
     K = build_grid_complex(2, [3, 3])
     bad = ConstraintCycle(kind="loop", points=((0, 0), (2, 0), (0, 2)))
-    model = complement_subcomplex(K, FaceSet(K, 1, ()), max_dim=2)
     with pytest.raises(RealizationError):
-        realize_constraint(bad, model)
+        _realize_raw(bad, K)
+    # no face set changes that: every check reports contact
+    [status] = spanning_check(K, FaceSet(K, 1, ()), [bad])
+    assert status.reason == "contact"
 
 
 def test_spanning_check_pass_and_fail():
@@ -201,7 +195,7 @@ def test_spanning_check_degenerate_reason():
     assert not status.passed and status.reason == "degenerate"
 
 
-def test_checks_emit_no_warning_realization_does():
+def test_checks_emit_no_warning():
     K = build_grid_complex(2, [2, 2])
     empty = FaceSet(K, 1, ())
     pair = ConstraintCycle(kind="point-pair", points=((0, 0), (0, 0)))
@@ -211,10 +205,6 @@ def test_checks_emit_no_warning_realization_does():
         statuses = spanning_check(K, empty, [pair, loop])
         assert not is_spanning(K, empty, [pair])
     assert [s.reason for s in statuses] == ["degenerate", "degenerate"]
-    model = complement_subcomplex(K, empty, max_dim=2)
-    for c in (pair, loop):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert realize_constraint(c, model).is_zero()
 
 
 def test_degree0_cycle_matches_point_pair():
@@ -230,10 +220,7 @@ def test_degree0_cycle_matches_point_pair():
         assert spanning_check(K, faces, [pair, cycle]) == spanning_check(
             K, faces, [pair, pair])
         assert spanning_check(K, faces, [cycle])[0].reason == reason
-        if reason != "contact":
-            model = complement_subcomplex(K, faces, max_dim=1)
-            assert (realize_constraint(cycle, model).coeffs
-                    == realize_constraint(pair, model).coeffs)
+        assert _realize_raw(cycle, K) == _realize_raw(pair, K)
 
 
 def test_4d_linking_loop_spanning():
@@ -395,11 +382,9 @@ def test_deg1_fast_path_matches_full_complex_oracle(case):
             [status] = model.check([loop])
             if touches(model, loop):
                 assert status.reason == "contact"
-                with pytest.raises(RealizationError):
-                    realize_constraint(loop, model)
                 continue
             fast = status.reason == "null-homologous"
-            chain = realize_constraint(loop, model)
+            chain = oracle.realize(loop, model)
             null, witness = is_null_homologous(chain)
             assert fast == null
             if null:
@@ -450,7 +435,8 @@ def test_duality_homology_matches_subdivision_oracle(box, d):
         faces = tuple(extra) + (sphere if trial % 2 == 0 else ())
         model = complement_subcomplex(K, FaceSet(K, d, faces))
         for k in range(1, n):
-            h, want = model.homology(k), homology_group(model.complex, k)
+            h = model.homology(k)
+            want = homology_group(oracle.complement_complex(model), k)
             assert (h.rank, h.torsion) == (want.rank, want.torsion)
             ranks.append(h.rank)
     assert any(ranks)
@@ -493,7 +479,7 @@ def test_degree2_cycle_constraint_sphere():
     empty = FaceSet(K, 1, ())
     [status] = spanning_check(K, empty, [sphere])
     assert not status.passed and status.reason == "null-homologous"
-    chain = realize_constraint(sphere, complement_subcomplex(K, empty))
+    chain = oracle.realize(sphere, complement_subcomplex(K, empty))
     null, witness = is_null_homologous(chain)
     assert null and boundary(witness) == chain
 
@@ -507,8 +493,6 @@ def test_truncated_subdivision_rejects_high_degree_cycle():
     for max_dim in (1, 2):
         with pytest.raises(PreconditionError):
             complement_subcomplex(K, empty, max_dim=max_dim).check([sphere])
-    with pytest.raises(PreconditionError):
-        realize_constraint(sphere, complement_subcomplex(K, empty, max_dim=1))
 
 
 def test_truncated_subdivision_answers_a_fixed_verdict():
@@ -539,6 +523,76 @@ def test_truncated_subdivision_answers_a_fixed_verdict():
         complement_subcomplex(K, empty, max_dim=1).check([sphere])
 
 
+DEG2_CASES = [((3, 3, 3), 0, "sphere"), ((3, 3, 3), 1, "sphere"),
+              ((2, 2, 2), 1, "tetrahedron"), ((1, 1, 1, 1), 2, "tetrahedron"),
+              ((2, 2, 1, 1), 1, "tetrahedron")]
+
+
+@pytest.mark.parametrize("box,d,kind", DEG2_CASES)
+def test_degree2_verdicts_match_the_complement_complex_oracle(box, d, kind,
+                                                              monkeypatch):
+    # the solve over the subdivision's chain table, through `spanning_check`,
+    # `is_spanning` and the pool predicate, against null-homology of the
+    # cycle's pieces in the assembled complement complex, with a witness
+    # on every yes; the system `check` solves must be that complex's d_3
+    # and the pieces, renamed.  The 3^3 boundary sphere is linked by any
+    # face set inside it; the boundary of a tetrahedron of K bounds that
+    # tetrahedron, which meets no face set out of contact with it
+    solves = []
+
+    def recorded(cols, rhs=None, witness=False):
+        solves.append((cols, rhs))
+        return eliminate(cols, rhs=rhs, witness=witness)
+
+    eliminate = spanmin.homology._snf_diagonal_sparse
+    monkeypatch.setattr(spanmin.homology, "_snf_diagonal_sparse", recorded)
+    rng = np.random.default_rng(sum(box) * 10 + d)
+    K = build_grid_complex(len(box), list(box))
+    if kind == "sphere":
+        cycle = sphere_cycle(K)
+        inside = [i for i, s in enumerate(K.simplices(d))
+                  if all(0 < c < 3 for v in s for c in K.grid.points[v])]
+    else:
+        tet = K.simplex(3, K.n_simplices(3) // 2)
+        cycle = ConstraintCycle(kind="cycle", degree=2,
+                                items=boundary_items(K, tet))
+        inside = []
+    every_third = range(0, K.n_simplices(d), 3)
+    seen = set()
+    for trial in range(6):
+        faces = rng.choice(K.n_simplices(d), size=trial % 3,
+                           replace=False).tolist()
+        if inside and trial % 2:
+            faces = rng.choice(inside, size=trial // 2 + 1).tolist()
+        F = FaceSet(K, d, faces)
+        solves.clear()
+        [status] = spanning_check(K, F, [cycle])
+        system = solves[:]
+        assert is_spanning(K, F, [cycle]) == status.passed
+        assert pool_spans(K, [cycle], F, every_third) == status.passed
+        if status.reason == "contact":
+            assert set(F.vertex_ids()) & set(
+                K.grid.vertex_at(p) for pts, _ in cycle.items for p in pts)
+            continue
+        model = ComplementModel(K, F, max_dim=3)
+        chain = oracle.realize(cycle, model)
+        C, new = chain.complex, oracle.vertex_ids(model)
+
+        def rename(ch):
+            return C.index(tuple(new[v] for v in ch))
+
+        [(cols, rhs)] = system
+        assert {rename(ch): {rename(f): c for f, c in col.items()}
+                for ch, col in cols.items()} == _boundary_columns(C, 3)
+        assert {rename(ch): c for ch, c in rhs.items()} == chain.coeffs
+        null, witness = is_null_homologous(chain)
+        assert status.reason == ("null-homologous" if null else "nontrivial")
+        if null:
+            assert boundary(witness) == chain
+        seen.add(null)
+    assert seen == ({True, False} if kind == "sphere" else {True})
+
+
 def boundary_items(K, verts):
     """The boundary of the simplex of K on the vertex ids `verts` as
     `cycle` items (lattice points of each facet, sign)."""
@@ -563,9 +617,7 @@ def test_non_cycles_raise_in_every_degree():
         for F in (FaceSet(K, d, ()), FaceSet(K, d, on)):
             for call in (lambda: spanning_check(K, F, [c]),
                          lambda: is_spanning(K, F, [c]),
-                         lambda: spanning_predicate(K, [c], d, F.faces),
-                         lambda: realize_constraint(
-                             c, complement_subcomplex(K, F))):
+                         lambda: spanning_predicate(K, [c], d, F.faces)):
                 with pytest.raises(RealizationError, match="not a cycle"):
                     call()
     # the same simplices closed up into boundaries are judged as before
@@ -785,7 +837,7 @@ def subdivision_oracle(K, F):
         t = K.simplex(F.dim, f)
         for r in range(1, len(t) + 1):
             for sub in itertools.combinations(t, r):
-                good[sd.sd_id(r - 1, K.index(sub))] = False
+                good[sd.offsets[r - 1] + K.index(sub)] = False
     a, b = np.array(sd.chains[1], dtype=np.int64).T
     keep = good[a] & good[b]
     return good, union_find_components(sd.total, a[keep], b[keep])
@@ -1228,6 +1280,20 @@ def pool_cases():
 
 def pp(p, q):
     return ConstraintCycle(kind="point-pair", points=(p, q))
+
+
+def test_pool_predicate_rejects_a_bad_pool():
+    # positions are the caller's bits: a repeated face would hold two
+    # bits, and clearing one would leave the face in the state; an id past
+    # the d-faces would be a face that cuts nothing
+    K = build_grid_complex(2, [4, 4])
+    pair = [pp((2, 0), (2, 4))]
+    row = (7, 20, 33, 46)
+    spans = spanning_predicate(K, pair, 1, row)
+    assert spans(0b1111) and not spans(0b1110)
+    for pool in (row + (7,), row + (10**6,), row + (-1,)):
+        with pytest.raises(InvalidInputError, match="pool"):
+            spanning_predicate(K, pair, 1, pool)
 
 
 @pytest.mark.parametrize("name,K,d,pairs,loops,pool", pool_cases())

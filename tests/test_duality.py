@@ -11,7 +11,7 @@ from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
                      WeightField, build_grid_complex,
                      complement_subcomplex, homology_group,
                      is_null_homologous, minimize_exhaustive,
-                     realize_constraint, spanning_predicate)
+                     spanning_predicate)
 from spanmin.complement import (ComplementModel, _cobound, _off_walls,
                                 _realize_raw, _relative_cohomology, _resolve,
                                 _simplex_ids, _support_vertices)
@@ -244,7 +244,7 @@ def test_cycles_below_their_codimension_bound_as_in_the_box():
             [status] = model.check([c])
             if status.reason == "contact":
                 continue
-            null, _ = is_null_homologous(realize_constraint(c, model))
+            null, _ = is_null_homologous(oracle.realize(c, model))
             assert null and status.reason == "null-homologous"
             checked += 1
         assert checked

@@ -287,6 +287,14 @@ def test_projection_bound_requires_dim2():
                                 PlaneRegion("disk", (0, 0, 1))))
 
 
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_projection_bound_rejects_bad_resolution(resolution):
+    # the raster needs at least one cell per side
+    K, F, disks = two_planes_setup()
+    with pytest.raises(InvalidInputError, match="resolution"):
+        projection_lower_bound(F, E12, E34, disks, resolution=resolution)
+
+
 def reference_rasterize_area(triangles, region, resolution):
     """The rasterizer on full meshgrids: the reference for the broadcast one."""
     x0, y0, x1, y1 = region.bbox()
