@@ -9,10 +9,11 @@ if f1, f2 is an orthonormal frame of P and w = f1 ^ f2 its unit 2-vector,
 the induced map sends xi to <xi, w> w, so |p_P(xi)| = |<xi, w>| for every
 2-vector xi, simple or not.
 
-On a simple 2-vector x ^ y that pairing is a 2x2 minor (Cauchy-Binet),
-<x ^ y, f1 ^ f2> = (x.f1)(y.f2) - (x.f2)(y.f1), and the norm follows from
-the Lagrange identity |x ^ y|^2 = |x|^2 |y|^2 - (x.y)^2, so the lemma check
-never forms the six wedge coordinates of its samples.
+Unit simple 2-vectors are the points (a, b) of S^2 x S^2 (Gluck-Warner):
+w is unit and simple exactly when its halves A(w) = (w12 + w34, w13 - w24,
+w14 + w23) and B(w) = (w12 - w34, w13 + w24, w14 - w23) are unit 3-vectors,
+<xi, w> = (A(xi).A(w) + B(xi).B(w)) / 2, and the uniform law on planes is
+the uniform law on S^2 x S^2, which the lemma check samples.
 """
 
 from __future__ import annotations
@@ -72,24 +73,19 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _unit_two_vector(frame: np.ndarray) -> np.ndarray:
-    """w = f1 ^ f2 of a checked orthonormal frame: the unit 2-vector of its plane."""
-    return wedge(frame[0], frame[1])
-
-
 def induced_projection_matrix(frame: np.ndarray) -> np.ndarray:
     """6x6 matrix of the map induced on 2-vectors by orthogonal projection.
 
     The map is xi -> <xi, w> w with w the unit 2-vector of the plane, so the
     matrix is the rank-one outer product w w^T.
     """
-    w = _unit_two_vector(_check_frame(frame))
+    w = wedge(*_check_frame(frame))
     return np.outer(w, w)
 
 
 def plane_projection_norm(frame: np.ndarray, xi: np.ndarray) -> float:
     """Norm of the projected 2-vector; for xi = x^y this is |p(x) ^ p(y)|."""
-    w = _unit_two_vector(_check_frame(frame))
+    w = wedge(*_check_frame(frame))
     return float(abs(w @ np.asarray(xi, dtype=float)))
 
 
@@ -147,8 +143,9 @@ class PlanePair:
         return self.alpha1 >= math.pi / 2 - tol
 
     def projection_bound(self) -> float:
-        """Upper bound for |p1(xi)| + |p2(xi)| over unit simple 2-vectors."""
-        if self.is_orthogonal():
+        """Upper bound for |p1(xi)| + |p2(xi)| over unit simple 2-vectors
+        (1 for exactly orthogonal frames only: near them the sum exceeds 1)."""
+        if not np.any(self.frame1 @ self.frame2.T):
             return 1.0
         return 1.0 + 2.0 * math.cos(self.alpha1)
 
@@ -204,15 +201,14 @@ class BoundReport:
         return self.max_sum <= self.bound + tol
 
 
-# samples per step of verify_projection_bounds; bounds its y buffer and
-# temporaries
+# samples per step of verify_projection_bounds; bounds its temporaries
 SAMPLE_CHUNK = 1 << 16
 
 
 def _unit_two_vectors(pair: PlanePair) -> np.ndarray:
     """6x2 matrix whose columns are the unit 2-vectors w1, w2 of the planes."""
-    return np.stack([_unit_two_vector(pair.frame1),
-                     _unit_two_vector(pair.frame2)], axis=1)
+    frames = np.stack([pair.frame1, pair.frame2])
+    return wedge(frames[:, 0], frames[:, 1]).T
 
 
 def projection_sums(pair: PlanePair, xis: np.ndarray) -> np.ndarray:
@@ -221,21 +217,29 @@ def projection_sums(pair: PlanePair, xis: np.ndarray) -> np.ndarray:
     return np.abs(xis @ _unit_two_vectors(pair)).sum(axis=-1)
 
 
+def _sphere_coordinates(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coordinates z = 2u - 1 (Archimedes) and x = sqrt(1 - z^2) cos(2 pi v)
+    of uniform points of S^2, written over the uniforms u, v in the rows
+    u[::2], u[1::2] (a new array per step would cost a page fault per 4 KB)."""
+    z, x = u[::2], u[1::2]
+    z *= 2.0
+    z -= 1.0
+    np.cos(np.multiply(x, 2.0 * math.pi, out=x), out=x)
+    x *= np.sqrt(1.0 - z * z)
+    return z, x
+
+
 def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
                              include: Optional[np.ndarray] = None) -> BoundReport:
-    """Monte-Carlo check of the projection-sum bound for a plane pair.
+    """Monte-Carlo check of the projection-sum bound for a plane pair: the
+    maximum of |p1| + |p2| over `samples` uniform random simple unit
+    2-vectors and the 2-vectors in `include` (say the equality family).
 
-    Draws `samples` random simple unit 2-vectors and reports the maximum of
-    |p1| + |p2| against the applicable bound.  Extra 2-vectors (for instance
-    the equality family) can be appended to the sample set via `include`.
-
-    The planes are those of `sample_simple_unit` with the same seed: x is
-    drawn whole and y chunk by chunk from the same stream, which yields the
-    values of one (samples, 4) draw.  Each Gaussian pair x, y spans one
-    plane, and since the projection sum is linear in xi, its value at the
-    unit 2-vector is that of x ^ y over |x ^ y|.  With a = x F and b = y F
-    for F = [f1 f2 g1 g2] (both frames as columns), the two pairings are the
-    minors a0 b1 - a1 b0 and a2 b3 - a3 b2.
+    A sample is a uniform point (a, b) of S^2 x S^2 (module docstring).
+    As |p| + |q| = max(|p + q|, |p - q|), its sum is the larger |a.U + b.V|/2
+    for U, V = A(w1 +- w2), B(w1 +- w2); U+ is orthogonal to U- and V+ to V-,
+    so only the coordinates of a along U+, U- and of b along V+, V- matter,
+    from uniforms (u_a, v_a, u_b, v_b) drawn as one (4, m) array per chunk.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise InvalidInputError("samples must be an integer")
@@ -243,25 +247,21 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
         raise PreconditionError("need at least one sample")
     samples = int(samples)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, 4))
-    y = np.empty((min(samples, SAMPLE_CHUNK), 4))
-    frames = np.concatenate([pair.frame1, pair.frame2])
-    maxima = []
+    w1, w2 = _unit_two_vectors(pair).T
+    kaz, kbz, kax, kbx = (  # |U+|/2, |V+|/2, |U-|/2, |V-|/2
+        math.hypot(*half) / 2 for c in (w1 + w2, w1 - w2)
+        for half in ((c[0] + c[5], c[1] - c[4], c[2] + c[3]),
+                     (c[0] - c[5], c[1] + c[4], c[2] - c[3])))
+    max_sum = 0.0
     for s in range(0, samples, SAMPLE_CHUNK):
-        xs = x[s:s + SAMPLE_CHUNK]
-        ys = rng.standard_normal(out=y[:len(xs)])
-        a0, a1, a2, a3 = frames @ xs.T
-        b0, b1, b2, b3 = frames @ ys.T
-        sums = np.abs(a0 * b1 - a1 * b0)
-        sums += np.abs(a2 * b3 - a3 * b2)
-        xy = np.einsum("ij,ij->i", xs, ys)
-        norm2 = (np.einsum("ij,ij->i", xs, xs)
-                 * np.einsum("ij,ij->i", ys, ys) - xy * xy)
-        maxima.append(np.max(sums / np.sqrt(norm2)))
+        z, x = _sphere_coordinates(
+            rng.random((4, min(SAMPLE_CHUNK, samples - s))))
+        max_sum = max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
+                      np.abs(kax * x[0] + kbx * x[1]).max())
+        del z, x  # before the next draw, so memory is one chunk's
     if include is not None and len(include):
-        maxima.append(np.max(projection_sums(pair, include)))
-    max_sum = float(np.max(maxima))
-    bound = pair.projection_bound()
+        max_sum = max(max_sum, np.max(projection_sums(pair, include)))
+    max_sum, bound = float(max_sum), pair.projection_bound()
     return BoundReport(max_sum=max_sum, bound=bound, margin=bound - max_sum,
                        samples=samples, seed=int(seed),
                        alpha1=pair.alpha1, alpha2=pair.alpha2)

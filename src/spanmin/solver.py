@@ -375,6 +375,12 @@ class PlaneRegion:
             raise InvalidInputError("box region needs (xmin, ymin, xmax, ymax)")
         if self.kind == "disk" and len(self.params) != 3:
             raise InvalidInputError("disk region needs (cx, cy, r)")
+        if not all(math.isfinite(p) for p in self.params):
+            raise InvalidInputError(
+                f"region parameters must be finite, got {self.params}")
+        if self.kind == "disk" and self.params[2] < 0:
+            raise InvalidInputError(
+                f"disk radius must be non-negative, got {self.params[2]}")
 
     def bbox(self) -> Tuple[float, float, float, float]:
         if self.kind == "box":

@@ -256,7 +256,7 @@ def test_lemmas_angle_pair_report_pinned(capsys):
     assert strip_time(out).splitlines() == [
         "command: lemmas", "pair: 0.35,1.05", "samples: 5000", "seed: 7",
         "alpha1: 0.35", "alpha2: 1.05", "bound: 2.87874542569",
-        "max_sum: 1.68536879917", "margin: 1.19337662653", "holds: yes"]
+        "max_sum: 1.69334351185", "margin: 1.18540191384", "holds: yes"]
 
 
 def test_lemmas_bad_pair_flag(capsys):

@@ -11,9 +11,9 @@ from spanmin import (InvalidInputError, PlanePair, PreconditionError,
                      plane_projection_norm, projected_area_sums,
                      verify_projection_bounds, wedge)
 from spanmin.grassmann import (BASIS_PAIRS, SAMPLE_CHUNK,
-                               induced_projection_matrix, plucker_form,
-                               projection_sums, sample_simple_unit,
-                               two_vector_norm)
+                               _sphere_coordinates, induced_projection_matrix,
+                               plucker_form, projection_sums,
+                               sample_simple_unit, two_vector_norm)
 
 E = np.eye(4)
 
@@ -143,10 +143,31 @@ def test_characteristic_angles_symmetric_and_invariant():
 
 def test_plane_pair_bounds():
     assert PlanePair.orthogonal().projection_bound() == 1.0
+    assert PlanePair(E[[0, 2]], E[[3, 1]]).projection_bound() == 1.0
     pair = PlanePair.from_angles(math.pi / 3, math.pi / 3)
     assert pair.projection_bound() == pytest.approx(2.0)
     with pytest.raises(InvalidInputError):
         PlanePair.from_angles(1.0, 0.5)
+
+
+def test_near_orthogonal_pair_sum_exceeds_one():
+    # the pair passes is_orthogonal(), yet x ^ y with x ~ e1 + g1 and
+    # y ~ e2 + g2 has sum 1 + cos(alpha1) > 1, so the constant 1 would be
+    # unsound there
+    t = math.pi / 2 - 1e-10
+    pair = PlanePair.from_angles(t, t)
+    assert pair.is_orthogonal()
+    (e1, e2), (g1, g2) = pair.frame1, pair.frame2
+    x = e1 + g1
+    y = e2 + g2
+    y -= (x @ y) / (x @ x) * x
+    xi = wedge(x / np.linalg.norm(x), y / np.linalg.norm(y))
+    s = projection_sums(pair, xi[None])[0]
+    assert s == pytest.approx(1.0000000001, abs=1e-15)
+    assert s > 1.0 + 5e-11
+    assert s <= pair.projection_bound()
+    assert pair.projection_bound() >= (2 * math.cos(pair.alpha1 / 2)
+                                       * math.cos(pair.alpha2 / 2))
 
 
 def test_equality_family_attains_one():
@@ -268,6 +289,74 @@ def test_projection_sums_match_reference():
             assert abs(plane_projection_norm(frame, xi) - ref) <= 1e-14
 
 
+# -- the S^2 x S^2 sampler against explicit planes ----------------------------
+
+def halves(w):
+    """The self-dual and anti-self-dual halves A(w), B(w) of 2-vectors w."""
+    c12, c13, c14, c23, c24, c34 = np.moveaxis(np.asarray(w, float), -1, 0)
+    return (np.stack([c12 + c34, c13 - c24, c14 + c23], axis=-1),
+            np.stack([c12 - c34, c13 + c24, c14 - c23], axis=-1))
+
+
+def from_halves(a, b):
+    """The 2-vector whose halves are a and b."""
+    (a1, a2, a3), (b1, b2, b3) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return np.stack([a1 + b1, a2 + b2, a3 + b3, a3 - b3, b2 - a2, a1 - b1],
+                    axis=-1) / 2
+
+
+def half_frame(plus, minus):
+    """Orthonormal rows e_z, e_x, e_y of R^3 with e_z along plus and e_x
+    along minus, each where it does not vanish (the two are orthogonal)."""
+    def normal(v):
+        c = np.cross(v, np.eye(3)[np.argmin(np.abs(v))])
+        return c / np.linalg.norm(c)
+
+    n_plus, n_minus = np.linalg.norm(plus), np.linalg.norm(minus)
+    ez = plus / n_plus if n_plus > 0 else normal(minus)
+    ex = minus / n_minus if n_minus > 0 else normal(ez)
+    return np.stack([ez, ex, np.cross(ez, ex)])
+
+
+def sampled_planes(pair, samples, seed):
+    """The unit 2-vectors verify_projection_bounds samples, built whole.
+
+    Redraws its uniforms (u_a, v_a, u_b, v_b) chunk by chunk and places
+    a, b = (z, r cos phi, r sin phi), z = 2u - 1, r = sqrt(1 - z^2),
+    phi = 2 pi v, in frames of the two halves that put U+ = A(w1 + w2) on z
+    and U- = A(w1 - w2) on x (V+, V- = B(w1 +- w2) for b).
+    """
+    w1, w2 = wedge(*pair.frame1), wedge(*pair.frame2)
+    (Up, Vp), (Um, Vm) = halves(w1 + w2), halves(w1 - w2)
+    frames = half_frame(Up, Um), half_frame(Vp, Vm)
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for s in range(0, samples, SAMPLE_CHUNK):
+        u = rng.random((4, min(SAMPLE_CHUNK, samples - s)))
+        points = []
+        for (uz, v), frame in zip((u[:2], u[2:]), frames):
+            z = 2.0 * uz - 1.0
+            r = np.sqrt(1.0 - z * z)
+            phi = 2.0 * math.pi * v
+            points.append(np.stack([z, r * np.cos(phi), r * np.sin(phi)],
+                                   axis=-1) @ frame)
+        chunks.append(from_halves(*points))
+    return np.concatenate(chunks)
+
+
+def test_halves_of_unit_simple_vectors():
+    # both halves of a unit simple xi are unit, and <xi, w> = (a.A + b.B) / 2
+    rng = np.random.default_rng(16)
+    xis = sample_simple_unit(rng, 1000)
+    a, b = halves(xis)
+    for half in (a, b):
+        assert np.max(np.abs(np.linalg.norm(half, axis=1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(from_halves(a, b) - xis)) <= 1e-15
+    w = wedge(*random_pairs(rng, 1)[3].frame1)
+    A, B = halves(w)
+    assert np.max(np.abs(xis @ w - (a @ A + b @ B) / 2)) <= 1e-15
+
+
 @pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK,
                                      SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 1])
 def test_verify_projection_bounds_matches_reference_max(samples):
@@ -277,10 +366,14 @@ def test_verify_projection_bounds_matches_reference_max(samples):
                     for a in np.linspace(0, math.pi / 2, 9)])
     cases = [(pair_list[0], None), (pair_list[0], fam),
              (pair_list[1], 2.0 * rng.standard_normal((7, 6))),
-             (pair_list[3], None)]
+             (pair_list[3], None), (PlanePair.from_angles(0.0, 0.0), None),
+             (PlanePair.from_angles(math.pi / 3, math.pi / 3), None)]
     for seed, (pair, include) in enumerate(cases, start=samples):
-        ref = reference_sums(
-            pair, sample_simple_unit(np.random.default_rng(seed), samples))
+        xis = sampled_planes(pair, samples, seed)
+        assert len(xis) == samples
+        assert np.max(np.abs(two_vector_norm(xis) - 1.0)) <= 1e-14
+        assert np.max(np.abs(plucker_form(xis))) <= 1e-14
+        ref = reference_sums(pair, xis)
         if include is not None:
             ref = np.concatenate([ref, reference_sums(pair, include)])
         report = verify_projection_bounds(pair, samples=samples, seed=seed,
@@ -289,17 +382,86 @@ def test_verify_projection_bounds_matches_reference_max(samples):
         assert report.samples == samples and report.seed == seed
 
 
-def test_verify_projection_bounds_memory_is_bounded():
-    # the (N, 4) x draw is 32 MB at 10^6 samples; y and the temporaries
-    # live in per-chunk buffers, so the peak stays well under two draws
+# Kolmogorov's distribution exceeds 1.95 with probability below 0.001
+KS_LIMIT = 1.95
+
+
+def ks_distance(sample, cdf):
+    x = np.sort(sample)
+    n = len(x)
+    F = cdf(x)
+    return max(np.max(np.arange(1, n + 1) / n - F),
+               np.max(F - np.arange(n) / n))
+
+
+def ks_two_sample_distance(a, b):
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    return float(np.max(np.abs(
+        np.searchsorted(a, both, side="right") / len(a)
+        - np.searchsorted(b, both, side="right") / len(b))))
+
+
+def one_plane_sums(pair, seeds):
+    """The sampler's own sums: with one sample, max_sum is that plane's sum."""
+    return np.array([verify_projection_bounds(pair, samples=1, seed=s).max_sum
+                     for s in seeds])
+
+
+def triangular_cdf(t):
+    """The law of (s + t) / 2 for s, t uniform on [-1, 1]."""
+    return np.where(t < 0, (1 + t) ** 2 / 2, 1 - (1 - t) ** 2 / 2)
+
+
+def test_sampled_pairing_follows_triangular_law():
+    # a.A and b.B are independent and uniform on [-1, 1] (Archimedes), so
+    # <xi, w> = (a.A + b.B) / 2 has the triangular law for every unit simple w
+    n = 20000
+    limit = KS_LIMIT / math.sqrt(n)
     pair = PlanePair.from_angles(0.35, 1.05)
-    tracemalloc.start()
-    try:
-        verify_projection_bounds(pair, samples=1_000_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48e6
+    w1, w2 = wedge(*pair.frame1), wedge(*pair.frame2)
+    # the sampler's coordinates along U+-, V+- give the signed pairings
+    (Up, Vp), (Um, Vm) = halves(w1 + w2), halves(w1 - w2)
+    z, x = _sphere_coordinates(np.random.default_rng(18).random((4, n)))
+    plus = (np.linalg.norm(Up) * z[0] + np.linalg.norm(Vp) * z[1]) / 2
+    minus = (np.linalg.norm(Um) * x[0] + np.linalg.norm(Vm) * x[1]) / 2
+    for pairing in ((plus + minus) / 2, (plus - minus) / 2):  # w1, w2
+        assert ks_distance(pairing, triangular_cdf) < limit
+    # the explicit planes, against any unit simple w
+    xis = sampled_planes(pair, n, seed=18)
+    rng = np.random.default_rng(17)
+    for w in (w1, wedge(*random_pairs(rng, 1)[3].frame1)):
+        assert ks_distance(xis @ w, triangular_cdf) < limit
+
+
+def test_sampled_sums_follow_gaussian_plane_law():
+    # the S^2 x S^2 draw and the orthonormalized Gaussian pairs of
+    # sample_simple_unit give the same law of the projection sum
+    n = 3000
+    rng = np.random.default_rng(19)
+    for pair in (PlanePair.from_angles(0.35, 1.05), PlanePair.orthogonal(),
+                 random_pairs(rng, 1)[3]):
+        ours = one_plane_sums(pair, range(10000, 10000 + n))
+        theirs = reference_sums(pair, sample_simple_unit(rng, n))
+        limit = KS_LIMIT * math.sqrt(2 / n)
+        assert ks_two_sample_distance(ours, theirs) < limit
+
+
+def test_verify_projection_bounds_memory_is_bounded():
+    # uniforms and temporaries live per chunk, so the peak does not grow
+    # with the sample count (4.2 MB either way, after a first call that
+    # sets up what every call shares)
+    pair = PlanePair.from_angles(0.35, 1.05)
+    verify_projection_bounds(pair, samples=1, seed=1)
+    peaks = []
+    for samples in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            verify_projection_bounds(pair, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 1e6
 
 
 # -- exact supremum of the projection sum --------------------------------------
@@ -330,6 +492,19 @@ def test_exact_supremum_known_pairs():
         1.0, abs=1e-12)
     assert exact_supremum(PlanePair.from_angles(0.0, 0.0)) == pytest.approx(
         2.0, abs=1e-12)
+
+
+def test_closed_form_supremum():
+    # the sampler's coefficients give sup = max over +- of (|U| + |V|) / 2,
+    # which is 2 cos(alpha1/2) cos(alpha2/2)
+    rng = np.random.default_rng(15)
+    for pair in random_pairs(rng, 50) + [PlanePair.from_angles(1.0, 1.0)]:
+        w1, w2 = wedge(*pair.frame1), wedge(*pair.frame2)
+        closed = max((np.linalg.norm(U) + np.linalg.norm(V)) / 2
+                     for U, V in (halves(w1 + w2), halves(w1 - w2)))
+        assert abs(closed - exact_supremum(pair)) <= 1e-12
+        assert abs(closed - 2 * math.cos(pair.alpha1 / 2)
+                   * math.cos(pair.alpha2 / 2)) <= 1e-12
 
 
 def test_monte_carlo_max_below_exact_supremum_below_bound():

@@ -270,9 +270,11 @@ def test_projection_bound_orthogonal_reduction():
 @pytest.mark.parametrize("pair,bound", [
     (PlanePair.orthogonal(), 8.0),
     (PlanePair.from_angles(0.35, 1.05), 2.0816122145218117),
-    # alpha1 within 1e-9 of pi/2 counts as orthogonal: the constant is 1,
-    # where 1 + 2 cos(alpha1) would give 7.9999999984
-    (PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2), 8.0)])
+    # only exactly orthogonal frames get the constant 1: at alpha1 = pi/2 -
+    # 1e-10 the supremum is above 1 (see test_grassmann's witness), so the
+    # constant is 1 + 2 cos(alpha1)
+    (PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2),
+     7.999999998399998)])
 def test_projection_bound_pinned(pair, bound):
     K, F, disks = two_planes_setup()
     assert projection_lower_bound(F, pair.frame1, pair.frame2, disks,
@@ -378,6 +380,21 @@ def test_plane_region_validation():
         PlaneRegion("box", (0, 0, 1))
     disk = PlaneRegion("disk", (0.0, 0.0, 2.0))
     assert disk.bbox() == (-2.0, -2.0, 2.0, 2.0)
+    assert PlaneRegion("disk", (1.0, 1.0, 0.0)).bbox() == (1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind,params,match", [
+    ("box", (0.0, 0.0, math.inf, 2.0), "finite"),
+    ("box", (math.nan, 0.0, 2.0, 2.0), "finite"),
+    ("box", (0.0, -math.inf, 2.0, 2.0), "finite"),
+    ("disk", (0.0, math.nan, 1.0), "finite"),
+    ("disk", (0.0, 0.0, math.inf), "finite"),
+    ("disk", (0.0, 0.0, -1.0), "non-negative")])
+def test_plane_region_rejects_unbounded_or_negative(kind, params, match):
+    # an infinite box made the certified bound nan, a nan corner raised a
+    # bare ValueError in the rasterizer, and a negative radius read area 0
+    with pytest.raises(InvalidInputError, match=match):
+        PlaneRegion(kind, params)
 
 
 def test_exhaustive_infeasible_pool_decided_by_one_check(monkeypatch):
