@@ -1,6 +1,8 @@
 """Measure, exhaustive / local minimization, and the projection certificate."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from spanmin import (Complex, ConstraintCycle, FaceSet, InfeasibleError,
                      projection_lower_bound, weighted_measure)
 from spanmin.grassmann import PlanePair
 from spanmin.problems import generate_faceset
-from spanmin.solver import _face_volumes, _rasterize_area
+from spanmin.solver import _face_volumes, _union_area
 
 from loop_oracles import contact_free_by_scan, face_volumes_by_loop
 
@@ -268,13 +270,14 @@ def test_projection_bound_orthogonal_reduction():
 
 
 @pytest.mark.parametrize("pair,bound", [
-    (PlanePair.orthogonal(), 8.0),
-    (PlanePair.from_angles(0.35, 1.05), 2.0816122145218117),
+    # exact areas, rounded down by the error term of `_union_area`
+    (PlanePair.orthogonal(), 7.999999999997158),
+    (PlanePair.from_angles(0.35, 1.05), 2.083180817884686),
     # only exactly orthogonal frames get the constant 1: at alpha1 = pi/2 -
     # 1e-10 the supremum is above 1 (see test_grassmann's witness), so the
     # constant is 1 + 2 cos(alpha1)
     (PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2),
-     7.999999998399998)])
+     7.999999998195734)])
 def test_projection_bound_pinned(pair, bound):
     K, F, disks = two_planes_setup()
     assert projection_lower_bound(F, pair.frame1, pair.frame2, disks,
@@ -291,14 +294,70 @@ def test_projection_bound_requires_dim2():
 
 @pytest.mark.parametrize("resolution", [0, -3])
 def test_projection_bound_rejects_bad_resolution(resolution):
-    # the raster needs at least one cell per side
+    # a disk is measured as its inscribed 4 * resolution-gon
     K, F, disks = two_planes_setup()
     with pytest.raises(InvalidInputError, match="resolution"):
         projection_lower_bound(F, E12, E34, disks, resolution=resolution)
 
 
+def exact_union_area(triangles, polygon):
+    """`_union_area` in rationals, without rounding: exact on float input.
+
+    Cuts at every vertex abscissa and at every crossing of two edges, then
+    one midpoint per slab, where the union's length is linear."""
+    def edges(points):
+        pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in points]
+        return [(p, q) if p[0] <= q[0] else (q, p)
+                for p, q in zip(pts, pts[1:] + pts[:1])]
+
+    def height(e, x):
+        (ax, ay), (bx, by) = e
+        return ay + (x - ax) * (by - ay) / (bx - ax)
+
+    def section(es, x):
+        ys = [height(e, x) for e in es if e[0][0] < x < e[1][0]]
+        return (min(ys), max(ys)) if ys else None
+
+    sides = [edges(t) for t in triangles]
+    rim = edges(polygon)
+    every = list(itertools.chain(rim, *sides))
+    cuts = {p[0] for e in every for p in e}
+    lines = [e for e in every if e[0][0] < e[1][0]]
+    for e, f in itertools.combinations(lines, 2):
+        lo, hi = max(e[0][0], f[0][0]), min(e[1][0], f[1][0])
+        if lo < hi:
+            g0 = height(e, lo) - height(f, lo)
+            g1 = height(e, hi) - height(f, hi)
+            if g0 * g1 < 0:
+                cuts.add(lo + (hi - lo) * g0 / (g0 - g1))
+    xs = sorted(cuts)
+    area = Fraction(0)
+    for a, b in zip(xs, xs[1:]):
+        m = (a + b) / 2
+        r = section(rim, m)
+        if r is None:
+            continue
+        spans = sorted((max(lo, r[0]), min(hi, r[1])) for lo, hi in
+                       filter(None, (section(s, m) for s in sides)))
+        length, reach = Fraction(0), None
+        for lo, hi in spans:
+            start = lo if reach is None else max(lo, reach)
+            length += max(hi - start, 0)
+            reach = hi if reach is None else max(reach, hi)
+        area += (b - a) * length
+    return area
+
+
 def reference_rasterize_area(triangles, region, resolution):
-    """The rasterizer on full meshgrids: the reference for the broadcast one."""
+    """Area of (union of triangles) ∩ region by testing cell centres.
+
+    A loose cross-check of `_union_area`: a cell whose classification
+    differs from its true coverage meets the boundary of the union cut to
+    the region, and a segment spanning dx, dy meets at most
+    dx/hx + dy/hy + 3 cells of size hx x hy, a convex region of extent
+    W x H at most 2W/hx + 2H/hy + 4.  So the result is off by at most
+    (hx + hy) * (the triangles' perimeters + 2W + 2H) + hx*hy*(9n + 4)
+    (`raster_error_bound`)."""
     x0, y0, x1, y1 = region.bbox()
     if x1 <= x0 or y1 <= y0:
         return 0.0
@@ -330,8 +389,21 @@ def reference_rasterize_area(triangles, region, resolution):
             s0, s1, s2 = -s0, -s1, -s2
         covered[i0:i1, j0:j1] |= (s0 >= -eps) & (s1 >= -eps) & (s2 >= -eps)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    inside = region.mask(X, Y)
+    if region.kind == "box":
+        inside = (X >= x0) & (X <= x1) & (Y >= y0) & (Y <= y1)
+    else:
+        cx, cy, r = region.params
+        inside = (X - cx) ** 2 + (Y - cy) ** 2 <= r * r
     return float(np.count_nonzero(covered & inside)) * hx * hy
+
+
+def raster_error_bound(triangles, region, resolution):
+    x0, y0, x1, y1 = region.bbox()
+    hx, hy = (x1 - x0) / resolution, (y1 - y0) / resolution
+    perimeters = np.linalg.norm(
+        triangles - np.roll(triangles, 1, axis=1), axis=2).sum()
+    return ((hx + hy) * (perimeters + 2 * (x1 - x0) + 2 * (y1 - y0))
+            + hx * hy * (9 * len(triangles) + 4))
 
 
 def raster_triangle_sets(rng):
@@ -358,19 +430,71 @@ def raster_triangle_sets(rng):
     return sets
 
 
-def test_rasterizer_matches_meshgrid_reference():
+AREA_REGIONS = [PlaneRegion("box", (-2.0, -2.0, 2.0, 2.0)),
+                PlaneRegion("box", (0.0, -1.0, 2.0, 1.0)),
+                PlaneRegion("disk", (0.0, 0.0, 2.0)),
+                PlaneRegion("disk", (0.5, -0.5, 1.5))]
+
+
+def test_union_area_rounds_below_the_rational_oracle():
     rng = np.random.default_rng(31)
-    regions = [PlaneRegion("box", (-2.0, -2.0, 2.0, 2.0)),
-               PlaneRegion("box", (0.0, -1.0, 2.0, 1.0)),
-               PlaneRegion("disk", (0.0, 0.0, 2.0)),
-               PlaneRegion("disk", (0.5, -0.5, 1.5))]
     for tris in raster_triangle_sets(rng):
-        for region in regions:
-            for res in (1, 7, 8, 33, 64):
-                got = _rasterize_area(tris, region, res)
-                assert got == reference_rasterize_area(tris, region, res)
+        for region in AREA_REGIONS:
+            polygon = region.polygon(3)
+            exact = exact_union_area(tris, polygon)
+            got = _union_area(tris, polygon)
+            assert Fraction(got) <= exact
+            assert float(exact) - got <= max(1e-9 * float(exact), 1e-12)
     empty = np.zeros((0, 3, 2))
-    assert _rasterize_area(empty, regions[2], 8) == 0.0
+    assert _union_area(empty, AREA_REGIONS[2].polygon(8)) == 0.0
+
+
+def test_union_area_of_a_sliver():
+    # a thin triangle of area 0.01; cell centres once read it as 0.5
+    sliver = np.array([[[0.0, 0.25], [1.0, 0.25], [0.5, 0.27]]])
+    box = PlaneRegion("box", (0.0, 0.0, 1.0, 1.0)).polygon(1)
+    got = _union_area(sliver, box)
+    assert Fraction(got) <= exact_union_area(sliver, box)
+    assert got <= 0.01
+    assert got == pytest.approx(0.01, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 16, 256])
+def test_union_area_of_a_covered_disk_is_the_inscribed_polygon(r):
+    # the disk stands for its inscribed 4r-gon, of area 2r R^2 sin(pi/2r)
+    R = 1.5
+    cover = np.array([[[-10.0, -10.0], [10.0, -10.0], [0.3, 10.0]]])
+    got = _union_area(cover, PlaneRegion("disk", (0.3, -0.2, R)).polygon(r))
+    inscribed = 2 * r * R * R * math.sin(math.pi / (2 * r))
+    assert got <= inscribed
+    assert got == pytest.approx(inscribed, rel=1e-10)
+
+
+def test_union_area_of_lattice_triangles_is_an_integer():
+    # unit squares split by a diagonal, overlapping and cut by the boxes
+    tris = raster_triangle_sets(np.random.default_rng(0))[6]
+    for params, area in [((-2.0, -2.0, 2.0, 2.0), 16), ((0.0, -1.0, 2.0, 1.0), 4),
+                         ((-1.0, -1.0, 0.0, 0.0), 1), ((0.0, 0.0, 0.0, 2.0), 0)]:
+        got = _union_area(tris, PlaneRegion("box", params).polygon(1))
+        assert got <= area
+        assert got == pytest.approx(area, rel=1e-10, abs=1e-12)
+
+
+def test_union_area_within_the_raster_bound():
+    rng = np.random.default_rng(31)
+    for tris in raster_triangle_sets(rng):
+        for region in AREA_REGIONS:
+            # the raster measures the disk, the slabs its inscribed polygon
+            polygon = region.polygon(64)
+            gap = 0.0
+            if region.kind == "disk":
+                gap = math.pi * region.params[2] ** 2 - 128 * math.sin(
+                    math.pi / 128) * region.params[2] ** 2
+            area = _union_area(tris, polygon)
+            for res in (8, 33, 64):
+                raster = reference_rasterize_area(tris, region, res)
+                assert abs(raster - area) <= (
+                    raster_error_bound(tris, region, res) + gap)
 
 
 def test_plane_region_validation():
@@ -389,10 +513,13 @@ def test_plane_region_validation():
     ("box", (0.0, -math.inf, 2.0, 2.0), "finite"),
     ("disk", (0.0, math.nan, 1.0), "finite"),
     ("disk", (0.0, 0.0, math.inf), "finite"),
-    ("disk", (0.0, 0.0, -1.0), "non-negative")])
+    ("disk", (0.0, 0.0, -1.0), "non-negative"),
+    ("box", (2.0, 0.0, 0.0, 2.0), "corners"),
+    ("box", (0.0, 2.0, 2.0, 0.0), "corners")])
 def test_plane_region_rejects_unbounded_or_negative(kind, params, match):
     # an infinite box made the certified bound nan, a nan corner raised a
-    # bare ValueError in the rasterizer, and a negative radius read area 0
+    # bare ValueError in the rasterizer, a negative radius read area 0, and
+    # reversed corners read area 0 and halved the 2^4 certificate
     with pytest.raises(InvalidInputError, match=match):
         PlaneRegion(kind, params)
 
