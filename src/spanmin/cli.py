@@ -118,6 +118,8 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     spec = _load_spec(args)
     if args.budget is not None:
+        if args.budget < 0:  # the problem file's own rule
+            raise ProblemFormatError(["budget must be nonnegative"])
         spec = replace(spec, budget=args.budget)
     rep = RunReport()
     _report_header(rep, "solve", spec)

@@ -206,6 +206,33 @@ def _flood(graph: _Dual, cut: Container[int], seeds: Sequence[int]
     return [label[s] for s in seeds]
 
 
+def _contract(K: Complex, pool: Sequence[int], tops: Sequence[int]
+              ) -> Tuple[_Dual, List[int]]:
+    """K's dual graph contracted along the facets off `pool`, distinct
+    (n-1)-faces, and the node of each top of `tops` in it.
+
+    A node is a component of the dual graph less its edges across pool
+    facets, labelled by one `_flood` from `tops` and the tops of the pool
+    facets; an edge joins two nodes across a pool facet and carries its
+    pool position in `facet`, not the facet's id.  A pool facet with both
+    sides in one node never separates anything and has no edge.  Two tops
+    are joined in the dual graph less the facets of a state exactly when
+    their nodes are joined by edges outside the state.
+    """
+    dual, at = _dual_graph(K), {f: p for p, f in enumerate(pool)}
+    slots = np.flatnonzero(np.isin(dual.facet, pool)).tolist()
+    owner = (np.searchsorted(dual.start, slots, side="right") - 1).tolist()
+    seeds = list(tops) + owner
+    node = dict(zip(seeds, _flood(dual, at, seeds)))
+    ends = np.array([(node[t], at[dual.facet[i]], node[dual.top[i]])
+                     for t, i in zip(owner, slots)],
+                    dtype=np.int64).reshape(-1, 3)
+    ends = ends[ends[:, 0] != ends[:, 2]]
+    small = _flat_graph(ends[:, 0], ends[:, 1], ends[:, 2],
+                        max(node.values()) + 1)
+    return small, [node[t] for t in tops]
+
+
 def _unbalanced(coeffs: Sequence[int], labels: Sequence[int]) -> bool:
     """True iff the coefficients summed per label are not all 0: a
     0-cycle with these coefficients at points of the labelled components
@@ -695,14 +722,12 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     Built once per solve from each constraint's record (`_resolve`): the
     pool faces in contact make one mask, and a failing verdict fails
     every state.  For d = n-1 the 0-cycles are decided on the dual graph
-    contracted along the facets off the pool: one `_flood` with the pool
-    as its cut labels the tops of the cycles and of the pool facets, and
-    the complement of a state is the small graph on those labels whose
-    edges are the pool facets outside the state.  A call floods that graph
-    from the cycles' labels, with no face tuple built.  A face set and
-    `ComplementModel` are built per call only when the 0-cycles pass and a
-    record of degree >= 1 with no verdict is left, for `_reason`, the
-    decision `check` makes.  Verdicts are kept per pattern of the bits
+    contracted along the facets off the pool (`_contract`): the complement
+    of a state is that small graph less the pool facets in the state.  A
+    call floods it from the cycles' nodes, with no face tuple built.  A
+    face set and `ComplementModel` are built per call only when the
+    0-cycles pass and a record of degree >= 1 with no verdict is left, for
+    `_reason`, the decision `check` makes.  Verdicts are kept per pattern of the bits
     read (contact and small-graph edge bits, or every bit with such a
     record left) for states seen again.
     """
@@ -728,20 +753,8 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
     cycles: List[Tuple[int, int, List[int]]] = []
     edges = 0
     if terms and not never:
-        dual, at = _dual_graph(K), {f: p for p, f in enumerate(pool)}
-        slots = np.flatnonzero(np.isin(dual.facet, pool)).tolist()
-        owner = (np.searchsorted(dual.start, slots, side="right") - 1).tolist()
-        seeds = [t for tops in terms for t, _ in tops] + owner
-        node = dict(zip(seeds, _flood(dual, at, seeds)))
-        # the small graph crosses pool positions, not facet ids; a pool
-        # facet with both sides in one node never separates anything
-        ends = np.array([(node[t], at[dual.facet[i]], node[dual.top[i]])
-                         for t, i in zip(owner, slots)],
-                        dtype=np.int64).reshape(-1, 3)
-        ends = ends[ends[:, 0] != ends[:, 2]]
-        small = _flat_graph(ends[:, 0], ends[:, 1], ends[:, 2],
-                            max(node.values()) + 1)
-        nodes = [node[t] for tops in terms for t, _ in tops]
+        small, nodes = _contract(K, pool,
+                                 [t for tops in terms for t, _ in tops])
         for tops in terms:
             i = cycles[-1][1] if cycles else 0
             cycles.append((i, i + len(tops), [c for _, c in tops]))
@@ -776,6 +789,92 @@ def spanning_predicate(K: Complex, constraints: Sequence[ConstraintCycle],
         return hit
 
     return spans
+
+
+# -- a cut bound for separation ----------------------------------------------
+
+# augmenting paths per flow; a flow stopped there is still a lower bound
+CUT_AUGMENT_CAP = 1000
+
+
+def _integer_costs(costs: Sequence[float]) -> Tuple[List[int], int]:
+    """The costs as integers over one power-of-two denominator: cost i is
+    exactly ints[i] / den."""
+    ratios = [float(c).as_integer_ratio() for c in costs]
+    den = max([q for _, q in ratios], default=1)
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _max_flow(graph: _Dual, cap: Sequence[int], s: int, t: int) -> int:
+    """The value of a flow from node s to node t of `graph`, whose slots
+    carry positions into `cap`: an undirected edge of capacity cap[p] per
+    position p.  Shortest augmenting paths (Edmonds-Karp), at most
+    CUT_AUGMENT_CAP of them.  Every flow is at most the capacity of every
+    cut between s and t (weak duality), so a flow stopped at the cap still
+    bounds the minimum cut from below; run to the end it equals it."""
+    start, facet, top = graph
+    flow = [0] * len(cap)  # net flow across p, from its lower node up
+    total = 0
+    for _ in range(CUT_AUGMENT_CAP):
+        prev: Dict[int, Tuple[int, int]] = {s: (s, -1)}
+        queue = [s]
+        for x in queue:  # breadth first; the list grows as it is read
+            if t in prev:
+                break
+            for i in range(start[x], start[x + 1]):
+                y, p = top[i], facet[i]
+                if y not in prev and (cap[p] - flow[p] if x < y
+                                      else cap[p] + flow[p]) > 0:
+                    prev[y] = (x, i)
+                    queue.append(y)
+        if t not in prev:
+            break
+        path, y = [], t
+        while y != s:
+            x, i = prev[y]
+            path.append((x, y, facet[i]))
+            y = x
+        push = min(cap[p] - flow[p] if x < y else cap[p] + flow[p]
+                   for x, y, p in path)
+        for x, y, p in path:
+            flow[p] += push if x < y else -push
+        total += push
+    return total
+
+
+def separation_bound(K: Complex, constraints: Sequence[ConstraintCycle],
+                     d: int, pool: Sequence[int], caps: Sequence[int],
+                     fixed: int) -> Optional[int]:
+    """A lower bound on the cost of every state of `pool` that spans and
+    holds the `fixed` bits, a state costing the sum of `caps` over its
+    positions (nonnegative integers), or None when there is none to give.
+
+    Bitmasks over `pool` as in `spanning_predicate`.  Only 0-cycles of two
+    terms with opposite coefficients (a point pair, for d = n-1) give a
+    bound: a state passes such a cycle exactly when it cuts the two
+    terms' nodes apart in the contracted dual graph (`_contract`).  So its
+    cost is at least that of the fixed positions, which are in every state
+    and are taken out of the graph, plus a minimum cut between the two
+    nodes, which `_max_flow` bounds from below.  Pool faces in contact
+    fail every state, so their edges cannot be cut: their capacity exceeds
+    the sum of all caps.  The bound is the largest over such cycles; with
+    one cycle and the flow run to the end it is the least cost of a
+    spanning state.
+    """
+    resolved = [_resolve(K, c, d) for c in constraints]
+    pairs = [rec.tops for rec in resolved
+             if len(rec.tops) == 2 and rec.tops[0][1] == -rec.tops[1][1]]
+    if not pairs:
+        return None
+    small, nodes = _contract(K, pool, [t for tops in pairs for t, _ in tops])
+    touched = set().union(*(rec.touching for rec in resolved))
+    held = sum(c for p, c in enumerate(caps) if fixed >> p & 1)
+    uncut = sum(caps) + 1
+    cap = [0 if fixed >> p & 1 else uncut if f in touched else c
+           for p, (f, c) in enumerate(zip(pool, caps))]
+    # two terms in one node fail every state; 0 bounds that vacuously
+    return held + max(_max_flow(small, cap, s, t) if s != t else 0
+                      for s, t in zip(nodes[::2], nodes[1::2]))
 
 
 # -- sub-box regions and competitor checks ----------------------------------

@@ -3,8 +3,8 @@
 Three routes: an exhaustive oracle over small candidate pools (subsets are
 enumerated lazily in cost order, so the first feasible one is optimal), a
 deformation-based local search built from strictly improving exchange
-moves, and a projection-based certified lower bound for two-dimensional sets
-in R^4.
+moves, which stops once a minimum-cut bound proves its set optimal, and a
+projection-based certified lower bound for two-dimensional sets in R^4.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .complexes import Complex, FaceSet
-from .complement import (ConstraintCycle, Region, _resolve, is_spanning,
-                         spanning_predicate)
+from .complement import (ConstraintCycle, Region, _integer_costs, _resolve,
+                         is_spanning, separation_bound, spanning_predicate)
 from .errors import (InfeasibleError, InvalidInputError, PoolTooLargeError,
                      PreconditionError)
 from . import grassmann
@@ -212,6 +212,13 @@ def _exchange_moves(table: _MoveTable, state: int) -> List[int]:
             + add[flat % len(add)]).tolist()
 
 
+def _round_down(num: int, den: int) -> float:
+    """The largest float at most num / den."""
+    f = num / den
+    p, q = f.as_integer_ratio()
+    return math.nextafter(f, -math.inf) if p * den > num * q else f
+
+
 def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
                    weight: WeightField, init: FaceSet, budget: int, seed: int,
                    pool: Optional[FaceSet] = None,
@@ -227,9 +234,22 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     (the k-th move tried is drawn from the untried ones).  The incumbent is
     replaced only by strictly better feasible sets, so the
     accepted-objective history is non-increasing.  The budget bounds the
-    number of spanning evaluations; runs are deterministic for a fixed
-    seed.  With a region, pool faces outside it are dropped and init faces
-    outside it are never removed.
+    number of spanning evaluations, and must be nonnegative
+    (`InvalidInputError`); runs are deterministic for a fixed seed.  With
+    a region, pool faces outside it are dropped and init faces outside it
+    are never removed.
+
+    The search stops early at a proven optimum.  `separation_bound` gives,
+    for point pairs across d = n-1, a lower bound on the cost of every
+    state: the fixed faces' cost plus a maximum flow on the contracted
+    dual graph, exact for one pair.  Before the first descent and after
+    every step a descent takes, the state's exact cost (the costs as
+    integers over one power-of-two denominator, never the drifting float
+    value) is compared with it; at equality no later move could be
+    accepted, so the search ends with the faces, objective, `accepted` and
+    history that it returns without the stop, in fewer evaluations.  The
+    bound, rounded down to a float, is `certificate["lower_bound"]`, or
+    None when there is none.
 
     One move table over the sorted pool and one `spanning_predicate` over
     it are built per solve.  States are bitmasks over pool positions; the
@@ -239,6 +259,8 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     not.  A step's moves are flat codes (`_exchange_moves`), decoded
     into table rows only when tried.
     """
+    if budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     if not is_spanning(K, init, constraints):
         raise PreconditionError("initial face set violates the constraints")
     d = init.dim
@@ -270,6 +292,16 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     def cost_of(state: int) -> float:
         return float(sum(c for c, bit in zip(costs, bits) if state & bit))
 
+    # the costs exactly, as integers over one denominator, and the cut
+    # bound in those units; a state at the bound is optimal
+    caps, den = _integer_costs(costs)
+    fixed = sum(bit for bit, m in zip(bits, movable) if not m)
+    bound = separation_bound(K, constraints, d, pool_faces, caps, fixed)
+
+    def optimal(state: int) -> bool:
+        return bound is not None and bound == sum(
+            c for c, bit in zip(caps, bits) if state & bit)
+
     init_faces = set(init.faces)
     current = sum(bit for f, bit in zip(pool_faces, bits) if f in init_faces)
     obj = cost_of(current)
@@ -284,7 +316,7 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
         """Descent to a local optimum: steepest, or first-improvement in a
         seeded random order (used by restarts to reach different basins)."""
         nonlocal evaluations
-        while evaluations < budget:
+        while evaluations < budget and not optimal(state):
             moves = _exchange_moves(table, state)
             if len(moves) > max_candidates:
                 # the first half and a sample of the rest, in order; the
@@ -327,7 +359,8 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
     max_stall = 60
     restart = 0
     full_pool = (1 << len(pool_faces)) - 1
-    while evaluations < budget - 1 and stall < max_stall:
+    while (evaluations < budget - 1 and stall < max_stall
+           and not optimal(best)):
         restart += 1
         if restart % 2 == 0:
             # independent restart: shuffled descent from the whole pool
@@ -352,9 +385,10 @@ def minimize_local(K: Complex, constraints: Sequence[ConstraintCycle],
             stall += 1
 
     faces = tuple(f for f, bit in zip(pool_faces, bits) if best & bit)
+    lower = None if bound is None else _round_down(bound, den)
     return SolveResult(faces=FaceSet(K, d, faces),
                        objective=cost_of(best),
-                       certificate={"method": "local", "lower_bound": None},
+                       certificate={"method": "local", "lower_bound": lower},
                        evaluations=evaluations, accepted=accepted, seed=seed,
                        history=tuple(history))
 

@@ -6,7 +6,8 @@ face sets, constraint contact sets, the dual graph and each simplex's top
 with integer-array code; these are the plain loops it must agree with,
 table for table and bit for bit.  `reachable`, one depth-first search
 between two tops, is the reference for the component labels that decide
-point pairs.  The per-vertex wall bits of cl F and the facet-count rule
+point pairs, and `min_cut_by_flow`, one exact-rational flow on the whole
+dual graph, for the least cost of a set that separates one pair.  The per-vertex wall bits of cl F and the facet-count rule
 for a loop's sub-box are the references for the one lattice-wall rule of
 the relative cochains, and y restricted to cl F off the boundary,
 taken through both, is the reference for a loop's right-hand side read
@@ -17,7 +18,10 @@ serves the whole-box oracles of `relative_cochains`.
 
 import itertools
 import math
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from collections import deque
+from fractions import Fraction
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -171,6 +175,58 @@ def pairs_span_by_search(K: Complex, pairs) -> Callable[[tuple], bool]:
                    for touch, same, t0, t1 in ends)
 
     return spans
+
+
+def min_cut_by_flow(K: Complex, pair, faces: Iterable[int],
+                    costs: Dict[int, float],
+                    fixed: Iterable[int] = ()) -> Optional[Fraction]:
+    """The least cost, as an exact rational, of a set of (n-1)-faces of K
+    that holds `fixed`, lies in `faces` and passes the point pair, or None
+    when no such set exists.
+
+    One shortest-augmenting-path flow between tops holding the two points
+    on the whole `dual_graph_by_cofacets`, in exact rationals: a facet of
+    `faces` that holds neither point has its cost as capacity, a fixed one
+    none (its cost is paid anyway), and every other facet cannot be cut."""
+    u, v = (K.grid.vertex_at(p) for p in pair.points)
+    contact = touching_by_scan(K, K.dim - 1, {u, v})
+    fixed = set(fixed)
+    cap = {f: Fraction(0) if f in fixed else Fraction(costs[f])
+           for f in faces if f not in contact}
+    held = sum((Fraction(costs[f]) for f in fixed), Fraction(0))
+    uncut = sum(cap.values(), Fraction(1))
+    adj = dual_graph_by_cofacets(K)
+    s, t = top_by_walk(K, (u,)), top_by_walk(K, (v,))
+    flow: Dict[int, Fraction] = {}  # across a facet, from its lower top up
+
+    def residual(x, y, f):
+        c = cap.get(f, uncut)
+        return c - flow.get(f, 0) if x < y else c + flow.get(f, 0)
+
+    total = Fraction(0)
+    while s != t:
+        prev = {s: None}
+        queue = deque([s])
+        while queue and t not in prev:
+            x = queue.popleft()
+            for f, y in adj[x]:
+                if y not in prev and residual(x, y, f) > 0:
+                    prev[y] = (x, f)
+                    queue.append(y)
+        if t not in prev:
+            break
+        path, y = [], t
+        while prev[y] is not None:
+            x, f = prev[y]
+            path.append((x, y, f))
+            y = x
+        push = min(residual(x, y, f) for x, y, f in path)
+        for x, y, f in path:
+            flow[f] = flow.get(f, 0) + (push if x < y else -push)
+        total += push
+        if total >= uncut:
+            break
+    return None if s == t or total >= uncut else held + total
 
 
 def top_by_walk(K: Complex, verts: Tuple[int, ...]) -> int:

@@ -92,16 +92,16 @@ seed 3
 
 def test_solve_local_route_report_pinned(problem_file, capsys):
     # the region holds all 33 edges, above the exhaustive cap of 30, so
-    # the report is the local search's; the search stops on stalled
-    # restarts before its budget of 10,000
+    # the report is the local search's; it stops once its set costs the
+    # cut bound, 1 + sqrt(2), long before its budget of 10,000
     code, out, _ = run_cli(capsys, ["solve", "--input",
                                     problem_file(LOCAL_ROUTE)])
     assert code == 0
     assert strip_time(out) == "\n".join([
         "command: solve", "n: 2", "d: 1", "box: 3 3", "seed: 3",
         "status: ok", "objective: 2.41421356237", "faces: 12 24",
-        "certificate_lower_bound: None", "certificate_method: local",
-        "evaluations: 7891"])
+        "certificate_lower_bound: 2.414213562373095",
+        "certificate_method: local", "evaluations: 73"])
 
 
 BAND = """\
@@ -128,8 +128,8 @@ def test_solve_falls_back_to_local_past_evaluation_cap(problem_file, capsys,
     assert (code, err) == (0, "")
     assert strip_time(out).splitlines()[5:] == [
         "status: ok", "objective: 4", "faces: 7 20 33 46",
-        "certificate_lower_bound: None", "certificate_method: local",
-        "evaluations: 7792"]
+        "certificate_lower_bound: 4.0", "certificate_method: local",
+        "evaluations: 19"]
     code, out, err = run_cli(capsys, ["solve", "--input", path,
                                       "--exhaustive"])
     assert (code, out) == (1, "")
@@ -210,7 +210,8 @@ budget 5
 def test_solve_starts_from_a_spanning_region_pool(problem_file, capsys):
     # the empty initial set does not span; the 138-face pool of the slab
     # 1 <= x0 <= 2 does (it holds the plane x0 = 1, of area 9), so the
-    # local search starts from the whole pool, of area 80.18
+    # local search starts from the whole pool, of area 80.18; the cut
+    # bound is the plane's area
     code, out, err = run_cli(capsys, ["solve", "--input", problem_file(
         SLAB.format("1 0 0 ; 2 3 3"))])
     assert (code, err) == (0, "")
@@ -225,7 +226,7 @@ def test_solve_starts_from_a_spanning_region_pool(problem_file, capsys):
         "220 221 222 223 224 225 226 227 228 229 230 231 232 233 234 "
         "235 236 237 238 239 240 243 252 255 264 267 278 281 290 293 "
         "302 305 316 319 328 331 340 343"),
-        "certificate_lower_bound: None", "certificate_method: local",
+        "certificate_lower_bound: 9.0", "certificate_method: local",
         "evaluations: 5"]
 
 
@@ -278,6 +279,16 @@ def test_unread_flags_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_negative_budget_rejected(problem_file, capsys):
+    # in the problem file and on the command line alike, before any search
+    for text, flags in ((SEPARATION + "budget -5\n", []),
+                        (SEPARATION, ["--budget", "-5"])):
+        code, out, err = run_cli(capsys, ["solve", "--input",
+                                          problem_file(text)] + flags)
+        assert (code, out, err) == (1, "",
+                                    "error: budget must be nonnegative\n")
 
 
 def test_parse_errors_reported(problem_file, capsys):

@@ -131,8 +131,8 @@ PINNED = {
     "2d-3x3-d1-1": "76eb9e1972d14f93",
     "2d-3x3-d1-2": "797436bb9f42e3d3",
     "2d-4x3-d1-0": "e7903ca624bcc109",
-    "2d-4x3-d1-1": "6767d05c59e837fb",
-    "2d-4x3-d1-2": "7b19328613396192",
+    "2d-4x3-d1-1": "0b312a8e081e70da",
+    "2d-4x3-d1-2": "05523ba746a50177",
     "3d-2x2x2-d1-0": "3fe5ed865081a39e",
     "3d-2x2x2-d1-1": "d463bac57bc0cbe6",
     "3d-2x2x2-d1-2": "dd288dd3802c7923",

@@ -4,18 +4,22 @@
 for the per-solve move table in `spanmin.solver`: same moves, same order,
 bit-identical deltas.  `reference_minimize_local` is the local search on
 face-tuple states with that generator and a verdict cache keyed by face
-tuples; `minimize_local`, on bitmask states over the table, must follow the
-same trajectory.
+tuples, which stops at the optimum that `min_cut_by_flow` finds for one
+point pair; `minimize_local`, on bitmask states over the table and stopping
+at its cut bound, must follow the same trajectory.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from spanmin import (ConstraintCycle, FaceSet, Region, WeightField,
                      build_grid_complex, is_spanning, minimize_local)
 from spanmin.solver import _exchange_moves, _face_volumes, _move_table
+
+from loop_oracles import min_cut_by_flow
 
 
 def reference_exchange_moves(current, pool, costs):
@@ -143,7 +147,10 @@ def reference_minimize_local(K, constraints, weight, init, budget, seed,
     `reference_exchange_moves`, verdicts from `is_spanning` cached by face
     tuple, and the same draws from the seeded stream (a sampled tail above
     4000 moves, the k-th move of a shuffled descent drawn from the untried
-    ones).  Returns (faces, objective, evaluations, accepted, history)."""
+    ones), and the same stop: for one point pair across d = n-1, the
+    search ends once its state costs exactly the least cost of a
+    separating state, found by `min_cut_by_flow`.  Returns (faces,
+    objective, evaluations, accepted, history)."""
     d = init.dim
     faces = range(K.n_simplices(d)) if pool is None else pool.faces
     if region is not None:
@@ -156,6 +163,15 @@ def reference_minimize_local(K, constraints, weight, init, budget, seed,
     rng = random.Random(seed)
     verdicts = {init.faces: True}
     evaluations = 0
+    # one pair across d = n-1: the least cost of a separating state, at
+    # which the search stops
+    optimum = (min_cut_by_flow(K, constraints[0], faces, costs, fixed)
+               if d == K.dim - 1 and len(constraints) == 1
+               and constraints[0].kind == "point-pair" else None)
+
+    def optimal(state):
+        return optimum is not None and optimum == sum(
+            (Fraction(costs[f]) for f in state), Fraction(0))
 
     def feasible(cand):
         if cand not in verdicts:
@@ -164,7 +180,7 @@ def reference_minimize_local(K, constraints, weight, init, budget, seed,
 
     def descend(state, value, shuffled=False):
         nonlocal evaluations
-        while evaluations < budget:
+        while evaluations < budget and not optimal(state):
             moves = [m for m in improving(reference_exchange_moves(
                 state, faces, costs)) if fixed.isdisjoint(m[1])]
             if len(moves) > 4000:
@@ -198,7 +214,7 @@ def reference_minimize_local(K, constraints, weight, init, budget, seed,
         history.append(value)
         accepted += 1
     stall = restart = 0
-    while evaluations < budget - 1 and stall < 60:
+    while evaluations < budget - 1 and stall < 60 and not optimal(best):
         restart += 1
         if restart % 2 == 0:
             cand = tuple(faces)
@@ -253,29 +269,29 @@ def trajectory(r):
 # (pool seed, weight, search seed, faces, objective, evaluations, accepted,
 #  history), with the moves of a shuffled descent drawn lazily
 PINNED_LOCAL = [
-    (1, "uniform", 0, (7, 20, 33, 46), 4.0, 7773, 1,
+    (1, "uniform", 0, (7, 20, 33, 46), 4.0, 14, 1,
      (14.071067811865476, 4.000000000000001)),
-    (1, "uniform", 1, (7, 20, 33, 46), 4.0, 7956, 1,
+    (1, "uniform", 1, (7, 20, 33, 46), 4.0, 14, 1,
      (14.071067811865476, 4.000000000000001)),
-    (1, "uniform", 2, (7, 20, 33, 46), 4.0, 7781, 1,
+    (1, "uniform", 2, (7, 20, 33, 46), 4.0, 14, 1,
      (14.071067811865476, 4.000000000000001)),
-    (1, "table", 0, (7, 20, 33, 46), 4.75, 7964, 1,
+    (1, "table", 0, (7, 20, 33, 46), 4.75, 7, 1,
      (18.338834764831844, 4.750000000000001)),
-    (1, "table", 1, (7, 20, 33, 46), 4.75, 7795, 1,
+    (1, "table", 1, (7, 20, 33, 46), 4.75, 7, 1,
      (18.338834764831844, 4.750000000000001)),
-    (1, "table", 2, (7, 20, 33, 46), 4.75, 7924, 1,
+    (1, "table", 2, (7, 20, 33, 46), 4.75, 7, 1,
      (18.338834764831844, 4.750000000000001)),
-    (7919, "uniform", 0, (7, 20, 33, 46), 4.0, 8558, 2,
+    (7919, "uniform", 0, (7, 20, 33, 46), 4.0, 936, 2,
      (12.828427124746192, 5.000000000000002, 4.0)),
-    (7919, "uniform", 1, (7, 20, 33, 46), 4.0, 8008, 2,
+    (7919, "uniform", 1, (7, 20, 33, 46), 4.0, 378, 2,
      (12.828427124746192, 5.000000000000002, 4.0)),
-    (7919, "uniform", 2, (7, 20, 33, 46), 4.0, 7833, 2,
+    (7919, "uniform", 2, (7, 20, 33, 46), 4.0, 363, 2,
      (12.828427124746192, 5.000000000000002, 4.000000000000001)),
-    (7919, "table", 0, (7, 20, 33, 46), 4.75, 8176, 1,
+    (7919, "table", 0, (7, 20, 33, 46), 4.75, 10, 1,
      (17.535533905932738, 4.75)),
-    (7919, "table", 1, (7, 20, 33, 46), 4.75, 8227, 1,
+    (7919, "table", 1, (7, 20, 33, 46), 4.75, 10, 1,
      (17.535533905932738, 4.75)),
-    (7919, "table", 2, (7, 20, 33, 46), 4.75, 8289, 1,
+    (7919, "table", 2, (7, 20, 33, 46), 4.75, 10, 1,
      (17.535533905932738, 4.75)),
 ]
 
@@ -305,17 +321,28 @@ def sampled_instance():
     return K, cons, init
 
 
+# two pairs that each corner cuts off at cost 2, and that a row, of cost 3,
+# separates together: the cut bound (2) stays below the optimum, so the
+# search goes on past it
+CORNER_PAIRS = [ConstraintCycle(kind="point-pair", points=((0, 0), (3, 3))),
+                ConstraintCycle(kind="point-pair", points=((3, 0), (0, 3)))]
+
+
 def test_minimize_local_pinned_through_sampled_descent():
-    # the restarts run on the random stream left after rng.sample
+    # one pair: the first descent reaches the optimum and the search stops;
+    # two pairs: the restarts run on the random stream left after
+    # rng.sample
     K, cons, init = sampled_instance()
     costs = grid_costs(K, WeightField.uniform(1.0))
     assert len(improving(reference_exchange_moves(
         init.faces, range(K.n_simplices(1)), costs))) > 4000
-    got = [trajectory(minimize_local(K, cons, WeightField.uniform(1.0),
+    got = [trajectory(minimize_local(K, c, WeightField.uniform(1.0),
                                      init=init, budget=3000, seed=seed))
-           for seed in (0, 1)]
-    assert got == [((7, 17, 27), 3.0, 3000, 1, (14.242640687119286, 3.0)),
-                   ((7, 17, 27), 3.0, 3000, 1, (14.242640687119286, 3.0))]
+           for c in (cons, CORNER_PAIRS) for seed in (0, 1)]
+    assert got == [((7, 17, 27), 3.0, 21, 1, (14.242640687119286, 3.0)),
+                   ((7, 17, 27), 3.0, 21, 1, (14.242640687119286, 3.0)),
+                   ((7, 17, 27), 3.0, 3000, 1, (14.242640687119286, 3.0)),
+                   ((7, 17, 27), 3.0, 2434, 1, (14.242640687119286, 3.0))]
 
 
 def band_region_instance():
@@ -378,6 +405,9 @@ def oracle_cases():
     K, cons, init = sampled_instance()
     cases.append(pytest.param(K, cons, WeightField.uniform(1.0), init, None,
                               None, 1, 1200, id="sampled"))
+    cases.append(pytest.param(K, CORNER_PAIRS, WeightField.uniform(1.0),
+                              init, None, None, 1, 1200,
+                              id="sampled-two-pairs"))
     return cases
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,11 @@ from spanmin import (Complex, ConstraintCycle, FaceSet, InfeasibleError,
                      projection_lower_bound, weighted_measure)
 from spanmin.grassmann import PlanePair
 from spanmin.problems import generate_faceset
-from spanmin.solver import _face_volumes, _union_area
+from spanmin.complement import Region, _integer_costs, separation_bound
+from spanmin.solver import _face_volumes, _round_down, _union_area
 
-from loop_oracles import contact_free_by_scan, face_volumes_by_loop
+from loop_oracles import (contact_free_by_scan, face_volumes_by_loop,
+                          min_cut_by_flow)
 
 
 def edge_index(K, a, b):
@@ -172,13 +175,24 @@ def test_local_budget_zero_returns_init():
     assert res.objective == pytest.approx(2.0)
 
 
+def test_local_rejects_a_negative_budget():
+    K, cons = separation_instance()
+    init = generate_faceset("separating-row", K, 1)
+    with pytest.raises(InvalidInputError, match="budget must be nonnegative"):
+        minimize_local(K, cons, WeightField.uniform(1.0), init, budget=-1,
+                       seed=0)
+
+
 def test_local_optimal_init_unchanged():
+    # the row costs the cut bound, so the search stops before its first
+    # descent
     K, cons = separation_instance()
     init = generate_faceset("separating-row", K, 1)
     res = minimize_local(K, cons, WeightField.uniform(1.0), init,
                          budget=2000, seed=1)
     assert res.objective == pytest.approx(2.0)
-    assert res.accepted == 0
+    assert (res.accepted, res.evaluations) == (0, 0)
+    assert res.certificate == {"method": "local", "lower_bound": 2.0}
 
 
 def test_local_straightens_bumped_path():
@@ -633,15 +647,15 @@ def test_exhaustive_pool_reduction_matches_the_vertex_scan(monkeypatch, box,
 PINNED = [
     ((3, 7, 18, 20, 23, 31, 33, 34, 43, 44, 46, 49), 534836507,
      ((7, 20, 33, 46), 4.0, 336, 0, ()),
-     ((7, 20, 33, 46), 4.0, 7792, 1, (13.656854249492381, 4.000000000000002))),
+     ((7, 20, 33, 46), 4.0, 19, 1, (13.656854249492381, 4.000000000000002))),
     ((4, 6, 7, 10, 17, 20, 23, 29, 32, 33, 36, 43, 44, 46, 47), 28162508,
      ((7, 20, 33, 46), 4.0, 1043, 0, ()),
-     ((7, 20, 33, 46), 4.0, 10000, 2,
+     ((7, 20, 33, 46), 4.0, 379, 2,
       (15.828427124746192, 5.000000000000002, 4.000000000000002))),
     ((3, 5, 7, 8, 10, 16, 18, 20, 29, 30, 31, 33, 36, 42, 45, 46, 49, 54),
      449804157,
      ((7, 20, 33, 46), 4.0, 1389, 0, ()),
-     ((7, 20, 33, 46), 4.0, 10000, 1, (19.656854249492383, 4.000000000000002))),
+     ((7, 20, 33, 46), 4.0, 70, 1, (19.656854249492383, 4.000000000000002))),
 ]
 
 
@@ -676,3 +690,118 @@ def test_exhaustive_evaluation_cap(monkeypatch):
         minimize_exhaustive(K, cons, w, pool)
     monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 336)
     assert minimize_exhaustive(K, cons, w, pool).evaluations == 336
+
+
+# -- the cut bound of the local search -------------------------------------------
+
+def cut_instances():
+    """Seeded one-pair pools around a lattice box B that holds p in its
+    interior relative to the grid's box, and not q: B's sides inside the
+    box, in a 4x4 to 6x6 grid or in 3^3 (B a square or cube at p, at a
+    corner in 3^3, sometimes grown along one axis), separate the pair.
+    Random faces are added, on every other instance two in contact with a
+    point, and some instances fix a few side faces; each also comes with a
+    second pair across the same sides.  Yields (K, d, pair, second pair,
+    pool, weight, fixed faces)."""
+    rng = random.Random(2027)
+    for trial in range(24):
+        if trial % 3 < 2:
+            m = 4 + trial % 3 + (trial // 3) % 2
+            box, grow = [m, m], [1, 1]
+            p = [rng.randint(0, m - 2) for _ in range(2)]
+        else:
+            box, grow = [3, 3, 3], [1, 1, 1]
+            p = [rng.choice([0, 3]) for _ in range(3)]
+        grow[rng.randrange(len(box))] += trial % 2
+        n, d = len(box), len(box) - 1
+        K = build_grid_complex(n, box)
+        lo = [max(c - g, 0) for c, g in zip(p, grow)]
+        hi = [min(c + g, b) for c, g, b in zip(p, grow, box)]
+
+        def interior(pt):
+            return all(a < c < b or c == a == 0 or c == b == e
+                       for a, b, c, e in zip(lo, hi, pt, box))
+
+        sides = set()
+        for axis in range(n):
+            for wall in (lo[axis], hi[axis]):
+                if 0 < wall < box[axis]:
+                    a, b = list(lo), list(hi)
+                    a[axis] = b[axis] = wall
+                    sides.update(Region(a, b).faces(K, d))
+        inside = Region(lo, hi)
+        outside = [pt for pt in K.grid.points if not inside.contains_point(pt)]
+        q, q2 = rng.sample(outside, 2)
+        p2 = rng.choice([pt for pt in K.grid.points if interior(pt)])
+        ends = {K.grid.vertex_at(p), K.grid.vertex_at(q)}
+        touching = [f for f in range(K.n_simplices(d))
+                    if ends.intersection(K.simplex(d, f))]
+        rest = [f for f in range(K.n_simplices(d)) if f not in sides]
+        extra = rng.sample(rest, 5 if n == 2 else 4)
+        extra += rng.sample(touching, 2 * (trial % 2 == 0))
+        pool = sorted(sides.union(extra))
+        weight = WeightField(table={f: rng.choice([1.0, 1.25, 1.5, 2.0])
+                                    for f in pool})
+        fixed = (rng.sample(sorted(sides), rng.randint(1, 2))
+                 if trial % 4 == 1 else [])
+        pair = ConstraintCycle("point-pair", (tuple(p), q))
+        second = ConstraintCycle("point-pair", (p2, q2))
+        yield K, d, pair, second, pool, weight, fixed
+
+
+def cut_bound(K, d, cons, pool, weight, fixed):
+    """`separation_bound` of the pool as an exact rational."""
+    vols = _face_volumes(K, d)
+    caps, den = _integer_costs([weight.at(f) * vols[f] for f in pool])
+    mask = sum(1 << pool.index(f) for f in fixed)
+    bound = separation_bound(K, cons, d, pool, caps, mask)
+    return Fraction(bound, den)
+
+
+@pytest.mark.parametrize("num,den", [(9, 1), (3, 4), (2 ** 60 + 1, 2 ** 10),
+                                     (2 ** 70 - 1, 2 ** 52), (10 ** 20 + 7, 3)])
+def test_cut_bound_certificate_rounds_down(num, den):
+    # a sum of costs can hold more significant bits than a float: the
+    # certificate is the float at or just below it
+    low = _round_down(num, den)
+    assert Fraction(low) <= Fraction(num, den)
+    assert Fraction(math.nextafter(low, math.inf)) > Fraction(num, den)
+
+
+def exact_cost(K, d, faces, weight):
+    vols = _face_volumes(K, d)
+    return sum((Fraction(float(weight.at(f) * vols[f])) for f in faces),
+               Fraction(0))
+
+
+def test_cut_bound_is_the_exhaustive_optimum(monkeypatch):
+    # one pair: the bound is the least cost of a spanning pool state,
+    # exactly, the exhaustive optimum's and the whole-dual-graph flow's
+    # (the flow's alone with fixed faces); two pairs: at most the optimum;
+    # a flow stopped after one augmenting path: at most the full one
+    import spanmin.complement as complement
+    counts = {"2": 0, "3": 0, "fixed": 0, "contact": 0, "capped": 0}
+    for K, d, pair, second, pool, weight, fixed in cut_instances():
+        vols = _face_volumes(K, d)
+        costs = {f: float(weight.at(f) * vols[f]) for f in pool}
+        bound = cut_bound(K, d, [pair], pool, weight, fixed)
+        assert bound == min_cut_by_flow(K, pair, pool, costs, fixed)
+        counts[str(K.dim)] += 1
+        counts["fixed"] += bool(fixed)
+        counts["contact"] += len(contact_free_by_scan(
+            K, d, pool, [pair])) < len(pool)
+        if not fixed:
+            for cons in ([pair], [pair, second]):
+                res = minimize_exhaustive(K, cons, weight,
+                                          FaceSet(K, d, pool))
+                optimum = exact_cost(K, d, res.faces.faces, weight)
+                two = cut_bound(K, d, cons, pool, weight, ())
+                assert two == optimum if len(cons) == 1 else two <= optimum
+        with monkeypatch.context() as m:
+            m.setattr(complement, "CUT_AUGMENT_CAP", 1)
+            capped = cut_bound(K, d, [pair], pool, weight, fixed)
+        assert capped <= bound
+        counts["capped"] += capped < bound
+    assert counts == {**counts, "2": 16, "3": 8, "fixed": 6}
+    assert 12 <= counts["contact"] < 24
+    assert counts["capped"] > 12
