@@ -68,7 +68,7 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
     if frame.shape != (2, 4):
         raise InvalidInputError("a plane frame is a 2x4 matrix of basis rows")
     gram = frame @ frame.T
-    if not np.allclose(gram, np.eye(2), atol=FRAME_TOL):
+    if not np.allclose(gram, np.eye(2), rtol=0.0, atol=FRAME_TOL):
         raise InvalidInputError("frame rows must be orthonormal to 1e-12")
     return frame
 
@@ -175,16 +175,6 @@ def equality_family(pair: PlanePair, alpha: float,
     return wedge(x, y)
 
 
-def sample_simple_unit(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniformly random simple unit 2-vectors (orthonormalized Gaussian pairs)."""
-    x = rng.standard_normal((count, 4))
-    y = rng.standard_normal((count, 4))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    y -= (np.sum(x * y, axis=1, keepdims=True)) * x
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    return wedge(x, y)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Result of a Monte-Carlo projection-bound verification."""
@@ -203,6 +193,10 @@ class BoundReport:
 
 # samples per step of verify_projection_bounds; bounds its temporaries
 SAMPLE_CHUNK = 1 << 16
+
+# widening of verify_projection_bounds' pruning thresholds, relative in M
+# and absolute in z^2: far above the few units of 2^-53 that rounding takes
+PRUNE_MARGIN = 1e-9
 
 
 def _unit_two_vectors(pair: PlanePair) -> np.ndarray:
@@ -229,6 +223,46 @@ def _sphere_coordinates(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return z, x
 
 
+def _threshold(m: float, k_other: float, k: float) -> float:
+    """(m - k_other) / k: with its partner at most 1 in size, a coordinate
+    of weight k must exceed this for its part to exceed m (-inf for k = 0,
+    as callers have k + k_other > m)."""
+    return (m - k_other) / k if k > 0 else -math.inf
+
+
+def _candidate_bounds(max_sum: float, kz: Tuple[float, float],
+                      kx: Tuple[float, float]) -> Optional[tuple]:
+    """Bounds on |z| = 2|u - 1/2| of rows 0 and 2 outside which no sample's
+    computed sum exceeds max_sum: (z_lo, x_hi), the z-part needing
+    |z_i| > z_lo[i] and the x-part |z_i| < x_hi[i], None for a part that
+    cannot exceed it.  None as a whole when some part is not pruned at all.
+    """
+    m = max_sum * (1.0 - PRUNE_MARGIN)
+    z_lo = x_hi = None
+    if kz[0] + kz[1] > m:
+        z_lo = (_threshold(m, kz[1], kz[0]), _threshold(m, kz[0], kz[1]))
+        if max(z_lo) <= 0:
+            return None
+    if kx[0] + kx[1] > m:
+        r_lo = (_threshold(m, kx[1], kx[0]), _threshold(m, kx[0], kx[1]))
+        if max(r_lo) <= 0:
+            return None
+        x_hi = tuple(math.sqrt(max(0.0, 1.0 - r * r + PRUNE_MARGIN))
+                     if r > 0 else math.inf for r in r_lo)
+    return z_lo, x_hi
+
+
+def _candidates(u: np.ndarray, z_lo, x_hi) -> np.ndarray:
+    """The columns of u that pass either part's test, gathered into one
+    C-contiguous array."""
+    half = np.abs(u[::2] - 0.5)  # |z| / 2, exactly
+    keep = np.zeros(u.shape[1], dtype=bool)
+    for part, beyond in ((z_lo, np.greater), (x_hi, np.less)):
+        if part is not None:
+            keep |= beyond(half[0], part[0] / 2) & beyond(half[1], part[1] / 2)
+    return u.compress(keep, axis=1)
+
+
 def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
                              include: Optional[np.ndarray] = None) -> BoundReport:
     """Monte-Carlo check of the projection-sum bound for a plane pair: the
@@ -239,7 +273,28 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
     As |p| + |q| = max(|p + q|, |p - q|), its sum is the larger |a.U + b.V|/2
     for U, V = A(w1 +- w2), B(w1 +- w2); U+ is orthogonal to U- and V+ to V-,
     so only the coordinates of a along U+, U- and of b along V+, V- matter,
-    from uniforms (u_a, v_a, u_b, v_b) drawn as one (4, m) array per chunk.
+    from uniforms (u_a, v_a, u_b, v_b) drawn chunk by chunk into one
+    (4, SAMPLE_CHUNK) buffer.  The sum is the larger of the z-part
+    |kaz z0 + kbz z1| and the x-part |kax x0 + kbx x1|.
+
+    Only samples that could beat the running maximum M are evaluated, and
+    max_sum is the one every sample gives, bit for bit.  z_i = 2u - 1 is
+    exact, |x_i| <= r_i = sqrt(1 - z_i^2) <= 1, so the z-part exceeds M
+    only if |z0| > (M - kbz)/kaz and |z1| > (M - kaz)/kbz, the x-part only
+    if r0 > (M - kbx)/kax and r1 > (M - kax)/kbx (so |z_i| < sqrt(1 - r^2)
+    for those bounds r), and a part whose k's sum to at most M never does.
+    Rounding: a computed cosine is at most 1 in size (to a few units in the
+    last place), each product, sum and square root is off by at most
+    u = 2^-53 relative, and 1 - z^2 by at most 2^-52 absolute, so a
+    computed part above M needs these tests with about M (1 - 10u) in place
+    of M and r_i^2 + 2^-52 in place of r_i^2.  They
+    are taken with M (1 - 1e-9) and |z_i|^2 < 1 - r^2 + 1e-9 instead, wider
+    by far more than the rounding of the thresholds themselves, so no
+    sample whose computed sum exceeds M is dropped; one that ties M cannot
+    change it.  The candidates are gathered into one array and evaluated
+    as a chunk is.  A chunk where some part has no positive threshold
+    (the first, with M = 0) is evaluated whole, without a gather.  The
+    2-vectors in `include` are taken first, which can only raise M.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise InvalidInputError("samples must be an integer")
@@ -253,14 +308,21 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
         for half in ((c[0] + c[5], c[1] - c[4], c[2] + c[3]),
                      (c[0] - c[5], c[1] + c[4], c[2] - c[3])))
     max_sum = 0.0
-    for s in range(0, samples, SAMPLE_CHUNK):
-        z, x = _sphere_coordinates(
-            rng.random((4, min(SAMPLE_CHUNK, samples - s))))
-        max_sum = max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
-                      np.abs(kax * x[0] + kbx * x[1]).max())
-        del z, x  # before the next draw, so memory is one chunk's
     if include is not None and len(include):
         max_sum = max(max_sum, np.max(projection_sums(pair, include)))
+    buf = np.empty(4 * min(SAMPLE_CHUNK, samples))  # refilled per chunk
+    for s in range(0, samples, SAMPLE_CHUNK):
+        n = min(SAMPLE_CHUNK, samples - s)
+        u = rng.random(out=buf[:4 * n].reshape(4, n))
+        bounds = _candidate_bounds(max_sum, (kaz, kbz), (kax, kbx))
+        if bounds is not None:
+            u = _candidates(u, *bounds)
+            if not u.shape[1]:
+                continue
+        z, x = _sphere_coordinates(u)
+        max_sum = max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
+                      np.abs(kax * x[0] + kbx * x[1]).max())
+        del u, z, x  # before the next draw, so memory is one chunk's
     max_sum, bound = float(max_sum), pair.projection_bound()
     return BoundReport(max_sum=max_sum, bound=bound, margin=bound - max_sum,
                        samples=samples, seed=int(seed),

@@ -260,6 +260,23 @@ def test_lemmas_angle_pair_report_pinned(capsys):
         "max_sum: 1.69334351185", "margin: 1.18540191384", "holds: yes"]
 
 
+@pytest.mark.parametrize("pair, lines", [
+    ("orthogonal", ["alpha1: 1.57079632679", "alpha2: 1.57079632679",
+                    "bound: 1", "max_sum: 0.999998652156",
+                    "margin: 1.34784387107e-06"]),
+    ("0.35,1.05", ["alpha1: 0.35", "alpha2: 1.05", "bound: 2.87874542569",
+                   "max_sum: 1.69972723601", "margin: 1.17901818969"]),
+])
+def test_lemmas_multi_chunk_report_pinned(capsys, pair, lines):
+    # 200,000 samples span four chunks, three of them pruned
+    code, out, err = run_cli(capsys, ["lemmas", "--pair", pair, "--samples",
+                                      "200000", "--seed", "7"])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines() == [
+        "command: lemmas", f"pair: {pair}", "samples: 200000", "seed: 7",
+        *lines, "holds: yes"]
+
+
 def test_lemmas_bad_pair_flag(capsys):
     code, out, err = run_cli(capsys, ["lemmas", "--pair", "nonsense"])
     assert code == 1

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from spanmin import (InvalidInputError, PlanePair, PreconditionError,
-                     characteristic_angles, equality_family, is_simple,
-                     plane_projection_norm, projected_area_sums,
+                     characteristic_angles, equality_family, grassmann,
+                     is_simple, plane_projection_norm, projected_area_sums,
                      verify_projection_bounds, wedge)
 from spanmin.grassmann import (BASIS_PAIRS, SAMPLE_CHUNK,
-                               _sphere_coordinates, induced_projection_matrix,
-                               plucker_form, projection_sums,
-                               sample_simple_unit, two_vector_norm)
+                               _sphere_coordinates, _unit_two_vectors,
+                               induced_projection_matrix, plucker_form,
+                               projection_sums, two_vector_norm)
 
 E = np.eye(4)
 
@@ -31,6 +31,16 @@ def reference_sums(pair, xis):
               reference_induced_matrix(pair.frame2))
     return (np.linalg.norm(xis @ L1.T, axis=-1)
             + np.linalg.norm(xis @ L2.T, axis=-1))
+
+
+def sample_simple_unit(rng, count):
+    """Uniformly random simple unit 2-vectors (orthonormalized Gaussian pairs)."""
+    x = rng.standard_normal((count, 4))
+    y = rng.standard_normal((count, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y -= (np.sum(x * y, axis=1, keepdims=True)) * x
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    return wedge(x, y)
 
 
 def random_pairs(rng, count):
@@ -106,6 +116,22 @@ def test_frame_validation():
         plane_projection_norm(np.ones((2, 4)), np.zeros(6))
     with pytest.raises(InvalidInputError):
         characteristic_angles(E[:3], E[:2])
+
+
+def test_frame_orthonormal_to_1e12_absolute():
+    # a Gram diagonal off by 8e-6 is within numpy's default rtol=1e-5 of 1,
+    # yet far from orthonormal to 1e-12
+    loose = E[:2] * (1 + 4e-6)
+    with pytest.raises(InvalidInputError):
+        PlanePair(loose, E[2:])
+    with pytest.raises(InvalidInputError):
+        plane_projection_norm(loose, np.zeros(6))
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        P = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        Q = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        pair = PlanePair(P, Q)
+        assert pair.projection_bound() >= 1.0
 
 
 def test_characteristic_angles_known_pairs():
@@ -380,6 +406,85 @@ def test_verify_projection_bounds_matches_reference_max(samples):
                                           include=include)
         assert abs(report.max_sum - float(np.max(ref))) <= 1e-14
         assert report.samples == samples and report.seed == seed
+
+
+# -- pruned evaluation against evaluating every sample -------------------------
+
+def whole_chunk_max_sum(pair, samples, seed, include=None):
+    """verify_projection_bounds' maximum with every sample of every chunk
+    evaluated, each chunk drawn as its own (4, m) array."""
+    rng = np.random.default_rng(seed)
+    w1, w2 = _unit_two_vectors(pair).T
+    kaz, kbz, kax, kbx = (
+        math.hypot(*half) / 2 for c in (w1 + w2, w1 - w2)
+        for half in ((c[0] + c[5], c[1] - c[4], c[2] + c[3]),
+                     (c[0] - c[5], c[1] + c[4], c[2] - c[3])))
+    max_sum = 0.0
+    for s in range(0, samples, SAMPLE_CHUNK):
+        z, x = _sphere_coordinates(
+            rng.random((4, min(SAMPLE_CHUNK, samples - s))))
+        max_sum = max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
+                      np.abs(kax * x[0] + kbx * x[1]).max())
+    if include is not None and len(include):
+        max_sum = max(max_sum, np.max(projection_sums(pair, include)))
+    return float(max_sum)
+
+
+def lemma_pairs():
+    rng = np.random.default_rng(21)
+    return random_pairs(rng, 3) + [
+        PlanePair.from_angles(0.0, math.pi / 2),
+        PlanePair.from_angles(math.pi / 3, math.pi / 3),
+        PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2 - 1e-10),
+        PlanePair(E[:2], E[[1, 0]])]  # w2 = -w1: no z-part at all
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1,
+                                     3 * SAMPLE_CHUNK + 1])
+def test_pruned_max_sum_equals_whole_chunk_max_sum(samples):
+    # no tolerance: pruning drops only samples that cannot beat the maximum
+    for seed, pair in enumerate(lemma_pairs(), start=samples):
+        fam = (np.array([equality_family(pair, a)
+                         for a in np.linspace(0, math.pi / 2, 9)])
+               if pair.is_orthogonal() else
+               np.random.default_rng(seed).standard_normal((5, 6)) / 3)
+        for include in (None, fam):
+            report = verify_projection_bounds(pair, samples=samples,
+                                              seed=seed, include=include)
+            assert report.max_sum == whole_chunk_max_sum(pair, samples, seed,
+                                                         include)
+
+
+@pytest.mark.parametrize("pair", [PlanePair.orthogonal(),
+                                  PlanePair.from_angles(0.35, 1.05)],
+                         ids=["orthogonal", "0.35,1.05"])
+def test_pruned_max_sum_equals_whole_chunk_max_sum_at_10e6(pair):
+    for seed in (0, 7919):
+        report = verify_projection_bounds(pair, samples=10 ** 6, seed=seed)
+        assert report.max_sum == whole_chunk_max_sum(pair, 10 ** 6, seed)
+
+
+@pytest.mark.parametrize("pair", [PlanePair.orthogonal(),
+                                  PlanePair.from_angles(0.35, 1.05),
+                                  PlanePair.from_angles(0.0, 0.0)],
+                         ids=["orthogonal", "0.35,1.05", "identical"])
+def test_pruning_evaluates_few_samples(pair, monkeypatch):
+    # the first chunk (maximum 0) prunes nothing and is evaluated in place,
+    # a view of the draw buffer; every later chunk is a gather of the few
+    # samples that could beat the maximum
+    calls = []
+
+    def counting(u):
+        calls.append((u.shape[1], u.flags.owndata))
+        return _sphere_coordinates(u)
+
+    monkeypatch.setattr(grassmann, "_sphere_coordinates", counting)
+    report = verify_projection_bounds(pair, samples=10 ** 6, seed=7919)
+    assert calls[0] == (SAMPLE_CHUNK, False)
+    assert all(gathered for _, gathered in calls[1:])
+    assert sum(columns for columns, _ in calls) < SAMPLE_CHUNK + 10_000
+    monkeypatch.undo()
+    assert report.max_sum == whole_chunk_max_sum(pair, 10 ** 6, 7919)
 
 
 # Kolmogorov's distribution exceeds 1.95 with probability below 0.001
