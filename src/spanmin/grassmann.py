@@ -294,7 +294,9 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
     change it.  The candidates are gathered into one array and evaluated
     as a chunk is.  A chunk where some part has no positive threshold
     (the first, with M = 0) is evaluated whole, without a gather.  The
-    2-vectors in `include` are taken first, which can only raise M.
+    2-vectors in `include` are taken first, which can only raise M; a
+    non-finite entry in them raises InvalidInputError, as a NaN would
+    hide every other row from the maximum.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise InvalidInputError("samples must be an integer")
@@ -309,6 +311,8 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
                      (c[0] - c[5], c[1] + c[4], c[2] - c[3])))
     max_sum = 0.0
     if include is not None and len(include):
+        if not np.isfinite(include).all():
+            raise InvalidInputError("include 2-vectors must be finite")
         max_sum = max(max_sum, np.max(projection_sums(pair, include)))
     buf = np.empty(4 * min(SAMPLE_CHUNK, samples))  # refilled per chunk
     for s in range(0, samples, SAMPLE_CHUNK):

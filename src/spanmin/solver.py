@@ -1,7 +1,9 @@
 """Discrete minimization of weighted d-area under spanning constraints.
 
 Three routes: an exhaustive oracle over small candidate pools (subsets are
-enumerated lazily in cost order, so the first feasible one is optimal), a
+enumerated lazily in cost order, so the first feasible one is optimal, and
+a subset grows by a face only when it, that face and the pool faces after
+it still span, since no subset of a non-spanning set spans), a
 deformation-based local search built from strictly improving exchange
 moves, which stops once a minimum-cut bound proves its set optimal, and a
 projection-based certified lower bound for two-dimensional sets in R^4.
@@ -115,11 +117,25 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     bitmask over P0 after the face tuple (tuples are distinct, so the mask
     never decides the order), and one `spanning_predicate` over P0, built
     for the solve, decides the mask.  Adding faces only shrinks the
-    complement, so when P0 itself does not span, no subset does: the
-    predicate's call on the full mask (not counted in `evaluations`) then
-    raises InfeasibleError.  A pool from another complex raises
+    complement, so a superset of a spanning set spans: when P0 itself does
+    not span, no subset does, and the predicate's call on the full mask
+    raises InfeasibleError.
+
+    The same monotonicity prunes the heap.  An entry S whose last face is
+    at position i has as descendants the subsets of S ∪ P0[i+1:], so the
+    child S + P0[j] is pushed only when S ∪ P0[j:] spans (the tail test);
+    otherwise none of its descendants span.  The tails shrink as j grows,
+    so the first failing test ends the children.  Every prefix of the
+    optimum, taken with its tail, holds the optimum, so all its ancestors
+    are pushed; only entries with no spanning descendant are dropped, and
+    the survivors pop in the same (cost, tuple) order, so the optimum and
+    its face tuple are those of the unpruned search.
+
+    `evaluations` counts the predicate calls of the search: one per popped
+    subset and one per tail test, memo hits included; the call on the full
+    mask is not counted.  A pool from another complex raises
     PreconditionError; a pool of more than EXHAUSTIVE_POOL_CAP faces, or
-    popping more than EXHAUSTIVE_EVALUATION_CAP subsets, raises
+    more than EXHAUSTIVE_EVALUATION_CAP evaluations, raises
     PoolTooLargeError.
     """
     if candidate_pool.complex is not K:
@@ -132,27 +148,37 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     touched = set().union(*(_resolve(K, c, d).touching for c in constraints))
     pool = [f for f in candidate_pool.faces if f not in touched]
     spans = spanning_predicate(K, constraints, d, pool)
-    if not spans((1 << len(pool)) - 1):
+    full = (1 << len(pool)) - 1
+    if not spans(full):
         raise InfeasibleError(
             "no subset of the candidate pool satisfies the constraints")
     vols = _face_volumes(K, d)
     costs = [float(weight.at(f) * vols[f]) for f in pool]
+    # tail[j]: the positions j and above
+    tail = [full >> j << j for j in range(len(pool))]
 
     heap: List[Tuple[float, Tuple[int, ...], int, int]] = [(0.0, (), 0, -1)]
     evaluations = 0
-    while heap:
-        cost, faces, mask, last = heapq.heappop(heap)
+
+    def test(state: int) -> bool:
+        nonlocal evaluations
         evaluations += 1
         if evaluations > EXHAUSTIVE_EVALUATION_CAP:
             raise PoolTooLargeError(
                 f"exhaustive search passed {EXHAUSTIVE_EVALUATION_CAP} "
                 f"evaluations; use minimize_local")
-        if spans(mask):
+        return spans(state)
+
+    while heap:
+        cost, faces, mask, last = heapq.heappop(heap)
+        if test(mask):
             return SolveResult(faces=FaceSet(K, d, faces), objective=cost,
                                certificate={"method": "exhaustive",
                                             "lower_bound": cost},
                                evaluations=evaluations, accepted=0, seed=None)
         for j in range(last + 1, len(pool)):
+            if not test(mask | tail[j]):
+                break
             heapq.heappush(heap, (cost + costs[j], faces + (pool[j],),
                                   mask | 1 << j, j))
     raise InfeasibleError("no subset of the candidate pool satisfies the constraints")

@@ -4,9 +4,11 @@
 arrays, and face closures, face volumes, generated face sets, lattice-box
 face sets, constraint contact sets, the dual graph and each simplex's top
 with integer-array code; these are the plain loops it must agree with,
-table for table and bit for bit.  `reachable`, one depth-first search
-between two tops, is the reference for the component labels that decide
-point pairs, and `min_cut_by_flow`, one exact-rational flow on the whole
+table for table and bit for bit.  `heap_exhaustive`, the unpruned
+cost-order enumeration of every subset of a pool, is the reference for
+the exhaustive search and its tail pruning.  `reachable`, one
+depth-first search between two tops, is the reference for the component
+labels that decide point pairs, and `min_cut_by_flow`, one exact-rational flow on the whole
 dual graph, for the least cost of a set that separates one pair.  The per-vertex wall bits of cl F and the facet-count rule
 for a loop's sub-box are the references for the one lattice-wall rule of
 the relative cochains, and y restricted to cl F off the boundary,
@@ -16,6 +18,7 @@ per face.  The dense boundary matrix is the
 serves the whole-box oracles of `relative_cochains`.
 """
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -25,7 +28,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from spanmin import Complex, InvalidInputError
+from spanmin import Complex, FaceSet, InfeasibleError, InvalidInputError
+from spanmin.complement import spanning_predicate
 from spanmin.complexes import canonical_vertices
 
 
@@ -86,6 +90,30 @@ def contact_free_by_scan(K: Complex, d: int, faces: Sequence[int],
             except InvalidInputError:
                 pass
     return tuple(f for f in faces if touched.isdisjoint(K.simplex(d, f)))
+
+
+def heap_exhaustive(K: Complex, constraints, weight,
+                    candidate_pool: FaceSet) -> Tuple[Tuple[int, ...], float]:
+    """(faces, objective) of the cheapest spanning subset of the pool's
+    contact-free faces (`contact_free_by_scan`), the first in (cost, face
+    tuple) order: every subset is pushed on a heap, with no pruning, and
+    popped until one spans.  Raises InfeasibleError when none does, after
+    popping all of them."""
+    d = candidate_pool.dim
+    pool = list(contact_free_by_scan(K, d, candidate_pool.faces,
+                                     constraints))
+    spans = spanning_predicate(K, constraints, d, pool)
+    vols = face_volumes_by_loop(K, d)
+    costs = [float(weight.at(f) * vols[f]) for f in pool]
+    heap = [(0.0, (), 0, -1)]
+    while heap:
+        cost, faces, mask, last = heapq.heappop(heap)
+        if spans(mask):
+            return faces, cost
+        for j in range(last + 1, len(pool)):
+            heapq.heappush(heap, (cost + costs[j], faces + (pool[j],),
+                                  mask | 1 << j, j))
+    raise InfeasibleError("no subset of the pool spans")
 
 
 def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],

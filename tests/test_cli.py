@@ -1,6 +1,7 @@
 """CLI subcommands: reports, exit codes, determinism, exports."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from spanmin import build_grid_complex, generate_faceset, linking_loops
 from spanmin.cli import main
 
 SEPARATION = """\
@@ -116,12 +118,12 @@ seed 534836507
 
 def test_solve_falls_back_to_local_past_evaluation_cap(problem_file, capsys,
                                                        monkeypatch):
-    # the 12-face pool goes to the exhaustive search, whose optimum is the
-    # 336th subset popped; past a cap of 100 subsets the local search
-    # answers (its trajectory is pinned in test_solver), unless the
+    # the 12-face pool goes to the exhaustive search, which finds its
+    # optimum at the 81st predicate call; past a cap of 50 calls the local
+    # search answers (its trajectory is pinned in test_solver), unless the
     # exhaustive search was asked for
     import spanmin.solver as solver
-    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 100)
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 50)
     path = problem_file(BAND)
     code, out, err = run_cli(capsys, ["solve", "--input", path,
                                       "--budget", "10000"])
@@ -133,7 +135,7 @@ def test_solve_falls_back_to_local_past_evaluation_cap(problem_file, capsys,
     code, out, err = run_cli(capsys, ["solve", "--input", path,
                                       "--exhaustive"])
     assert (code, out) == (1, "")
-    assert "exhaustive search passed 100 evaluations" in err
+    assert "exhaustive search passed 50 evaluations" in err
 
 
 SEPARATION_REPORT = ["command: solve", "n: 2", "d: 1", "box: 2 2", "seed: 0",
@@ -149,7 +151,7 @@ def test_solve_writes_artifacts_pinned(problem_file, tmp_path, capsys):
         "--mesh-out", str(mesh), "--csv-out", str(csv)])
     assert (code, err) == (0, "")
     assert strip_time(out).splitlines() == SEPARATION_REPORT + [
-        "evaluations: 4"]
+        "evaluations: 6"]
     assert mesh.read_text() == "2 1\n0 0 1\n1 1 1\n2 2 1\n0 1\n1 2\n"
     assert csv.read_text() == (
         "index,kind,degree,verdict,reason,homology_rank\n"
@@ -163,7 +165,7 @@ def test_solve_whole_complex_pool_pinned(problem_file, capsys):
                                       problem_file(text)])
     assert (code, err) == (0, "")
     assert strip_time(out).splitlines() == SEPARATION_REPORT + [
-        "evaluations: 19"]
+        "evaluations: 36"]
 
 
 def test_solve_infeasible_exit_2(problem_file, capsys):
@@ -193,7 +195,7 @@ def test_solve_pool_holds_the_initial_set(problem_file, capsys):
         "command: solve", "n: 2", "d: 1", "box: 4 4", "seed: 0",
         "status: ok", "objective: 4", "faces: 7 20 33 46",
         "certificate_lower_bound: 4.0", "certificate_method: exhaustive",
-        "evaluations: 1765"])
+        "evaluations: 3037"])
 
 
 SLAB = """\
@@ -453,6 +455,42 @@ def test_link4d_check_reports_pinned(stem, problem_file, capsys):
             f"constraint_0: loop degree=1 {first}",
             f"constraint_1: loop degree=1 {second}",
             f"spanning: {spanning}"])
+
+
+def clutter_faces(seed):
+    """The benchmark's 2^4 clutter pool for a seed: the two orthogonal
+    planes plus six seeded faces that share no vertex with the loops."""
+    K = build_grid_complex(4, [2] * 4)
+    on_loops = {K.grid.vertex_at(p) for c in linking_loops((2, 2, 2, 2))
+                for p in c.points}
+    two = generate_faceset("two-planes-orthogonal", K, 2).faces
+    candidates = [i for i, s in enumerate(K.simplices(2))
+                  if i not in two and not on_loops & set(s)]
+    return " ".join(map(str, sorted(
+        two + tuple(random.Random(seed).sample(candidates, 6)))))
+
+
+def test_clutter_pool_is_the_pinned_check_file():
+    assert clutter_faces(1) == LINK4D_FACES["two_planes_clutter"]
+
+
+@pytest.mark.parametrize("seed,evaluations", [(1, 312), (7919, 665)])
+def test_solve_exhaustive_clutter_reports_pinned(seed, evaluations,
+                                                 problem_file, capsys):
+    # the two planes are the optimum of the 22-face pool; the tail test
+    # keeps the heap to subsets that can still span (100 and 212 pops),
+    # where the unpruned heap passed 100,000 pops
+    text = ("n 4\nd 2\nbox 2 2 2 2\ninit faces " + clutter_faces(seed)
+            + "\n" + LINKING_LOOPS_2222)
+    code, out, err = run_cli(capsys, ["solve", "--input", problem_file(text),
+                                      "--exhaustive"])
+    assert (code, err) == (0, "")
+    assert strip_time(out).splitlines() == ["command: solve"] + HEADER_2222 + [
+        "status: ok", "objective: 8",
+        "faces: 182 196 432 446 738 752 806 813 856 863 918 925 968 975 "
+        "988 1002",
+        "certificate_lower_bound: 8.0", "certificate_method: exhaustive",
+        f"evaluations: {evaluations}"]
 
 
 def test_link4d_homology_report_pinned(problem_file, capsys):

@@ -125,7 +125,7 @@ def digest(spec, tmp_path, capsys):
 
 PINNED = {
     "2d-2x4-d1-0": "3ef787c12e1da5ce",
-    "2d-2x4-d1-1": "54b8169de13ea65c",
+    "2d-2x4-d1-1": "ba4e2dfbcd4d575e",
     "2d-2x4-d1-2": "ff73426b27d03d3f",
     "2d-3x3-d1-0": "d57d6bee670a4df1",
     "2d-3x3-d1-1": "76eb9e1972d14f93",
@@ -133,25 +133,25 @@ PINNED = {
     "2d-4x3-d1-0": "e7903ca624bcc109",
     "2d-4x3-d1-1": "0b312a8e081e70da",
     "2d-4x3-d1-2": "05523ba746a50177",
-    "3d-2x2x2-d1-0": "3fe5ed865081a39e",
+    "3d-2x2x2-d1-0": "6f57df350bf8356a",
     "3d-2x2x2-d1-1": "d463bac57bc0cbe6",
-    "3d-2x2x2-d1-2": "dd288dd3802c7923",
-    "3d-2x2x2-d2-0": "3dd63d52af20e193",
+    "3d-2x2x2-d1-2": "653291c642dfc7e3",
+    "3d-2x2x2-d2-0": "9eb8ef9f90479769",
     "3d-2x2x2-d2-1": "17c10b7990981e08",
     "3d-2x2x2-d2-2": "41a1d957d7c3f560",
-    "3d-3x2x2-d1-0": "baeda194d8080e8f",
+    "3d-3x2x2-d1-0": "687f5de8bbe42fe5",
     "3d-3x2x2-d1-1": "5357647393c8ab7f",
     "3d-3x2x2-d1-2": "ceb1fed045be4287",
-    "3d-3x2x2-d2-0": "2547709946ce5df2",
-    "3d-3x2x2-d2-1": "c2f30b7b123097b8",
+    "3d-3x2x2-d2-0": "432772785a1c1d45",
+    "3d-3x2x2-d2-1": "fcd38892b0dee88a",
     "3d-3x2x2-d2-2": "deea91a5c78cfe9d",
-    "4d-2x1x1x1-d3-0": "aa72cc2e6b1c7b40",
+    "4d-2x1x1x1-d3-0": "7e4f63adb8275f7f",
     "4d-2x1x1x1-d3-1": "1c0c66fdce21131d",
-    "4d-2x1x1x1-d3-2": "d25b528d749b6e9c",
-    "4d-2x2x1x1-d2-0": "497f9825d4b16cbf",
-    "4d-2x2x1x1-d2-1": "036562c088406620",
+    "4d-2x1x1x1-d3-2": "40e9d71ab08ca9e7",
+    "4d-2x2x1x1-d2-0": "094ead2812bd995c",
+    "4d-2x2x1x1-d2-1": "3b38217a53844dd4",
     "4d-2x2x1x1-d2-2": "e0b9cb0b85413dd7",
-    "4d-2x2x2x2-d2-0": "29fadea64b94111c",
+    "4d-2x2x2x2-d2-0": "207f60af043f2f74",
     "4d-2x2x2x2-d2-1": "5a5faf18758bf56e",
     "4d-2x2x2x2-d2-2": "3d4d3173693b2e2d",
 }

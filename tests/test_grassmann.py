@@ -241,6 +241,19 @@ def test_verify_projection_bounds_needs_samples():
         verify_projection_bounds(PlanePair.orthogonal(), samples=0, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verify_projection_bounds_rejects_non_finite_include(bad):
+    # a NaN row made the maximum over `include` NaN, and max(M, nan) kept
+    # M: max_sum read 0.9669 instead of the 5.0 of the first row
+    pair = PlanePair.orthogonal()
+    row = [5.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert verify_projection_bounds(pair, samples=10, seed=0,
+                                    include=np.array([row])).max_sum == 5.0
+    with pytest.raises(InvalidInputError, match="finite"):
+        verify_projection_bounds(pair, samples=10, seed=0,
+                                 include=np.array([row, [bad] * 6]))
+
+
 @pytest.mark.parametrize("samples", [2.9, 3.0, True, "3", None])
 def test_verify_projection_bounds_rejects_non_integral_samples(samples):
     with pytest.raises(InvalidInputError):

@@ -19,7 +19,8 @@ from spanmin.complement import Region, _integer_costs, separation_bound
 from spanmin.solver import _face_volumes, _round_down, _union_area
 
 from loop_oracles import (contact_free_by_scan, face_volumes_by_loop,
-                          min_cut_by_flow)
+                          heap_exhaustive, min_cut_by_flow)
+from test_complement import rectangle_loop
 
 
 def edge_index(K, a, b):
@@ -570,7 +571,7 @@ def test_exhaustive_infeasible_pool_decided_by_one_check(monkeypatch):
 
 def test_exhaustive_skips_faces_touching_a_constraint():
     # pool edges at a constrained point never enter the search; the optimum
-    # and the heap pops over the remaining pool are unchanged
+    # and the search's evaluations over the remaining pool are unchanged
     K, cons = separation_instance()
     near = FaceSet(K, 1, [i for i, s in enumerate(K.simplices(1))
                           if K.grid.vertex_at((1, 0)) in s])
@@ -636,25 +637,102 @@ def test_exhaustive_pool_reduction_matches_the_vertex_scan(monkeypatch, box,
     assert cut > 0
 
 
+# -- the tail pruning against the unpruned heap ---------------------------------
+
+# (box, d, loops): codimension 1 takes point pairs across the wall x0 = 1,
+# codimension 2 loops around the plane x0 = x1 = 1 (the second one at the
+# top of the box); the wall or plane seeds each pool
+PRUNE_CASES = [((4, 4), 1, 0), ((3, 3), 1, 0), ((2, 2, 2), 2, 0),
+               ((3, 2, 2), 2, 0), ((2, 2, 2), 1, 1), ((3, 2, 2), 1, 2),
+               ((2, 1, 1, 1), 3, 0), ((2, 2, 1, 1), 2, 1)]
+# weights that tie a unit edge with a diagonal (sqrt 2) or a long
+# diagonal (sqrt 3), and costs that tie up to rounding
+TIE_WEIGHTS = (1.0, 1.5, 2.0, math.sqrt(2), math.sqrt(3))
+
+
+def prune_instances(box, d, loops, count=6):
+    """Seeded (constraints, weight, pool) on the box: the wall or plane,
+    sometimes less one face, plus random faces, and sometimes a face at a
+    constraint's point; one or two constraints, and a weight table over
+    part of the pool."""
+    n = len(box)
+    K = build_grid_complex(n, list(box))
+    points = K.grid.points
+    plane = [i for i, s in enumerate(K.simplices(d))
+             if all(points[v][a] == 1 for v in s for a in range(n - d))]
+    rng = random.Random(f"{box} {d}")
+    out = []
+    for _ in range(count):
+        if loops:
+            cons = [rectangle_loop((0, 1), (0, 0), (2, 2), (0,) * n)]
+            if loops > 1 or rng.random() < 0.5:
+                cons.append(rectangle_loop((0, 1), (0, 0), (2, 2),
+                                           (0, 0) + tuple(box[2:])))
+        else:
+            cons = [ConstraintCycle(kind="point-pair", points=(
+                (0,) + tuple(rng.randint(0, b) for b in box[1:]),
+                (box[0],) + tuple(rng.randint(0, b) for b in box[1:])))
+                for _ in range(rng.randint(1, 2))]
+        faces = set(plane)
+        if rng.random() < 0.3:
+            faces.remove(rng.choice(plane))
+        faces.update(rng.sample(range(K.n_simplices(d)), 8))
+        if rng.random() < 0.4:
+            at = K.grid.vertex_at(cons[0].points[0])
+            faces.add(rng.choice([i for i, s in enumerate(K.simplices(d))
+                                  if at in s]))
+        table = {f: rng.choice(TIE_WEIGHTS)
+                 for f in rng.sample(sorted(faces), len(faces) // 2)}
+        out.append((cons, WeightField(table, upper=2.0),
+                    FaceSet(K, d, sorted(faces))))
+    return K, out
+
+
+@pytest.mark.parametrize("box,d,loops", PRUNE_CASES, ids=[
+    f"{'x'.join(map(str, box))}-d{d}-loops{loops}"
+    for box, d, loops in PRUNE_CASES])
+def test_exhaustive_matches_the_unpruned_heap(box, d, loops):
+    # the tail test drops only subtrees with no spanning set, so the
+    # optimum, its face tuple and infeasibility are those of the heap that
+    # pops every subset; each case holds feasible and contact pools
+    K, instances = prune_instances(box, d, loops)
+    feasible = contact = 0
+    for cons, weight, pool in instances:
+        contact += len(contact_free_by_scan(K, d, pool.faces, cons)) < len(
+            pool.faces)
+        try:
+            faces, objective = heap_exhaustive(K, cons, weight, pool)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                minimize_exhaustive(K, cons, weight, pool)
+            continue
+        res = minimize_exhaustive(K, cons, weight, pool)
+        assert res.faces.faces == faces
+        assert res.objective == objective
+        feasible += 1
+    assert feasible and contact
+
+
 # -- pinned search trajectories ------------------------------------------------
 
 # Instances of the criterion-4 loop: a 4x4 grid, the point pair (2,0)-(2,4),
 # and a pool of the middle row plus band edges.  Each row holds the pool, the
 # local-search seed, and (faces, objective, evaluations, accepted, history)
 # of the exhaustive search and of the local search with budget 10,000.  The
-# exhaustive rows date from when every candidate built its own complement
-# model; the local rows are from the descent that draws its moves lazily.
+# exhaustive evaluations count pops and tail tests, which cut the pops
+# from 336, 1043 and 1389 to 18, 112 and 80; the local rows are from the
+# descent that draws its moves lazily.
 PINNED = [
     ((3, 7, 18, 20, 23, 31, 33, 34, 43, 44, 46, 49), 534836507,
-     ((7, 20, 33, 46), 4.0, 336, 0, ()),
+     ((7, 20, 33, 46), 4.0, 81, 0, ()),
      ((7, 20, 33, 46), 4.0, 19, 1, (13.656854249492381, 4.000000000000002))),
     ((4, 6, 7, 10, 17, 20, 23, 29, 32, 33, 36, 43, 44, 46, 47), 28162508,
-     ((7, 20, 33, 46), 4.0, 1043, 0, ()),
+     ((7, 20, 33, 46), 4.0, 487, 0, ()),
      ((7, 20, 33, 46), 4.0, 379, 2,
       (15.828427124746192, 5.000000000000002, 4.000000000000002))),
     ((3, 5, 7, 8, 10, 16, 18, 20, 29, 30, 31, 33, 36, 42, 45, 46, 49, 54),
      449804157,
-     ((7, 20, 33, 46), 4.0, 1389, 0, ()),
+     ((7, 20, 33, 46), 4.0, 405, 0, ()),
      ((7, 20, 33, 46), 4.0, 70, 1, (19.656854249492383, 4.000000000000002))),
 ]
 
@@ -681,15 +759,16 @@ def test_search_trajectories_pinned(pool_faces, seed, exhaustive, local):
 
 
 def test_exhaustive_evaluation_cap(monkeypatch):
-    # the first pinned pool spans, but its optimum is the 336th subset popped
+    # the first pinned pool spans, but its optimum is found at the 81st
+    # predicate call of the search
     import spanmin.solver as solver
     K, cons, pool = band_instance(PINNED[0][0])
     w = WeightField.uniform(1.0)
-    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 100)
-    with pytest.raises(PoolTooLargeError):
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 80)
+    with pytest.raises(PoolTooLargeError, match="passed 80 evaluations"):
         minimize_exhaustive(K, cons, w, pool)
-    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 336)
-    assert minimize_exhaustive(K, cons, w, pool).evaluations == 336
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 81)
+    assert minimize_exhaustive(K, cons, w, pool).evaluations == 81
 
 
 # -- the cut bound of the local search -------------------------------------------
