@@ -15,9 +15,12 @@ record, `_Resolved`, by which `check` and `spanning_predicate` decide it.
 It holds a verdict no face set changes (a degree-g cycle with d < n-1-g
 bounds as in the box: cl F has no (n-g-1)-cochains), or a 0-cycle's tops,
 labelled by component by one flood of K's dual graph when d = n-1, or a
-loop's cochain y per d-face: z = delta(y) is the loop's crossing cocycle
-on (K, dK), and the loop bounds in the complement of |F| exactly when y
-restricted to cl F is a coboundary of (cl F, cl F n dK).
+loop's sub-box and the d-faces there that can carry its cochain y:
+z = delta(y) is the loop's crossing cocycle on (K, dK), and the loop
+bounds in the complement of |F| exactly when y restricted to cl F is a
+coboundary of (cl F, cl F n dK).  y is solved on first need, when a face
+set meets those d-faces, once per complex, loop and d; a face set that
+misses them bounds the loop with no solve.
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  Only constraint cycles of
@@ -38,7 +41,7 @@ from typing import (Callable, Container, Dict, FrozenSet, List, NamedTuple,
 import numpy as np
 
 from .complexes import (Chain, Complex, FaceSet, _boundary_columns,
-                        _closure_rows, _kuhn_tops, _row_ranks,
+                        _closure_rows, _kuhn_faces, _kuhn_tops, _row_ranks,
                         canonical_vertices)
 from .errors import InvalidInputError, PreconditionError, RealizationError
 from . import homology as _hom
@@ -170,12 +173,28 @@ def _dual_graph(K: Complex) -> _Dual:
     return dual
 
 
-def _first_top(tops: np.ndarray, s: Sequence[int]) -> int:
-    """The index of the first row of `tops` holding all of s (one must)."""
-    held = np.ones(len(tops), dtype=bool)
-    for v in s:
-        held &= (tops == v).any(axis=1)
-    return int(np.argmax(held))
+def _first_tops(tops: np.ndarray, simplices: Sequence[Tuple[int, ...]]
+                ) -> List[int]:
+    """The index of the first row of `tops` (increasing vertex ids) holding
+    each of `simplices`, canonical vertex tuples each held by some row.
+
+    One pass per simplex size s over the rows' s-vertex subsets, each keyed
+    as one integer in base (max id + 1), in row order: the first key equal
+    to a simplex's is its first top.  The keys stay below (max id + 1)^s,
+    far inside int64 for the vertices and edges the callers ask for."""
+    base = int(tops.max()) + 1
+    first: Dict[Tuple[int, ...], int] = {}
+    for size in {len(s) for s in simplices}:
+        cols = list(itertools.combinations(range(tops.shape[1]), size))
+        weights = base ** np.arange(size - 1, -1, -1)
+        keys = (tops[:, cols] @ weights).ravel()
+        want = {int(np.dot(s, weights)): s
+                for s in simplices if len(s) == size}
+        at = np.flatnonzero(np.isin(keys, list(want)))
+        found, i = np.unique(keys[at], return_index=True)
+        first.update((want[key], t) for key, t in
+                     zip(found.tolist(), (at[i] // len(cols)).tolist()))
+    return [first[tuple(s)] for s in simplices]
 
 
 def _flood(graph: _Dual, cut: Container[int], seeds: Sequence[int]
@@ -251,22 +270,26 @@ def _simplex_ids(K: Complex, r: int, rows: np.ndarray) -> List[int]:
     return [index[s] for s in zip(*rows.T.tolist())]
 
 
+def _walled(K: Complex, table: np.ndarray, lo: Sequence[int],
+            hi: Sequence[int]) -> np.ndarray:
+    """True per row of `table` (vertex ids of K) that a wall of the lattice
+    box lo..hi holds: on some axis all its vertices sit at lo, or all at
+    hi.  A vertex id is its point's row-major rank in K's box, so
+    `np.unravel_index` reads the points off the rows."""
+    shape = [b + 1 for b in K.grid.box]
+    walls = np.reshape([lo, hi], (2, -1, 1, 1))
+    # points[a, i, j] is coordinate a of vertex i of row j, so each
+    # reduction over a row's vertices runs along whole columns
+    points = np.array(np.unravel_index(table.T, shape))
+    return (points == walls).all(axis=2).any(axis=(0, 1))
+
+
 def _off_walls(K: Complex, rows: Dict[int, np.ndarray], lo: Sequence[int],
                hi: Sequence[int]) -> Dict[int, set]:
     """Per dimension r of `rows`, the ids of the rows[r] simplices that no
-    wall of the lattice box lo..hi holds: on no axis do all their vertices
-    sit at lo, or all at hi.  A vertex id is its point's row-major rank in
-    K's box, so `np.unravel_index` reads the points off the rows."""
-    shape = [b + 1 for b in K.grid.box]
-    walls = np.reshape([lo, hi], (2, -1, 1, 1))
-    out = {}
-    for r, table in rows.items():
-        # points[a, i, j] is coordinate a of vertex i of row j, so each
-        # reduction over a row's vertices runs along whole columns
-        points = np.array(np.unravel_index(table.T, shape))
-        walled = (points == walls).all(axis=2).any(axis=(0, 1))
-        out[r] = set(_simplex_ids(K, r, table[~walled]))
-    return out
+    wall of the lattice box lo..hi holds (`_walled`)."""
+    return {r: set(_simplex_ids(K, r, table[~_walled(K, table, lo, hi)]))
+            for r, table in rows.items()}
 
 
 def _coboundary(K: Complex, A: Dict[int, set], r: int
@@ -503,14 +526,17 @@ class _Resolved:
     """A constraint resolved on K for d-face sets: the d-faces holding a
     vertex of its cycle (the one contact rule), then the verdict of every
     face set they miss, or a (top, coefficient) per vertex of a 0-cycle
-    (d = n-1), or a loop's cochain y of `_cobound` per d-face (`_per_face`).
-    A higher cycle with none of these is decided on the subdivision."""
+    (d = n-1), or a loop's sub-box K' = lo..hi of `_cobound` with `reach`,
+    the d-faces that can carry its cochain y (`_loop_reach`); y itself is
+    solved when a face set first meets `reach` (`_loop_y`).  A higher
+    cycle with none of these is decided on the subdivision."""
 
     spec: ConstraintCycle
     touching: FrozenSet[int]
     verdict: Optional[str] = None
     tops: Tuple[Tuple[int, int], ...] = ()
-    y: Optional[Dict[int, Tuple[Tuple[int, int], ...]]] = None
+    box: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+    reach: FrozenSet[int] = frozenset()
 
 
 def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
@@ -539,7 +565,7 @@ def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
     on_cycle[list(vertices)] = True
     touching = frozenset(
         np.flatnonzero(on_cycle[K.rows(d)].any(axis=1)).tolist())
-    verdict, tops, y = None, (), None
+    verdict, tops, box, reach = None, (), None, frozenset()
     if chain is None:
         verdict = "contact"
     elif not chain:
@@ -548,11 +574,52 @@ def _resolve(K: Complex, spec: ConstraintCycle, d: int) -> _Resolved:
         bounds = g > 0 or not sum(chain.values())
         verdict = "null-homologous" if bounds else "nontrivial"
     elif g == 0:
-        tops = tuple((_first_top(K.rows(n), s), c) for s, c in chain.items())
+        tops = tuple(zip(_first_tops(K.rows(n), list(chain)), chain.values()))
     elif g == 1:
-        y = _per_face(K, _cobound(K, chain, vertices), d)
-    rec = cache[(spec, d)] = _Resolved(spec, touching, verdict, tops, y)
+        box = _loop_box(K, vertices)
+        reach = _loop_reach(K, *box, d)
+    rec = cache[(spec, d)] = _Resolved(spec, touching, verdict, tops, box,
+                                       reach)
     return rec
+
+
+def _loop_box(K: Complex, vertices: set
+              ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(lo, hi) of a loop's sub-box K': the lattice box of its vertices
+    grown by one and clipped to K's box, a ball holding the open star of
+    every simplex on the loop."""
+    coords = list(zip(*(K.grid.points[v] for v in vertices)))
+    return (tuple(max(min(c) - 1, 0) for c in coords),
+            tuple(min(max(c) + 1, b) for c, b in zip(coords, K.grid.box)))
+
+
+def _loop_reach(K: Complex, lo: Sequence[int], hi: Sequence[int], d: int
+                ) -> FrozenSet[int]:
+    """The d-faces of K (d = n-2 or n-1) holding an (n-2)-simplex of the
+    sub-box lo..hi off its walls: the only simplices where the cochain y
+    of `_cobound` can be nonzero.  Such a simplex has its open star in
+    the sub-box, so each of these d-faces is a d-face of the sub-box's
+    tops (`_kuhn_faces`) with an (n-2)-face off the walls."""
+    r = K.dim - 2
+    table = _kuhn_faces([b + 1 for b in K.grid.box], lo, hi, (d,))[d]
+    off = np.zeros(len(table), dtype=bool)
+    for cols in itertools.combinations(range(d + 1), r + 1):
+        off |= ~_walled(K, table[:, cols], lo, hi)
+    return frozenset(_simplex_ids(K, d, table[off]))
+
+
+def _loop_y(K: Complex, rec: _Resolved, d: int
+            ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+    """The cochain y of a loop's record per d-face (`_per_face` of
+    `_cobound`), solved on first need and cached per complex, loop and
+    d."""
+    cache = K.cache.setdefault("loop_y", {})
+    y = cache.get((rec.spec, d))
+    if y is None:
+        chain = _realize_raw(rec.spec, K)
+        y = cache[(rec.spec, d)] = _per_face(K, _cobound(K, chain, *rec.box),
+                                             d)
+    return y
 
 
 def _per_face(K: Complex, y: Dict[int, int], d: int
@@ -573,15 +640,15 @@ def _per_face(K: Complex, y: Dict[int, int], d: int
 
 
 def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
-             vertices: set) -> Dict[int, int]:
+             lo: Sequence[int], hi: Sequence[int]) -> Dict[int, int]:
     """An (n-2)-cochain y of (K, dK) with delta(y) = z, the crossing cocycle
     of the 1-cycle `chain` on K.
 
-    K' is the sub-box of the cycle's vertices grown by one and clipped to
-    the box: a ball holding the open star of every simplex on the cycle.
-    Its tops and their signs are the rows of `_kuhn_tops`, as in the box
-    build, and a simplex goes to the first of them containing it
-    (`_first_top`, the top rule of `_resolve`).  An edge u -> v
+    K' is the sub-box lo..hi of `_loop_box`: a ball holding the open star
+    of every simplex on the cycle.  Its tops and their signs are the rows
+    of `_kuhn_tops`, and each vertex and edge of the cycle goes to the
+    first of them containing it (`_first_tops`, the top rule of
+    `_resolve`), found in one pass.  An edge u -> v
     with coefficient c becomes the two halves of its barycentric
     subdivision: a dual path from the top of u to that of uv through the
     open star of u, counted +c, and one from the top of v to that of uv
@@ -590,26 +657,25 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
     t) = the sign of t's axis permutation, so the crossings sum to a
     cocycle z of (K', dK'), where H^{n-1} = 0: y is one sparse solve with
     a witness over delta_{n-2} on the (n-2)- and (n-1)-simplices of K' off
-    dK' (`_off_walls` of the closure of its tops, with the sub-box's walls,
-    the rule `_relative` applies to cl F in the box), whose cofaces all lie
-    in K', so delta(y) = z on (K, dK) too.
+    dK' (`_off_walls` of the faces of its tops, `_kuhn_faces`, with the
+    sub-box's walls, the rule `_relative` applies to cl F in the box),
+    whose cofaces all lie in K', so delta(y) = z on (K, dK) too.
     """
-    n, points = K.dim, K.grid.points
-    coords = list(zip(*(points[v] for v in vertices)))
-    lo = [max(min(c) - 1, 0) for c in coords]
-    hi = [min(max(c) + 1, b) for c, b in zip(coords, K.grid.box)]
-    rows, signs = _kuhn_tops([b + 1 for b in K.grid.box], lo, hi)
+    n, shape = K.dim, [b + 1 for b in K.grid.box]
+    rows, signs = _kuhn_tops(shape, lo, hi)
     tops, eps = [tuple(t) for t in rows.tolist()], signs.tolist()
     on_facet: Dict[Tuple[int, ...], List[int]] = {}
     for t, top in enumerate(tops):
         for i in range(n + 1):
             on_facet.setdefault(top[:i] + top[i + 1:], []).append(t)
     index = K._index[n - 1]
+    held = list(chain) + list({(a,) for edge in chain for a in edge})
+    first = dict(zip(held, _first_tops(rows, held)))
 
     z: Dict[int, int] = {}
     for (u, v), c in chain.items():
         for a, coeff in ((u, c), (v, -c)):
-            t0, t1 = _first_top(rows, (a,)), _first_top(rows, (u, v))
+            t0, t1 = first[(a,)], first[(u, v)]
             prev: Dict[int, Optional[Tuple[int, int, int]]] = {t0: None}
             queue = deque([t0])
             while t1 not in prev:  # breadth first through the star of a
@@ -625,7 +691,8 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
             while prev[t1] is not None:
                 t1, f, sign = prev[t1]
                 z[f] = z.get(f, 0) + sign * coeff
-    A = _off_walls(K, _closure_rows([rows], range(max(n - 2, 0), n)), lo, hi)
+    A = _off_walls(K, _kuhn_faces(shape, lo, hi, range(max(n - 2, 0), n)),
+                   lo, hi)
     return _hom._snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
                                      witness=True).witness
 
@@ -641,7 +708,9 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
     delta(y') = z on (K, dK) iff y' = y + delta(w), as H^{n-2}(K, dK) = 0,
     so the cycle bounds (some y' is 0 on cl F u dK) iff y|cl F =
     delta(w|cl F).  As y is 0 on dK, y|cl F joins y over the faces of F:
-    empty, the cycle bounds; else one small solve on cl F decides.
+    empty, the cycle bounds; else one small solve on cl F decides.  A face
+    set that misses the record's `reach` has it empty, so y is solved
+    (`_loop_y`) only for one that meets it.
     A g-cycle of higher degree bounds in the complement when its
     barycentric pieces (`_subdivide_simplex`) are the boundary of a
     (g+1)-chain of the subdivision's full subcomplex off cl F: one solve
@@ -660,7 +729,9 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
         null = not _unbalanced(
             coeffs, _flood(_dual_graph(model.K), set(faces), tops))
     elif rec.spec.degree == 1:
-        rhs = dict(term for f in faces for term in rec.y.get(f, ()))
+        y = {} if rec.reach.isdisjoint(faces) else _loop_y(
+            model.K, rec, model.F.dim)
+        rhs = dict(term for f in faces for term in y.get(f, ()))
         null = not rhs or _hom._snf_diagonal_sparse(
             _coboundary(model.K, model._relative, model.K.dim - 3),
             rhs=rhs).solvable

@@ -5,10 +5,20 @@ given with permuted vertices contributes only the sign of the permutation.
 Every combinatorial question reads the integer simplex tables (and, on a
 grid, the integer lattice points); vertex coordinates are one float array,
 read only by measures, projections and mesh export.
+
+On a grid, vertex ids are row-major lattice ranks, and a k-simplex of the
+Kuhn triangulation is a base vertex b plus a flag S1 < ... < Sk of nested
+nonempty axis sets: its vertices are b and b + e(Sj), e(S) the sum of the
+unit steps along S.  Its row is b, b + stride(S1), ..., b + stride(Sk),
+so the rows sort by base, then by (stride(S1), ..., stride(Sk)), an order
+of the flags that no box changes.  Listing the bases in row-major order,
+each followed by its valid flags in that order, gives every grid table
+sorted, with no sort (`_kuhn_faces`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -383,15 +393,69 @@ def _closure_rows(groups: Sequence[np.ndarray],
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _flags(n: int) -> Tuple[np.ndarray, ...]:
+    """Per k = 0..n, the flags S1 < ... < Sk of nonempty axis sets of a
+    lattice in R^n (each a strict subset of the next) as the rows of an
+    (m, k) array, in the order of (stride(S1), ..., stride(Sk)).  A set is
+    a bitmask with bit n-1-a for axis a: every lattice axis has at least
+    two points, so a stride exceeds the sum of the strides after it, and
+    comparing two sets by stride is comparing their masks.  Built once per
+    n, on first use, and read-only, as every caller shares it."""
+    flags: List[Tuple[int, ...]] = [()]
+    out = [np.zeros((1, 0), dtype=np.int64)]
+    for k in range(1, n + 1):
+        flags = sorted(f + (m,) for f in flags for m in range(1, 1 << n)
+                       if not f or (m != f[-1] and m & f[-1] == f[-1]))
+        out.append(np.array(flags, dtype=np.int64).reshape(-1, k))
+    for table in out:
+        table.flags.writeable = False
+    return tuple(out)
+
+
+def _kuhn_faces(shape: Sequence[int], lo: Sequence[int], hi: Sequence[int],
+                dims: Iterable[int]) -> Dict[int, np.ndarray]:
+    """Per k in `dims`, the k-faces of the Kuhn tops (`_kuhn_tops`) of the
+    lattice cubes with lower corners in lo..hi-1, as sorted unique rows of
+    row-major vertex ids: the rows `_closure_rows` gives for those tops,
+    with no sort.
+
+    A k-face is a base b in lo..hi plus a flag S1 < ... < Sk (`_flags`):
+    its vertices are b and b + e(Sj), e(S) the sum of the unit steps along
+    S, so its row is b and b + stride(Sj).  The flag is valid at b when
+    b_a < hi_a on every axis a of Sk.  Bases go in row-major order, each
+    followed by its valid flags in flag order, which is lexicographic
+    order of the rows (Freudenthal, Ann. Math. 43 (1942); Todd, The
+    Computation of Fixed Points and Applications (1976))."""
+    n = len(shape)
+    stride = np.array([math.prod(shape[a + 1:]) for a in range(n)])
+    bit = 1 << np.arange(n - 1, -1, -1)
+    points = np.indices(np.subtract(hi, lo) + 1).reshape(n, -1).T + lo
+    bases = points @ stride
+    free = (points < hi) @ bit  # per base, the axes it may step along
+    set_stride = ((np.arange(1 << n)[:, None] & bit) > 0) @ stride
+    out = {}
+    for k in dims:
+        flags = _flags(n)[k]
+        steps = np.concatenate([np.zeros((len(flags), 1), dtype=np.int64),
+                                set_stride[flags]], axis=1)
+        last = flags[:, -1] if k else np.zeros(1, dtype=np.int64)
+        at, flag = np.nonzero((last & ~free[:, None]) == 0)
+        out[k] = bases[at, None] + steps[flag]
+    return out
+
+
 def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Complex:
     """Triangulated box grid in R^n (each cube split into n! simplices).
 
     Every unit cell is subdivided along its main diagonal into the n!
     Kuhn simplices of `_kuhn_tops`, so the result is closed under faces and
     two cells always meet in a common face.  Vertex ids are row-major
-    lattice ranks (`GridInfo.vertex_at`).  The tops are one integer array
-    and the faces come from the array closure of `Complex.from_maximal`,
-    so no Python loop runs per simplex.
+    lattice ranks (`GridInfo.vertex_at`).  The k-simplex table is read off
+    the flags of `_kuhn_faces`: bases in row-major order, each followed by
+    its valid flags S1 < ... < Sk in the order of (stride(S1), ...,
+    stride(Sk)), which is the lexicographic order of the vertex rows, so
+    no table is sorted and no Python loop runs per simplex.
     """
     if not (1 <= int(n) <= 4):
         raise InvalidInputError(f"ambient dimension {n} unsupported (need 1..4)")
@@ -404,7 +468,7 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
     shape = tuple(b + 1 for b in box)
     points = tuple(itertools.product(*[range(s) for s in shape]))
     coords = float(scale) * np.array(points, dtype=float)
-    tops, _ = _kuhn_tops(shape, (0,) * n, box)
-    K = Complex._from_rows(_closure_rows([tops]), coords)
+    K = Complex._from_rows(_kuhn_faces(shape, (0,) * n, box, range(n + 1)),
+                           coords)
     K.grid = GridInfo(box=box, scale=float(scale), points=points)
     return K

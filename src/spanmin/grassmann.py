@@ -194,6 +194,10 @@ class BoundReport:
 # samples per step of verify_projection_bounds; bounds its temporaries
 SAMPLE_CHUNK = 1 << 16
 
+# samples evaluated first in a chunk with no pruning threshold yet: their
+# maximum sets one for the rest of the chunk
+PRUNE_LEAD = 1 << 12
+
 # widening of verify_projection_bounds' pruning thresholds, relative in M
 # and absolute in z^2: far above the few units of 2^-53 that rounding takes
 PRUNE_MARGIN = 1e-9
@@ -292,8 +296,12 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
     by far more than the rounding of the thresholds themselves, so no
     sample whose computed sum exceeds M is dropped; one that ties M cannot
     change it.  The candidates are gathered into one array and evaluated
-    as a chunk is.  A chunk where some part has no positive threshold
-    (the first, with M = 0) is evaluated whole, without a gather.  The
+    as a chunk is.  In a chunk where some part has no positive threshold
+    yet (the first, with M = 0), a copy of its first PRUNE_LEAD samples
+    is evaluated to set M, and then the whole chunk is pruned by it (a
+    leading sample that passes again cannot change M, and the chunk is
+    left contiguous, which `compress` would otherwise copy whole); if M
+    still gives no threshold, the chunk is evaluated whole.  The
     2-vectors in `include` are taken first, which can only raise M; a
     non-finite entry in them raises InvalidInputError, as a NaN would
     hide every other row from the maximum.
@@ -315,18 +323,24 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
             raise InvalidInputError("include 2-vectors must be finite")
         max_sum = max(max_sum, np.max(projection_sums(pair, include)))
     buf = np.empty(4 * min(SAMPLE_CHUNK, samples))  # refilled per chunk
+
+    def evaluated(u: np.ndarray) -> float:
+        z, x = _sphere_coordinates(u)
+        return max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
+                   np.abs(kax * x[0] + kbx * x[1]).max())
+
     for s in range(0, samples, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, samples - s)
         u = rng.random(out=buf[:4 * n].reshape(4, n))
         bounds = _candidate_bounds(max_sum, (kaz, kbz), (kax, kbx))
+        if bounds is None:
+            max_sum = evaluated(u[:, :PRUNE_LEAD].copy())
+            bounds = _candidate_bounds(max_sum, (kaz, kbz), (kax, kbx))
         if bounds is not None:
             u = _candidates(u, *bounds)
-            if not u.shape[1]:
-                continue
-        z, x = _sphere_coordinates(u)
-        max_sum = max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
-                      np.abs(kax * x[0] + kbx * x[1]).max())
-        del u, z, x  # before the next draw, so memory is one chunk's
+        if u.shape[1]:
+            max_sum = evaluated(u)
+        del u  # before the next draw, so memory is one chunk's
     max_sum, bound = float(max_sum), pair.projection_bound()
     return BoundReport(max_sum=max_sum, bound=bound, margin=bound - max_sum,
                        samples=samples, seed=int(seed),

@@ -14,8 +14,9 @@ from spanmin import (Chain, Complex, ConstraintCycle, FaceSet,
                      free_collapse_candidates, homology_group,
                      is_null_homologous, is_spanning, minimize_local,
                      spanning_check, spanning_predicate)
-from spanmin.complement import (ComplementModel, _dual_graph, _first_top,
-                                _realize_raw, _resolve, _support_vertices)
+from spanmin.complement import (ComplementModel, _dual_graph, _first_tops,
+                                _loop_box, _realize_raw, _resolve,
+                                _support_vertices)
 import spanmin.homology
 from spanmin.complexes import _boundary_columns, _kuhn_tops
 from spanmin.problems import generate_faceset, linking_loops
@@ -397,7 +398,8 @@ def test_deg1_fast_path_matches_full_complex_oracle(case):
 def test_first_top_matches_a_scan_on_the_loops(case):
     # the top rule of `_resolve` and `_cobound`, on the whole box and on
     # each loop's sub-box (its vertices grown by one and clipped to the
-    # box), for every vertex and edge of the loop
+    # box), for every vertex and edge of the loop, asked one at a time
+    # and all in one pass
     box, _, _, linked, _ = DEG1_CASES[case]
     K = build_grid_complex(len(box), list(box))
     for loop in linked:
@@ -405,11 +407,15 @@ def test_first_top_matches_a_scan_on_the_loops(case):
         at = list(zip(*(K.grid.points[v] for e in edges for v in e)))
         lo = [max(min(c) - 1, 0) for c in at]
         hi = [min(max(c) + 1, b) for c, b in zip(at, box)]
+        assert _loop_box(K, _support_vertices(K, loop)) == (tuple(lo),
+                                                             tuple(hi))
         sub, _ = _kuhn_tops([b + 1 for b in box], lo, hi)
+        held = edges + sorted({(v,) for e in edges for v in e})
         for tops in (K.rows(K.dim), sub):
             rows = tops.tolist()
-            for s in edges + [(v,) for e in edges for v in e]:
-                assert _first_top(tops, s) == first_top_by_scan(rows, s)
+            want = [first_top_by_scan(rows, s) for s in held]
+            assert _first_tops(tops, held) == want
+            assert [_first_tops(tops, [s])[0] for s in held] == want
 
 
 HOMOLOGY_CASES = [((3, 3), 0), ((3, 3), 1), ((2, 2, 2), 1), ((2, 2, 2), 2),

@@ -9,8 +9,9 @@ import pytest
 
 from spanmin import (Chain, Complex, FaceSet, InvalidInputError, boundary,
                      build_grid_complex, faceset_to_chain)
-from spanmin.complexes import (GridInfo, _boundary_columns, _kuhn_tops,
-                               _unique_rows, canonical_vertices)
+from spanmin.complexes import (GridInfo, _boundary_columns, _closure_rows,
+                               _kuhn_faces, _kuhn_tops, _unique_rows,
+                               canonical_vertices)
 
 from loop_oracles import boundary_matrix, closure_by_sets, kuhn_tops
 
@@ -177,6 +178,26 @@ def test_kuhn_tops_match_the_oracle_rows_and_signs(box, lo, hi):
     for top, sign in zip(rows, signs):
         edges = at[top[1:]] - at[top[0]]
         assert np.sign(np.linalg.det(edges)) == sign
+
+
+@pytest.mark.parametrize("box,lo,hi", [
+    (box, (0,) * len(box), box) for _, box in GRID_BOXES] + KUHN_SUB_BOXES)
+def test_kuhn_faces_are_the_closure_of_the_kuhn_tops(box, lo, hi):
+    # the flag tables against the sorted closure of the same tops, on every
+    # whole box of GRID_BOXES and on sub-boxes off the origin, against the
+    # far walls and with width-1 axes; each dimension alone and all at once
+    shape = tuple(b + 1 for b in box)
+    n = len(box)
+    tops, _ = _kuhn_tops(shape, lo, hi)
+    want = _closure_rows([tops])
+    got = _kuhn_faces(shape, lo, hi, range(n + 1))
+    assert sorted(got) == sorted(want) == list(range(n + 1))
+    for k in range(n + 1):
+        assert got[k].dtype == np.int64
+        assert got[k].shape == want[k].shape
+        assert (got[k] == want[k]).all()
+        [alone] = _kuhn_faces(shape, lo, hi, (k,)).values()
+        assert (alone == want[k]).all()
 
 
 def test_from_maximal_matches_the_set_closure_on_random_complexes():

@@ -12,10 +12,12 @@ from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
                      complement_subcomplex, homology_group,
                      is_null_homologous, minimize_exhaustive,
                      spanning_predicate)
-from spanmin.complement import (ComplementModel, _cobound, _off_walls,
+from spanmin.complement import (ComplementModel, _cobound, _loop_box,
+                                _loop_reach, _loop_y, _off_walls,
                                 _realize_raw, _relative_cohomology, _resolve,
                                 _simplex_ids, _support_vertices)
-from spanmin.complexes import _closure_rows, _kuhn_tops
+from spanmin.complexes import _closure_rows, _kuhn_faces, _kuhn_tops
+from spanmin.problems import generate_faceset, linking_loops
 
 import relative_cochains as oracle
 from loop_oracles import (closure_by_combinations, loop_rhs_by_closure,
@@ -105,9 +107,10 @@ def test_wall_rule_matches_the_vertex_bits_of_the_closure(box):
 @pytest.mark.parametrize("case", sorted(DEG1_CASES))
 def test_wall_rule_matches_the_facet_counts_of_each_loop_sub_box(case):
     # the cochains of `_cobound` on a loop's sub-box K' (its vertices
-    # grown by one and clipped to the box): the wall rule on the closure
-    # of K''s tops against the facets held by two tops, and their faces
-    # off the facets held by one
+    # grown by one and clipped to the box): the wall rule on the faces of
+    # K''s tops against the facets held by two tops, and their faces off
+    # the facets held by one; and the record's `reach`, the d-faces of K
+    # holding one of those (n-2)-simplices, against a scan of every d-face
     box, _, _, linked, _ = DEG1_CASES[case]
     K = build_grid_complex(len(box), list(box))
     n = K.dim
@@ -119,12 +122,21 @@ def test_wall_rule_matches_the_facet_counts_of_each_loop_sub_box(case):
                         for v in e)))
         lo = [max(min(c) - 1, 0) for c in at]
         hi = [min(max(c) + 1, b) for c, b in zip(at, box)]
+        assert _loop_box(K, _support_vertices(K, loop)) == (tuple(lo),
+                                                             tuple(hi))
         tops, _ = _kuhn_tops([b + 1 for b in box], lo, hi)
-        closure = _closure_rows([tops], (n - 2, n - 1))
+        faces = _kuhn_faces([b + 1 for b in box], lo, hi, (n - 2, n - 1))
         full = _closure_rows([tops])
-        assert all((closure[r] == full[r]).all() for r in closure)
-        got = _off_walls(K, closure, lo, hi)
-        assert got == subbox_cochains_by_facets(K, tops.tolist())
+        assert all((faces[r] == full[r]).all() for r in faces)
+        got = _off_walls(K, faces, lo, hi)
+        want = subbox_cochains_by_facets(K, tops.tolist())
+        assert got == want
+        for d in (n - 2, n - 1):
+            held = {f for f, s in enumerate(K.simplices(d))
+                    if any(K.index(r) in want[n - 2]
+                           for r in itertools.combinations(s, n - 1))}
+            assert _loop_reach(K, lo, hi, d) == held
+            assert _resolve(K, loop, d).reach == held
 
 
 @pytest.mark.parametrize("case", sorted(DEG1_CASES))
@@ -173,8 +185,10 @@ def test_loop_right_hand_side_per_face_matches_the_closure_oracle(case):
     seen = set()
     for d in (n - 2, n - 1):
         for loop in picked:
-            y = _cobound(K, _realize_raw(loop, K), _support_vertices(K, loop))
-            per_face = _resolve(K, loop, d).y
+            rec = _resolve(K, loop, d)
+            y = _cobound(K, _realize_raw(loop, K), *rec.box)
+            per_face = _loop_y(K, rec, d)
+            assert set(per_face) <= rec.reach
             for trial in range(6):
                 faces = rng.choice(K.n_simplices(d), size=trial,
                                    replace=False).tolist()
@@ -200,8 +214,9 @@ def test_loop_check_off_y_builds_no_closure(case, monkeypatch):
     box, d, base_faces, linked, _ = DEG1_CASES[case]
     K = build_grid_complex(len(box), list(box))
     recs = [_resolve(K, loop, d) for loop in linked]
+    busy = set().union(*(set(_loop_y(K, rec, d)) | rec.touching
+                         for rec in recs))
     calls.clear()
-    busy = set().union(*(set(rec.y) | rec.touching for rec in recs))
     free = [f for f in range(K.n_simplices(d)) if f not in busy]
     F = FaceSet(K, d, free[::max(1, len(free) // 12)])
     assert len(F) >= 8
@@ -421,6 +436,56 @@ def test_exhaustive_solve_same_with_loop_cache_cold_and_warm(monkeypatch):
         results.append((cold.faces.faces, cold.objective, cold.evaluations))
         calls.clear()
     assert results[0] == results[1]
+
+
+def test_loop_cochain_is_solved_only_for_face_sets_that_reach_it(monkeypatch):
+    # 2^4 box, the two linking loops: the empty set meets neither loop's
+    # `reach` and solves no cochain, the plane x3 = x4 = 1 meets only the
+    # first loop's, and the two planes both; each verdict is the one of a
+    # record whose cochains were all solved up front, through `check` and
+    # through the pool predicate alike
+    calls = []
+    cobound = spanmin.complement._cobound
+
+    def counted(*args):
+        calls.append(args)
+        return cobound(*args)
+
+    monkeypatch.setattr(spanmin.complement, "_cobound", counted)
+    box = (2, 2, 2, 2)
+    loops = linking_loops(box)
+
+    def faces(K, name):
+        if name == "plane":
+            return tuple(i for i, s in enumerate(K.simplices(2))
+                         if all(K.grid.points[v][2:] == (1, 1) for v in s))
+        if name == "two planes":
+            return generate_faceset("two-planes-orthogonal", K, 2).faces
+        return ()
+
+    eager = build_grid_complex(4, list(box))
+    for loop in loops:
+        _loop_y(eager, _resolve(eager, loop, 2), 2)
+    null, linked = "null-homologous", "nontrivial"
+    for name, solves, verdicts in (("empty", 0, [null, null]),
+                                   ("plane", 1, [linked, null]),
+                                   ("two planes", 2, [linked, linked])):
+        want = [s.reason for s in complement_subcomplex(
+            eager, FaceSet(eager, 2, faces(eager, name))).check(loops)]
+        assert want == verdicts
+        for route in ("check", "predicate"):
+            K = build_grid_complex(4, list(box))
+            calls.clear()
+            F = FaceSet(K, 2, faces(K, name))
+            if route == "check":
+                got = [s.reason for s in
+                       complement_subcomplex(K, F).check(loops)]
+                assert got == want
+            else:
+                spans = spanning_predicate(K, loops, 2, F.faces)
+                assert spans((1 << len(F)) - 1) == (want == [linked] * 2)
+            assert len(calls) == solves, (name, route)
+    assert want == ["nontrivial"] * 2
 
 
 def test_positive_degrees_need_a_grid_built_complex():

@@ -10,7 +10,7 @@ from spanmin import (InvalidInputError, PlanePair, PreconditionError,
                      characteristic_angles, equality_family, grassmann,
                      is_simple, plane_projection_norm, projected_area_sums,
                      verify_projection_bounds, wedge)
-from spanmin.grassmann import (BASIS_PAIRS, SAMPLE_CHUNK,
+from spanmin.grassmann import (BASIS_PAIRS, PRUNE_LEAD, SAMPLE_CHUNK,
                                _sphere_coordinates, _unit_two_vectors,
                                induced_projection_matrix, plucker_form,
                                projection_sums, two_vector_norm)
@@ -452,7 +452,8 @@ def lemma_pairs():
         PlanePair(E[:2], E[[1, 0]])]  # w2 = -w1: no z-part at all
 
 
-@pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1,
+@pytest.mark.parametrize("samples", [1, PRUNE_LEAD, PRUNE_LEAD + 1,
+                                     SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1,
                                      3 * SAMPLE_CHUNK + 1])
 def test_pruned_max_sum_equals_whole_chunk_max_sum(samples):
     # no tolerance: pruning drops only samples that cannot beat the maximum
@@ -482,9 +483,9 @@ def test_pruned_max_sum_equals_whole_chunk_max_sum_at_10e6(pair):
                                   PlanePair.from_angles(0.0, 0.0)],
                          ids=["orthogonal", "0.35,1.05", "identical"])
 def test_pruning_evaluates_few_samples(pair, monkeypatch):
-    # the first chunk (maximum 0) prunes nothing and is evaluated in place,
-    # a view of the draw buffer; every later chunk is a gather of the few
-    # samples that could beat the maximum
+    # the first chunk (maximum 0) evaluates a copy of its leading
+    # PRUNE_LEAD samples; then it, and every later chunk, is a gather of
+    # the few samples that could beat the maximum
     calls = []
 
     def counting(u):
@@ -493,9 +494,9 @@ def test_pruning_evaluates_few_samples(pair, monkeypatch):
 
     monkeypatch.setattr(grassmann, "_sphere_coordinates", counting)
     report = verify_projection_bounds(pair, samples=10 ** 6, seed=7919)
-    assert calls[0] == (SAMPLE_CHUNK, False)
-    assert all(gathered for _, gathered in calls[1:])
-    assert sum(columns for columns, _ in calls) < SAMPLE_CHUNK + 10_000
+    assert calls[0][0] == PRUNE_LEAD
+    assert all(gathered for _, gathered in calls)
+    assert sum(columns for columns, _ in calls) < PRUNE_LEAD + 10_000
     monkeypatch.undo()
     assert report.max_sum == whole_chunk_max_sum(pair, 10 ** 6, 7919)
 
