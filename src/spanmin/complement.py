@@ -308,13 +308,20 @@ def _coboundary(K: Complex, A: Dict[int, set], r: int
     return cols
 
 
-def _relative_cohomology(K: Complex, A: Dict[int, set], j: int
+def _relative_cohomology(K: Complex, A: Dict[int, set], j: int,
+                         diagonals: Dict[int, _hom.Elimination]
                          ) -> Tuple[int, Tuple[int, ...]]:
     """Rank and torsion of H^j of the relative cochains on A: the rank is
     |A_j| - rank delta_j - rank delta_{j-1}, and the torsion is the
-    non-unit invariants of delta_{j-1}."""
-    rank_j = len(_hom._snf_diagonal_sparse(_coboundary(K, A, j)))
-    diag = _hom._snf_diagonal_sparse(_coboundary(K, A, j - 1))
+    non-unit invariants of delta_{j-1}.  Each delta_r is eliminated once
+    and kept in `diagonals`, the caller's store for these cochains."""
+    def diagonal(r: int) -> _hom.Elimination:
+        if r not in diagonals:
+            diagonals[r] = _hom._snf_diagonal_sparse(_coboundary(K, A, r))
+        return diagonals[r]
+
+    rank_j = len(diagonal(j))
+    diag = diagonal(j - 1)
     rank = len(A.get(j, ())) - rank_j - len(diag)
     return rank, tuple(d for d in diag if d > 1)
 
@@ -337,6 +344,8 @@ class ComplementModel:
         self.K = K
         self.F = F
         self.max_dim = max_dim
+        # invariant factors of delta_r on the relative cochains, per r
+        self._diagonals: Dict[int, _hom.Elimination] = {}
 
     @cached_property
     def _closure(self) -> Dict[int, np.ndarray]:
@@ -411,7 +420,7 @@ class ComplementModel:
             raise InvalidInputError(
                 f"homology dimension {k} out of range 0..{n}")
         rank, torsion = _relative_cohomology(self.K, self._relative,
-                                             n - k - 1)
+                                             n - k - 1, self._diagonals)
         return _hom.HomologyGroup(k=k, rank=rank + (k == 0), torsion=torsion)
 
 

@@ -13,14 +13,18 @@ Unit simple 2-vectors are the points (a, b) of S^2 x S^2 (Gluck-Warner):
 w is unit and simple exactly when its halves A(w) = (w12 + w34, w13 - w24,
 w14 + w23) and B(w) = (w12 - w34, w13 + w24, w14 - w23) are unit 3-vectors,
 <xi, w> = (A(xi).A(w) + B(xi).B(w)) / 2, and the uniform law on planes is
-the uniform law on S^2 x S^2, which the lemma check samples.
+the uniform law on S^2 x S^2, which `verify_projection_bounds` samples.
+So sup <xi, c> over unit simple xi is (|A(c)| + |B(c)|) / 2 for every
+2-vector c, attained at the xi with halves A(c)/|A(c)| and B(c)/|B(c)|:
+the projection constant `PlanePair.projection_bound` and its maximizer
+`projection_maximizer` are read off these halves (Gluck-Warner).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +34,10 @@ BASIS_PAIRS: Tuple[Tuple[int, int], ...] = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 FRAME_TOL = 1e-12
+
+# upward rounding of PlanePair.projection_bound: frames orthonormal only to
+# FRAME_TOL, and the rounding of the closed form (derived there)
+PROJECTION_SLACK = 3 * FRAME_TOL
 
 
 def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -143,11 +151,37 @@ class PlanePair:
         return self.alpha1 >= math.pi / 2 - tol
 
     def projection_bound(self) -> float:
-        """Upper bound for |p1(xi)| + |p2(xi)| over unit simple 2-vectors
-        (1 for exactly orthogonal frames only: near them the sum exceeds 1)."""
-        if not np.any(self.frame1 @ self.frame2.T):
+        """sup of |p1(xi)| + |p2(xi)| over unit simple 2-vectors xi, the
+        constant 2 cos(alpha1/2) cos(alpha2/2), rounded upward by
+        PROJECTION_SLACK.
+
+        A frame F maps a triangle with unit 2-vector xi and area a to one
+        of area a |<xi, w>|, w = f1 ^ f2 (Cauchy-Binet).  The sum is
+        max over +- of <+-xi, w1 +- w2>, so its supremum is
+        lambda = max over +- of (|U| + |V|) / 2 with U, V the halves of
+        w1 +- w2 (module docstring), which is 2 cos(alpha1/2) cos(alpha2/2)
+        for unit w1, w2.  The slack covers two errors:
+        - Frames are orthonormal only to d = FRAME_TOL, so w_i = s_i u_i with
+          u_i the unit 2-vector of the plane and s_i = sqrt(det F_i F_i^T)
+          within d + d^2 of 1.  c -> (|A(c)| + |B(c)|) / 2 is 1-Lipschitz
+          (it is at most sqrt((|A|^2 + |B|^2) / 2) = |c|), so lambda of
+          w1, w2 and of u1, u2 differ by at most 2d + 2d^2.  The value
+          bounds the maps x -> F_i x and the orthogonal projections onto
+          the planes alike.
+        - Rounding, u = 2^-53: each computed wedge is off by at most 3u in
+          norm (|f1| |f2| <= 1 + d), w1 +- w2 by at most 9u, and the
+          halves, hypot, halving, sum and the final addition add at most
+          16u to a value of at most 2 + 2d: under 25u = 3e-15 in all.
+        Both together stay below 3d = PROJECTION_SLACK.  Signed coordinate
+        frames of four distinct axes get the exact 1: their planes are
+        exactly orthogonal and the closed form is exact there.
+        """
+        frames = np.concatenate([self.frame1, self.frame2])
+        if (np.all((frames == 0) | (np.abs(frames) == 1))
+                and not np.any(self.frame1 @ self.frame2.T)):
             return 1.0
-        return 1.0 + 2.0 * math.cos(self.alpha1)
+        return max(_half_sum(U, V) for U, V in _extremal_halves(self)
+                   ) + PROJECTION_SLACK
 
     def projection_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
         return (induced_projection_matrix(self.frame1),
@@ -213,6 +247,38 @@ def projection_sums(pair: PlanePair, xis: np.ndarray) -> np.ndarray:
     """|p1(xi)| + |p2(xi)| = |<xi, w1>| + |<xi, w2>| for a batch of 2-vectors."""
     xis = np.asarray(xis, dtype=float)
     return np.abs(xis @ _unit_two_vectors(pair)).sum(axis=-1)
+
+
+def _halves(c: np.ndarray) -> Tuple[tuple, tuple]:
+    """The halves A(c), B(c) of a 2-vector c (module docstring)."""
+    return ((c[0] + c[5], c[1] - c[4], c[2] + c[3]),
+            (c[0] - c[5], c[1] + c[4], c[2] - c[3]))
+
+
+def _extremal_halves(pair: PlanePair) -> List[Tuple[tuple, tuple]]:
+    """The halves (U, V) of w1 + w2 and of w1 - w2."""
+    w1, w2 = _unit_two_vectors(pair).T
+    return [_halves(w1 + w2), _halves(w1 - w2)]
+
+
+def _half_sum(U: tuple, V: tuple) -> float:
+    """(|U| + |V|) / 2: sup <xi, c> over unit simple xi for halves U, V of c."""
+    return (math.hypot(*U) + math.hypot(*V)) / 2
+
+
+def projection_maximizer(pair: PlanePair) -> np.ndarray:
+    """A unit simple 2-vector xi* whose projection sum is the supremum
+    (`PlanePair.projection_bound` before its slack).
+
+    For the sign of the larger (|U| + |V|) / 2, U, V the halves of
+    w1 +- w2, xi* has halves U/|U| and V/|V| (e1 for a half that is 0), so
+    <xi*, w1 +- w2> is that supremum.
+    """
+    U, V = max(_extremal_halves(pair), key=lambda h: _half_sum(*h))
+    a, b = (np.array(h) / n if n > 0 else np.eye(3)[0]
+            for h, n in ((U, math.hypot(*U)), (V, math.hypot(*V))))
+    return np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2],
+                     a[2] - b[2], b[1] - a[1], a[0] - b[0]]) / 2
 
 
 def _sphere_coordinates(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -312,11 +378,9 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
         raise PreconditionError("need at least one sample")
     samples = int(samples)
     rng = np.random.default_rng(seed)
-    w1, w2 = _unit_two_vectors(pair).T
     kaz, kbz, kax, kbx = (  # |U+|/2, |V+|/2, |U-|/2, |V-|/2
-        math.hypot(*half) / 2 for c in (w1 + w2, w1 - w2)
-        for half in ((c[0] + c[5], c[1] - c[4], c[2] + c[3]),
-                     (c[0] - c[5], c[1] + c[4], c[2] - c[3])))
+        math.hypot(*half) / 2 for halves in _extremal_halves(pair)
+        for half in halves)
     max_sum = 0.0
     if include is not None and len(include):
         if not np.isfinite(include).all():

@@ -212,11 +212,20 @@ class HomologyGroup:
         return f"H_{self.k} = " + (" + ".join(parts) if parts else "0")
 
 
+def _boundary_diagonal(K: Complex, k: int) -> Elimination:
+    """Invariant factors of d_k, eliminated once per complex (K.cache)."""
+    key = ("boundary_diagonal", k)
+    if key not in K.cache:
+        K.cache[key] = _snf_diagonal_sparse(_boundary_columns(K, k))
+    return K.cache[key]
+
+
 def homology_group(K: Complex, k: int) -> HomologyGroup:
     """H_k(K, Z) as rank plus torsion, computed exactly and cached.
 
     In every degree, rank = n_k - rank d_k - rank d_{k+1} and the torsion
-    is the non-unit invariant factors of d_{k+1}.
+    is the non-unit invariant factors of d_{k+1}; each d_k is eliminated
+    once per complex, so H_k and H_{k+1} share d_{k+1}.
     """
     if not (0 <= k <= K.dim):
         raise InvalidInputError(f"homology dimension {k} out of range 0..{K.dim}")
@@ -224,8 +233,8 @@ def homology_group(K: Complex, k: int) -> HomologyGroup:
     if key in K.cache:
         return K.cache[key]
 
-    rank_dk = len(_snf_diagonal_sparse(_boundary_columns(K, k)))
-    diag = _snf_diagonal_sparse(_boundary_columns(K, k + 1))
+    rank_dk = len(_boundary_diagonal(K, k))
+    diag = _boundary_diagonal(K, k + 1)
     result = HomologyGroup(k=k, rank=K.n_simplices(k) - rank_dk - len(diag),
                            torsion=tuple(d for d in diag if d > 1))
     K.cache[key] = result

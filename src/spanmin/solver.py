@@ -125,15 +125,17 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
     at position i has as descendants the subsets of S ∪ P0[i+1:], so the
     child S + P0[j] is pushed only when S ∪ P0[j:] spans (the tail test);
     otherwise none of its descendants span.  The tails shrink as j grows,
-    so the first failing test ends the children.  Every prefix of the
+    so the first failing test ends the children.  The first, at j = i+1,
+    is not made: S ∪ P0[i+1:] is the tail that pushed S (the full mask for
+    the root), so that child is pushed untested.  Every prefix of the
     optimum, taken with its tail, holds the optimum, so all its ancestors
     are pushed; only entries with no spanning descendant are dropped, and
     the survivors pop in the same (cost, tuple) order, so the optimum and
     its face tuple are those of the unpruned search.
 
     `evaluations` counts the predicate calls of the search: one per popped
-    subset and one per tail test, memo hits included; the call on the full
-    mask is not counted.  A pool from another complex raises
+    subset and one per tail test made, memo hits included; the call on the
+    full mask is not counted.  A pool from another complex raises
     PreconditionError; a pool of more than EXHAUSTIVE_POOL_CAP faces, or
     more than EXHAUSTIVE_EVALUATION_CAP evaluations, raises
     PoolTooLargeError.
@@ -177,7 +179,7 @@ def minimize_exhaustive(K: Complex, constraints: Sequence[ConstraintCycle],
                                             "lower_bound": cost},
                                evaluations=evaluations, accepted=0, seed=None)
         for j in range(last + 1, len(pool)):
-            if not test(mask | tail[j]):
+            if j > last + 1 and not test(mask | tail[j]):
                 break
             heapq.heappush(heap, (cost + costs[j], faces + (pool[j],),
                                   mask | 1 << j, j))

@@ -116,6 +116,39 @@ def heap_exhaustive(K: Complex, constraints, weight,
     raise InfeasibleError("no subset of the pool spans")
 
 
+def tail_tested_heap(K: Complex, constraints, weight, candidate_pool: FaceSet
+                     ) -> Tuple[Tuple[int, ...], float, int, int]:
+    """The tail-pruned heap that tests every tail, the first child's too:
+    (faces, objective, predicate calls, pops that had a child position).
+
+    A popped subset S with last position i pushes S + P0[j] while
+    S | P0[j:] spans; the call on the full mask is not counted."""
+    d = candidate_pool.dim
+    pool = list(contact_free_by_scan(K, d, candidate_pool.faces,
+                                     constraints))
+    spans = spanning_predicate(K, constraints, d, pool)
+    vols = face_volumes_by_loop(K, d)
+    costs = [float(weight.at(f) * vols[f]) for f in pool]
+    full = (1 << len(pool)) - 1
+    if not spans(full):
+        raise InfeasibleError("no subset of the pool spans")
+    heap = [(0.0, (), 0, -1)]
+    calls = parents = 0
+    while heap:
+        cost, faces, mask, last = heapq.heappop(heap)
+        calls += 1
+        if spans(mask):
+            return faces, cost, calls, parents
+        parents += last + 1 < len(pool)
+        for j in range(last + 1, len(pool)):
+            calls += 1
+            if not spans(mask | full >> j << j):
+                break
+            heapq.heappush(heap, (cost + costs[j], faces + (pool[j],),
+                                  mask | 1 << j, j))
+    raise InfeasibleError("no subset of the pool spans")
+
+
 def kuhn_tops(lattice: Dict[Tuple[int, ...], int], lo: Sequence[int],
               hi: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...],
                                                    Tuple[int, ...]]]:

@@ -210,7 +210,7 @@ def test_criterion_07_general_pair_bound():
         pair = PlanePair(frame1=P, frame2=Q)
         rep = verify_projection_bounds(pair, samples=50_000,
                                        seed=int(rng.integers(1 << 30)))
-        ok &= rep.max_sum <= 1.0 + 2.0 * math.cos(pair.alpha1) + 1e-9
+        ok &= rep.max_sum <= pair.projection_bound()
 
     elapsed = time.perf_counter() - t0
     report(7, "general pair bound", ok and elapsed < 30.0)

@@ -325,11 +325,11 @@ def test_relative_cohomology_reports_torsion():
     P = Complex.from_maximal(RP2, coords)
     assert homology_group(P, 1).torsion == (2,)
     A = relative_simplices(P)
-    assert [_relative_cohomology(P, A, j) for j in range(3)] == [
+    assert [_relative_cohomology(P, A, j, {}) for j in range(3)] == [
         (1, ()), (0, ()), (0, (2,))]
     M = Complex.from_maximal(RP2[1:], coords)
     A = relative_simplices(M, [(0, 1), (1, 2), (0, 2)])
-    assert [_relative_cohomology(M, A, j) for j in range(3)] == [
+    assert [_relative_cohomology(M, A, j, {}) for j in range(3)] == [
         (0, ()), (0, ()), (0, (2,))]
 
 

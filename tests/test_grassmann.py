@@ -10,9 +10,10 @@ from spanmin import (InvalidInputError, PlanePair, PreconditionError,
                      characteristic_angles, equality_family, grassmann,
                      is_simple, plane_projection_norm, projected_area_sums,
                      verify_projection_bounds, wedge)
-from spanmin.grassmann import (BASIS_PAIRS, PRUNE_LEAD, SAMPLE_CHUNK,
-                               _sphere_coordinates, _unit_two_vectors,
-                               induced_projection_matrix, plucker_form,
+from spanmin.grassmann import (BASIS_PAIRS, FRAME_TOL, PROJECTION_SLACK,
+                               PRUNE_LEAD, SAMPLE_CHUNK, _sphere_coordinates,
+                               _unit_two_vectors, induced_projection_matrix,
+                               plucker_form, projection_maximizer,
                                projection_sums, two_vector_norm)
 
 E = np.eye(4)
@@ -170,8 +171,9 @@ def test_characteristic_angles_symmetric_and_invariant():
 def test_plane_pair_bounds():
     assert PlanePair.orthogonal().projection_bound() == 1.0
     assert PlanePair(E[[0, 2]], E[[3, 1]]).projection_bound() == 1.0
+    # 2 cos(pi/6)^2 = 3/2
     pair = PlanePair.from_angles(math.pi / 3, math.pi / 3)
-    assert pair.projection_bound() == pytest.approx(2.0)
+    assert 1.5 <= pair.projection_bound() <= 1.5 + PROJECTION_SLACK + 1e-15
     with pytest.raises(InvalidInputError):
         PlanePair.from_angles(1.0, 0.5)
 
@@ -224,7 +226,7 @@ def test_verify_projection_bounds_tilted():
     pair = PlanePair.from_angles(math.pi / 3, math.pi / 3)
     report = verify_projection_bounds(pair, samples=20000, seed=8)
     assert report.holds()
-    assert report.bound == pytest.approx(2.0)
+    assert report.bound == pytest.approx(1.5)
 
 
 def test_verify_projection_bounds_sharp_with_family():
@@ -632,4 +634,64 @@ def test_monte_carlo_max_below_exact_supremum_below_bound():
         exact = exact_supremum(pair)
         report = verify_projection_bounds(pair, samples=20000, seed=seed)
         assert exact - 0.05 <= report.max_sum <= exact + 1e-12
-        assert exact <= pair.projection_bound() + 1e-12
+        assert exact <= pair.projection_bound()
+
+
+# -- the closed-form constant and its maximizer against the sampler ------------
+
+def constant_pairs():
+    rng = np.random.default_rng(22)
+    return random_pairs(rng, 12) + [
+        PlanePair.from_angles(math.pi / 4, math.pi / 4),
+        PlanePair.from_angles(0.0, math.pi / 2),
+        PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2 - 1e-10),
+        PlanePair(E[:2], E[[1, 0]])]
+
+
+def closed_form(pair):
+    return 2 * math.cos(pair.alpha1 / 2) * math.cos(pair.alpha2 / 2)
+
+
+# the float 2 cos(alpha1/2) cos(alpha2/2) is itself a few units of 2^-53
+# off: at the orthogonal pair it reads 1 + 2.2e-16
+REFERENCE_ERROR = 1e-15
+
+
+def test_bound_is_the_closed_form_rounded_upward():
+    for pair in constant_pairs():
+        excess = pair.projection_bound() - closed_form(pair)
+        assert -REFERENCE_ERROR <= excess <= PROJECTION_SLACK + REFERENCE_ERROR
+    # coordinate frames keep the exact constant, other orthogonal ones
+    # take the slack
+    assert PlanePair.orthogonal().projection_bound() == 1.0
+    turn = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]) / math.sqrt(2)
+    assert 1.0 < PlanePair(turn, E[2:]).projection_bound() <= (
+        1.0 + PROJECTION_SLACK + REFERENCE_ERROR)
+
+
+def test_sampled_max_below_the_bound_and_the_maximizer_attains_it():
+    for seed, pair in enumerate(constant_pairs()):
+        bound = pair.projection_bound()
+        report = verify_projection_bounds(pair, samples=10 ** 5, seed=seed)
+        assert report.max_sum <= bound
+        xi = projection_maximizer(pair)
+        assert is_simple(xi)
+        assert abs(float(two_vector_norm(xi)) - 1.0) <= 1e-12
+        attained = projection_sums(pair, xi[None])[0]
+        assert 0.0 <= bound - attained <= PROJECTION_SLACK + REFERENCE_ERROR
+        assert attained == pytest.approx(exact_supremum(pair), abs=1e-12)
+
+
+def test_bound_covers_frames_orthonormal_only_to_the_tolerance():
+    # rows scaled by 1 +- d/2 pass the 1e-12 check, and their 2-vectors
+    # scale by about 1 +- d: the bound must cover the maps x -> F x and the
+    # orthogonal projections onto the planes alike, so shrunken frames
+    # need the slack
+    rng = np.random.default_rng(23)
+    for scale in (1.0 - 0.49 * FRAME_TOL, 1.0 + 0.49 * FRAME_TOL):
+        for pair in constant_pairs()[:8] + [PlanePair.orthogonal()]:
+            scaled = PlanePair(pair.frame1 * scale, pair.frame2 * scale)
+            bound = scaled.projection_bound()
+            assert bound >= max(exact_supremum(scaled), exact_supremum(pair))
+            xis = sample_simple_unit(rng, 2000)
+            assert np.max(reference_sums(scaled, xis)) <= bound

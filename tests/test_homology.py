@@ -547,3 +547,54 @@ def test_random_boundary_shaped_matrices():
             assert (A @ x == b).all()
         verdicts.append(solvable)
     assert 60 < sum(verdicts) < 180
+
+
+def counting_eliminations(monkeypatch):
+    """Wrap `_snf_diagonal_sparse` where homology and the complement model
+    look it up; the list gets one entry per call, its column count."""
+    import spanmin.homology as hom
+    calls = []
+    original = hom._snf_diagonal_sparse
+
+    def counting(cols, *args, **kwargs):
+        calls.append(len(cols))
+        return original(cols, *args, **kwargs)
+
+    monkeypatch.setattr(hom, "_snf_diagonal_sparse", counting)
+    return calls
+
+
+def test_each_boundary_is_eliminated_once_per_complex(monkeypatch):
+    # H_k reads d_k and d_{k+1}: H_0..H_3 of a 3^3 box share d_1..d_3, so
+    # the five boundaries d_0..d_4 are eliminated once each, not eight times
+    calls = counting_eliminations(monkeypatch)
+    K = build_grid_complex(3, [3, 3, 3])
+    groups = [homology_group(K, k) for k in range(4)]
+    assert sorted(calls) == sorted(len(_boundary_columns(K, k))
+                                   for k in range(5))
+    assert [(h.rank, h.torsion) for h in groups] == [(1, ())] + [(0, ())] * 3
+    fresh = build_grid_complex(3, [3, 3, 3])
+    assert [homology_group(fresh, k) for k in (3, 1, 2, 0)] == [
+        groups[k] for k in (3, 1, 2, 0)]
+    assert len(calls) == 10
+
+
+def test_each_coboundary_is_eliminated_once_per_model(monkeypatch):
+    # the complement's H_k reads delta_{n-k-1} and delta_{n-k-2} of the
+    # relative cochains, so H_0..H_4 of one model eliminate each of the
+    # n + 2 = 6 coboundaries once; another model eliminates its own
+    from spanmin import complement_subcomplex
+    from spanmin.problems import generate_faceset
+    K = build_grid_complex(4, [2, 2, 2, 2])
+    F = generate_faceset("two-planes-orthogonal", K, 2)
+    calls = counting_eliminations(monkeypatch)
+    model = complement_subcomplex(K, F)
+    groups = [model.homology(k) for k in range(5)]
+    assert len(calls) == 6
+    assert [model.homology(k) for k in range(5)] == groups
+    assert len(calls) == 6
+    other = complement_subcomplex(K, F)
+    assert [other.homology(k) for k in range(5)] == groups
+    assert len(calls) == 12
+    assert [(h.rank, h.torsion) for h in groups] == [
+        (1, ()), (2, ()), (1, ()), (0, ()), (0, ())]

@@ -19,7 +19,7 @@ from spanmin.complement import Region, _integer_costs, separation_bound
 from spanmin.solver import _face_volumes, _round_down, _union_area
 
 from loop_oracles import (contact_free_by_scan, face_volumes_by_loop,
-                          heap_exhaustive, min_cut_by_flow)
+                          heap_exhaustive, min_cut_by_flow, tail_tested_heap)
 from test_complement import rectangle_loop
 
 
@@ -277,9 +277,9 @@ def test_projection_bound_drops_with_hole():
 
 
 def test_projection_bound_orthogonal_reduction():
-    # lambda = 1 + 2 cos(pi/2) equals the orthogonal constant
+    # lambda = 2 cos(pi/4)^2 equals the orthogonal constant
     K, F, disks = two_planes_setup()
-    assert 1.0 + 2.0 * math.cos(math.pi / 2) == pytest.approx(1.0)
+    assert 2.0 * math.cos(math.pi / 4) ** 2 == pytest.approx(1.0)
     bound = projection_lower_bound(F, E12, E34, disks, resolution=256)
     assert bound == pytest.approx(8.0, rel=1e-9)
 
@@ -287,16 +287,33 @@ def test_projection_bound_orthogonal_reduction():
 @pytest.mark.parametrize("pair,bound", [
     # exact areas, rounded down by the error term of `_union_area`
     (PlanePair.orthogonal(), 7.999999999997158),
-    (PlanePair.from_angles(0.35, 1.05), 2.083180817884686),
-    # only exactly orthogonal frames get the constant 1: at alpha1 = pi/2 -
-    # 1e-10 the supremum is above 1 (see test_grassmann's witness), so the
-    # constant is 1 + 2 cos(alpha1)
+    (PlanePair.from_angles(0.35, 1.05), 3.5188914554766657),
+    # only coordinate frames get the constant 1: at alpha1 = pi/2 - 1e-10
+    # the supremum is above 1 (see test_grassmann's witness), so the
+    # constant is 2 cos(alpha1/2) cos(alpha2/2) = 1 + 5e-11, and its slack
     (PlanePair.from_angles(math.pi / 2 - 1e-10, math.pi / 2),
-     7.999999998195734)])
+     7.9999999993717354)])
 def test_projection_bound_pinned(pair, bound):
     K, F, disks = two_planes_setup()
     assert projection_lower_bound(F, pair.frame1, pair.frame2, disks,
                                   resolution=256) == bound
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_projection_bound_general_frames_below_the_area(b):
+    # F is a competitor of its own projections, so the bound stays at most
+    # J = area(F) for every frame pair; an orthonormal frame maps the box
+    # into the square of side 4b around 0
+    K = build_grid_complex(4, [b] * 4)
+    F = generate_faceset("two-planes-orthogonal", K, 2)
+    J = weighted_measure(F, WeightField.uniform(1.0))
+    wide = PlaneRegion("box", (-2.0 * b, -2.0 * b, 2.0 * b, 2.0 * b))
+    rng = np.random.default_rng(2000 + b)
+    for _ in range(20):
+        f1, f2 = (np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+                  for _ in range(2))
+        bound = projection_lower_bound(F, f1, f2, (wide, wide))
+        assert 0.0 < bound <= J
 
 
 def test_projection_bound_requires_dim2():
@@ -713,26 +730,48 @@ def test_exhaustive_matches_the_unpruned_heap(box, d, loops):
     assert feasible and contact
 
 
+@pytest.mark.parametrize("box,d,loops", PRUNE_CASES, ids=[
+    f"{'x'.join(map(str, box))}-d{d}-loops{loops}"
+    for box, d, loops in PRUNE_CASES])
+def test_first_child_is_pushed_untested(box, d, loops):
+    # S | P0[i+1:] is the tail that pushed S (the full mask for the root),
+    # so testing it again only repeats a passing call: the search makes one
+    # call fewer per pop with a child position, on the same heap
+    K, instances = prune_instances(box, d, loops)
+    feasible = 0
+    for cons, weight, pool in instances:
+        try:
+            faces, objective, calls, parents = tail_tested_heap(
+                K, cons, weight, pool)
+        except InfeasibleError:
+            continue
+        res = minimize_exhaustive(K, cons, weight, pool)
+        assert (res.faces.faces, res.objective) == (faces, objective)
+        assert res.evaluations == calls - parents
+        feasible += parents > 0
+    assert feasible
+
+
 # -- pinned search trajectories ------------------------------------------------
 
 # Instances of the criterion-4 loop: a 4x4 grid, the point pair (2,0)-(2,4),
 # and a pool of the middle row plus band edges.  Each row holds the pool, the
 # local-search seed, and (faces, objective, evaluations, accepted, history)
 # of the exhaustive search and of the local search with budget 10,000.  The
-# exhaustive evaluations count pops and tail tests, which cut the pops
-# from 336, 1043 and 1389 to 18, 112 and 80; the local rows are from the
-# descent that draws its moves lazily.
+# exhaustive evaluations count pops and the tail tests made, which cut the
+# pops from 336, 1043 and 1389 to 18, 112 and 80; the local rows are from
+# the descent that draws its moves lazily.
 PINNED = [
     ((3, 7, 18, 20, 23, 31, 33, 34, 43, 44, 46, 49), 534836507,
-     ((7, 20, 33, 46), 4.0, 81, 0, ()),
+     ((7, 20, 33, 46), 4.0, 64, 0, ()),
      ((7, 20, 33, 46), 4.0, 19, 1, (13.656854249492381, 4.000000000000002))),
     ((4, 6, 7, 10, 17, 20, 23, 29, 32, 33, 36, 43, 44, 46, 47), 28162508,
-     ((7, 20, 33, 46), 4.0, 487, 0, ()),
+     ((7, 20, 33, 46), 4.0, 376, 0, ()),
      ((7, 20, 33, 46), 4.0, 379, 2,
       (15.828427124746192, 5.000000000000002, 4.000000000000002))),
     ((3, 5, 7, 8, 10, 16, 18, 20, 29, 30, 31, 33, 36, 42, 45, 46, 49, 54),
      449804157,
-     ((7, 20, 33, 46), 4.0, 405, 0, ()),
+     ((7, 20, 33, 46), 4.0, 326, 0, ()),
      ((7, 20, 33, 46), 4.0, 70, 1, (19.656854249492383, 4.000000000000002))),
 ]
 
@@ -759,16 +798,16 @@ def test_search_trajectories_pinned(pool_faces, seed, exhaustive, local):
 
 
 def test_exhaustive_evaluation_cap(monkeypatch):
-    # the first pinned pool spans, but its optimum is found at the 81st
+    # the first pinned pool spans, but its optimum is found at the 64th
     # predicate call of the search
     import spanmin.solver as solver
     K, cons, pool = band_instance(PINNED[0][0])
     w = WeightField.uniform(1.0)
-    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 80)
-    with pytest.raises(PoolTooLargeError, match="passed 80 evaluations"):
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 63)
+    with pytest.raises(PoolTooLargeError, match="passed 63 evaluations"):
         minimize_exhaustive(K, cons, w, pool)
-    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 81)
-    assert minimize_exhaustive(K, cons, w, pool).evaluations == 81
+    monkeypatch.setattr(solver, "EXHAUSTIVE_EVALUATION_CAP", 64)
+    assert minimize_exhaustive(K, cons, w, pool).evaluations == 64
 
 
 # -- the cut bound of the local search -------------------------------------------
