@@ -462,13 +462,15 @@ def build_grid_complex(n: int, box: Sequence[int], scale: float = 1.0) -> Comple
     box = tuple(int(b) for b in box)
     if len(box) != n or any(b < 1 for b in box):
         raise InvalidInputError(f"box {box} must have {n} axes with counts >= 1")
-    if not (float(scale) > 0):
-        raise InvalidInputError("scale must be positive")
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidInputError(
+            f"scale must be positive and finite, not {scale}")
 
     shape = tuple(b + 1 for b in box)
     points = tuple(itertools.product(*[range(s) for s in shape]))
-    coords = float(scale) * np.array(points, dtype=float)
+    coords = scale * np.array(points, dtype=float)
     K = Complex._from_rows(_kuhn_faces(shape, (0,) * n, box, range(n + 1)),
                            coords)
-    K.grid = GridInfo(box=box, scale=float(scale), points=points)
+    K.grid = GridInfo(box=box, scale=scale, points=points)
     return K

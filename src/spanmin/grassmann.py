@@ -13,11 +13,13 @@ Unit simple 2-vectors are the points (a, b) of S^2 x S^2 (Gluck-Warner):
 w is unit and simple exactly when its halves A(w) = (w12 + w34, w13 - w24,
 w14 + w23) and B(w) = (w12 - w34, w13 + w24, w14 - w23) are unit 3-vectors,
 <xi, w> = (A(xi).A(w) + B(xi).B(w)) / 2, and the uniform law on planes is
-the uniform law on S^2 x S^2, which `verify_projection_bounds` samples.
-So sup <xi, c> over unit simple xi is (|A(c)| + |B(c)|) / 2 for every
-2-vector c, attained at the xi with halves A(c)/|A(c)| and B(c)/|B(c)|:
-the projection constant `PlanePair.projection_bound` and its maximizer
-`projection_maximizer` are read off these halves (Gluck-Warner).
+the uniform law on S^2 x S^2.  So sup <xi, c> over unit simple xi is
+(|A(c)| + |B(c)|) / 2 for every 2-vector c, attained at the xi with
+halves A(c)/|A(c)| and B(c)/|B(c)|: the projection constant
+`PlanePair.projection_bound` and its maximizer `projection_maximizer` are
+read off these halves (Gluck-Warner).  `verify_projection_bounds` is the
+constant's plain Monte-Carlo oracle: it samples S^2 x S^2 and evaluates
+every sample.
 """
 
 from __future__ import annotations
@@ -228,14 +230,6 @@ class BoundReport:
 # samples per step of verify_projection_bounds; bounds its temporaries
 SAMPLE_CHUNK = 1 << 16
 
-# samples evaluated first in a chunk with no pruning threshold yet: their
-# maximum sets one for the rest of the chunk
-PRUNE_LEAD = 1 << 12
-
-# widening of verify_projection_bounds' pruning thresholds, relative in M
-# and absolute in z^2: far above the few units of 2^-53 that rounding takes
-PRUNE_MARGIN = 1e-9
-
 
 def _unit_two_vectors(pair: PlanePair) -> np.ndarray:
     """6x2 matrix whose columns are the unit 2-vectors w1, w2 of the planes."""
@@ -293,46 +287,6 @@ def _sphere_coordinates(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return z, x
 
 
-def _threshold(m: float, k_other: float, k: float) -> float:
-    """(m - k_other) / k: with its partner at most 1 in size, a coordinate
-    of weight k must exceed this for its part to exceed m (-inf for k = 0,
-    as callers have k + k_other > m)."""
-    return (m - k_other) / k if k > 0 else -math.inf
-
-
-def _candidate_bounds(max_sum: float, kz: Tuple[float, float],
-                      kx: Tuple[float, float]) -> Optional[tuple]:
-    """Bounds on |z| = 2|u - 1/2| of rows 0 and 2 outside which no sample's
-    computed sum exceeds max_sum: (z_lo, x_hi), the z-part needing
-    |z_i| > z_lo[i] and the x-part |z_i| < x_hi[i], None for a part that
-    cannot exceed it.  None as a whole when some part is not pruned at all.
-    """
-    m = max_sum * (1.0 - PRUNE_MARGIN)
-    z_lo = x_hi = None
-    if kz[0] + kz[1] > m:
-        z_lo = (_threshold(m, kz[1], kz[0]), _threshold(m, kz[0], kz[1]))
-        if max(z_lo) <= 0:
-            return None
-    if kx[0] + kx[1] > m:
-        r_lo = (_threshold(m, kx[1], kx[0]), _threshold(m, kx[0], kx[1]))
-        if max(r_lo) <= 0:
-            return None
-        x_hi = tuple(math.sqrt(max(0.0, 1.0 - r * r + PRUNE_MARGIN))
-                     if r > 0 else math.inf for r in r_lo)
-    return z_lo, x_hi
-
-
-def _candidates(u: np.ndarray, z_lo, x_hi) -> np.ndarray:
-    """The columns of u that pass either part's test, gathered into one
-    C-contiguous array."""
-    half = np.abs(u[::2] - 0.5)  # |z| / 2, exactly
-    keep = np.zeros(u.shape[1], dtype=bool)
-    for part, beyond in ((z_lo, np.greater), (x_hi, np.less)):
-        if part is not None:
-            keep |= beyond(half[0], part[0] / 2) & beyond(half[1], part[1] / 2)
-    return u.compress(keep, axis=1)
-
-
 def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
                              include: Optional[np.ndarray] = None) -> BoundReport:
     """Monte-Carlo check of the projection-sum bound for a plane pair: the
@@ -344,33 +298,12 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
     for U, V = A(w1 +- w2), B(w1 +- w2); U+ is orthogonal to U- and V+ to V-,
     so only the coordinates of a along U+, U- and of b along V+, V- matter,
     from uniforms (u_a, v_a, u_b, v_b) drawn chunk by chunk into one
-    (4, SAMPLE_CHUNK) buffer.  The sum is the larger of the z-part
-    |kaz z0 + kbz z1| and the x-part |kax x0 + kbx x1|.
-
-    Only samples that could beat the running maximum M are evaluated, and
-    max_sum is the one every sample gives, bit for bit.  z_i = 2u - 1 is
-    exact, |x_i| <= r_i = sqrt(1 - z_i^2) <= 1, so the z-part exceeds M
-    only if |z0| > (M - kbz)/kaz and |z1| > (M - kaz)/kbz, the x-part only
-    if r0 > (M - kbx)/kax and r1 > (M - kax)/kbx (so |z_i| < sqrt(1 - r^2)
-    for those bounds r), and a part whose k's sum to at most M never does.
-    Rounding: a computed cosine is at most 1 in size (to a few units in the
-    last place), each product, sum and square root is off by at most
-    u = 2^-53 relative, and 1 - z^2 by at most 2^-52 absolute, so a
-    computed part above M needs these tests with about M (1 - 10u) in place
-    of M and r_i^2 + 2^-52 in place of r_i^2.  They
-    are taken with M (1 - 1e-9) and |z_i|^2 < 1 - r^2 + 1e-9 instead, wider
-    by far more than the rounding of the thresholds themselves, so no
-    sample whose computed sum exceeds M is dropped; one that ties M cannot
-    change it.  The candidates are gathered into one array and evaluated
-    as a chunk is.  In a chunk where some part has no positive threshold
-    yet (the first, with M = 0), a copy of its first PRUNE_LEAD samples
-    is evaluated to set M, and then the whole chunk is pruned by it (a
-    leading sample that passes again cannot change M, and the chunk is
-    left contiguous, which `compress` would otherwise copy whole); if M
-    still gives no threshold, the chunk is evaluated whole.  The
-    2-vectors in `include` are taken first, which can only raise M; a
-    non-finite entry in them raises InvalidInputError, as a NaN would
-    hide every other row from the maximum.
+    (4, SAMPLE_CHUNK) buffer, so memory does not grow with `samples`.  The
+    sum is the larger of the z-part |kaz z0 + kbz z1| and the x-part
+    |kax x0 + kbx x1|, and every sample of every chunk is evaluated.  An
+    `include` whose rows are not six coordinates, or with a non-finite
+    entry, raises InvalidInputError: a NaN would hide every other row from
+    the maximum.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise InvalidInputError("samples must be an integer")
@@ -383,28 +316,18 @@ def verify_projection_bounds(pair: PlanePair, samples: int, seed: int,
         for half in halves)
     max_sum = 0.0
     if include is not None and len(include):
+        include = np.asarray(include, dtype=float)
+        if include.shape[-1] != 6:
+            raise InvalidInputError("include 2-vectors have six coordinates")
         if not np.isfinite(include).all():
             raise InvalidInputError("include 2-vectors must be finite")
-        max_sum = max(max_sum, np.max(projection_sums(pair, include)))
+        max_sum = np.max(projection_sums(pair, include))
     buf = np.empty(4 * min(SAMPLE_CHUNK, samples))  # refilled per chunk
-
-    def evaluated(u: np.ndarray) -> float:
-        z, x = _sphere_coordinates(u)
-        return max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
-                   np.abs(kax * x[0] + kbx * x[1]).max())
-
     for s in range(0, samples, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, samples - s)
-        u = rng.random(out=buf[:4 * n].reshape(4, n))
-        bounds = _candidate_bounds(max_sum, (kaz, kbz), (kax, kbx))
-        if bounds is None:
-            max_sum = evaluated(u[:, :PRUNE_LEAD].copy())
-            bounds = _candidate_bounds(max_sum, (kaz, kbz), (kax, kbx))
-        if bounds is not None:
-            u = _candidates(u, *bounds)
-        if u.shape[1]:
-            max_sum = evaluated(u)
-        del u  # before the next draw, so memory is one chunk's
+        z, x = _sphere_coordinates(rng.random(out=buf[:4 * n].reshape(4, n)))
+        max_sum = max(max_sum, np.abs(kaz * z[0] + kbz * z[1]).max(),
+                      np.abs(kax * x[0] + kbx * x[1]).max())
     max_sum, bound = float(max_sum), pair.projection_bound()
     return BoundReport(max_sum=max_sum, bound=bound, margin=bound - max_sum,
                        samples=samples, seed=int(seed),

@@ -27,6 +27,7 @@ the box center).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -261,15 +262,23 @@ def parse_problem(text: str) -> ProblemSpec:
             errors.append(f"box has {len(box)} axes, expected n={n}")
         if any(b < 1 for b in box):
             errors.append("box axes must be positive")
-    if fields.get("scale", 1.0) <= 0:
+    scale = fields.get("scale", 1.0)
+    if not math.isfinite(scale):
+        errors.append(f"scale must be finite (got {scale})")
+    elif scale <= 0:
         errors.append("scale must be positive")
     if fields.get("weight_kind") != "table":
         errors.extend(f"line {lineno}: 'w' needs 'weight table'"
                       for lineno in table_lines)
     upper = fields.get("weight_upper", 100.0)
     wval = fields.get("weight_value", 1.0)
+    if not math.isfinite(upper):
+        errors.append(f"M must be finite (got {upper})")
+        upper = math.inf  # the weights are still held to h >= 1
     for value in [wval] + [v for _, v in table]:
-        if not 1.0 <= value <= upper:
+        if not math.isfinite(value):
+            errors.append(f"weight value {value} must be finite")
+        elif not 1.0 <= value <= upper:
             errors.append(f"weight value {value} violates the bound "
                           f"1 <= h <= M (M={upper})")
     gen = fields.get("generator", "")

@@ -34,8 +34,8 @@ class WeightField:
     """Weight h on faces: a table of values per face index, with a default
     for the faces it does not list (a uniform weight is an empty table).
 
-    Values are validated against the bounds 1 <= h <= upper; upper
-    defaults to the largest value.
+    Values are validated against the bounds 1 <= h <= upper, with upper
+    finite; upper defaults to the largest value.
     """
 
     def __init__(self, table: Optional[Dict[int, float]] = None,
@@ -44,6 +44,8 @@ class WeightField:
         self.default = float(default)
         values = [self.default, *self.table.values()]
         self.upper = float(upper) if upper is not None else max(values)
+        if not math.isfinite(self.upper):
+            raise InvalidInputError(f"weight bound {self.upper} is not finite")
         for v in values:
             if not (1.0 <= v <= self.upper):
                 raise InvalidInputError(

@@ -338,6 +338,23 @@ def test_parse_errors_reported(problem_file, capsys):
     assert err.count("error:") >= 2
 
 
+@pytest.mark.parametrize("lines,errors", [
+    ("scale inf\n", ["scale must be finite (got inf)"]),
+    ("scale nan\n", ["scale must be finite (got nan)"]),
+    ("weight constant inf\nM inf\n",
+     ["M must be finite (got inf)", "weight value inf must be finite"]),
+    ("weight table 1.0\nw 3 nan\nM 4.0\n",
+     ["weight value nan must be finite"]),
+], ids=["scale-inf", "scale-nan", "weight-and-M-inf", "table-nan"])
+def test_solve_rejects_non_finite_values(problem_file, capsys, lines, errors):
+    # `scale inf` solved to `objective: nan` with exit 0, and `weight
+    # constant inf` with `M inf` to `objective: inf`
+    code, out, err = run_cli(capsys, ["solve", "--input",
+                                      problem_file(SEPARATION + lines)])
+    assert (code, out) == (1, "")
+    assert err == "".join(f"error: {e}\n" for e in errors)
+
+
 def test_solve_rejects_weight_lines_off_the_faces(problem_file, capsys):
     # a `w` line names a face by index, so an index the box does not have
     # fails as an `init faces` index does, instead of weighing nothing

@@ -1,11 +1,13 @@
 """Problem-file parsing, serialization round-trips, and generators."""
 
+import math
 import random
 
 import pytest
 
-from spanmin import (ProblemFormatError, build_grid_complex, generate_faceset,
-                     linking_loops, parse_problem, serialize_problem)
+from spanmin import (InvalidInputError, ProblemFormatError, WeightField,
+                     build_grid_complex, generate_faceset, linking_loops,
+                     parse_problem, serialize_problem)
 from spanmin.problems import ProblemSpec
 
 from loop_oracles import faces_where_by_scan
@@ -79,6 +81,32 @@ def test_parse_rejects_sub_unit_weight():
     with pytest.raises(ProblemFormatError) as exc:
         parse_problem(MINIMAL + "weight constant 0.5\n")
     assert any("1 <= h <= M" in m for m in exc.value.violations)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_parse_rejects_non_finite_scale_weights_and_bound(bad):
+    # `scale inf` parsed and then solved to a nan objective; `weight
+    # constant inf` under `M inf` met its bound and solved to inf
+    for lines, message in ((f"scale {bad}\n", "scale must be finite"),
+                           (f"M {bad}\n", "M must be finite"),
+                           (f"weight constant {bad}\nM inf\n",
+                            "weight value"),
+                           (f"weight table 1.0\nw 3 {bad}\n",
+                            "weight value")):
+        with pytest.raises(ProblemFormatError) as exc:
+            parse_problem(MINIMAL + lines)
+        assert any(message in m and "finite" in m
+                   for m in exc.value.violations), exc.value.violations
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_complex_and_weights_reject_non_finite_values(bad):
+    with pytest.raises(InvalidInputError, match="finite"):
+        build_grid_complex(2, (2, 2), bad)
+    for kwargs in ({"default": bad}, {"table": {0: bad}},
+                   {"upper": bad}, {"default": bad, "upper": bad}):
+        with pytest.raises(InvalidInputError):
+            WeightField(**kwargs)
 
 
 def test_parse_point_arity_checked():
