@@ -281,8 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the parser, built by the first `main` call, not at import
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except ProblemFormatError as exc:

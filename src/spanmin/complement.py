@@ -18,9 +18,10 @@ labelled by component by one flood of K's dual graph when d = n-1, or a
 loop's sub-box and the d-faces there that can carry its cochain y:
 z = delta(y) is the loop's crossing cocycle on (K, dK), and the loop
 bounds in the complement of |F| exactly when y restricted to cl F is a
-coboundary of (cl F, cl F n dK).  y is solved on first need, when a face
-set meets those d-faces, once per complex, loop and d; a face set that
-misses them bounds the loop with no solve.
+coboundary of (cl F, cl F n dK).  y is read off a discrete gradient of
+the sub-box by one back-substitution pass, with no elimination, on first
+need, when a face set meets those d-faces, once per complex, loop and d; a
+face set that misses them bounds the loop with no solve.
 
 The full subcomplex of the barycentric subdivision on the simplices outside
 cl F is a homotopy model of the same complement.  Only constraint cycles of
@@ -41,9 +42,11 @@ from typing import (Callable, Container, Dict, FrozenSet, List, NamedTuple,
 import numpy as np
 
 from .complexes import (Chain, Complex, FaceSet, _boundary_columns,
-                        _closure_rows, _kuhn_faces, _kuhn_tops, _row_ranks,
+                        _closure_rows, _kuhn_faces, _kuhn_tops,
+                        _lattice_point, _row_ranks, _simplex_ids,
                         canonical_vertices)
 from .errors import InvalidInputError, PreconditionError, RealizationError
+from .gradient import _descend
 from . import homology as _hom
 
 
@@ -264,12 +267,6 @@ def _unbalanced(coeffs: Sequence[int], labels: Sequence[int]) -> bool:
 
 # -- relative cochains ------------------------------------------------------
 
-def _simplex_ids(K: Complex, r: int, rows: np.ndarray) -> List[int]:
-    """The ids in K of the r-simplices given as rows of vertex ids."""
-    index = K._index[r]
-    return [index[s] for s in zip(*rows.T.tolist())]
-
-
 def _walled(K: Complex, table: np.ndarray, lo: Sequence[int],
             hi: Sequence[int]) -> np.ndarray:
     """True per row of `table` (vertex ids of K) that a wall of the lattice
@@ -390,7 +387,8 @@ class ComplementModel:
     def _relative(self) -> Dict[int, set]:
         """Per dimension r = 0..d: the r-simplices of cl F off dK, the
         relative cochains of (cl F, cl F n dK), by the wall rule
-        (`_off_walls`) that `_cobound` applies to a loop's sub-box."""
+        (`_off_walls`) that `gradient._gradient` reads off (base, flag) on
+        a loop's sub-box."""
         grid = self.K.grid
         if grid is None:
             raise PreconditionError(
@@ -445,7 +443,9 @@ def complement_subcomplex(K: Complex, F: FaceSet,
 class ConstraintCycle:
     """A homology constraint: a cycle that must not bound in the complement.
 
-    Points are integer lattice coordinates of the ambient grid complex.
+    Points are integer lattice coordinates of the ambient grid complex; a
+    coordinate that is not an integer, in `points` or `items`, raises
+    `InvalidInputError`.
     `point-pair` has degree 0 (separation), `loop` a closed lattice polygon of
     degree 1, `cycle` an explicit list of (simplex lattice points, coeff).
     A field the kind does not read, or another degree, is an error.
@@ -459,8 +459,11 @@ class ConstraintCycle:
     def __post_init__(self):
         if self.kind not in ("point-pair", "loop", "cycle"):
             raise InvalidInputError(f"unknown constraint kind {self.kind!r}")
-        pts = tuple(tuple(int(c) for c in p) for p in self.points)
+        pts = tuple(_lattice_point(p) for p in self.points)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "items", tuple(
+            (tuple(_lattice_point(p) for p in simplex), coeff)
+            for simplex, coeff in self.items))
         if self.kind == "cycle":
             if self.degree is None:
                 raise InvalidInputError("general cycle needs an explicit degree")
@@ -537,8 +540,9 @@ class _Resolved:
     face set they miss, or a (top, coefficient) per vertex of a 0-cycle
     (d = n-1), or a loop's sub-box K' = lo..hi of `_cobound` with `reach`,
     the d-faces that can carry its cochain y (`_loop_reach`); y itself is
-    solved when a face set first meets `reach` (`_loop_y`).  A higher
-    cycle with none of these is decided on the subdivision."""
+    read off K''s discrete gradient (`gradient._gradient`) when a face set
+    first meets `reach` (`_loop_y`).  A higher cycle with none of these is
+    decided on the subdivision."""
 
     spec: ConstraintCycle
     touching: FrozenSet[int]
@@ -619,9 +623,10 @@ def _loop_reach(K: Complex, lo: Sequence[int], hi: Sequence[int], d: int
 
 def _loop_y(K: Complex, rec: _Resolved, d: int
             ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-    """The cochain y of a loop's record per d-face (`_per_face` of
-    `_cobound`), solved on first need and cached per complex, loop and
-    d."""
+    """The cochain y of a loop's record per d-face (`_per_face`), read off
+    the discrete gradient of the loop's sub-box by `_cobound` on first
+    need, one back-substitution pass with no elimination, and cached per
+    complex, loop and d."""
     cache = K.cache.setdefault("loop_y", {})
     y = cache.get((rec.spec, d))
     if y is None:
@@ -634,9 +639,12 @@ def _loop_y(K: Complex, rec: _Resolved, d: int
 def _per_face(K: Complex, y: Dict[int, int], d: int
               ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
     """y per d-face: the nonzero terms of the (n-2)-cochain y on the faces
-    each d-face holds, for the d-faces with any.  Those have n-1 vertices
-    on y's support, found as `touching` is, by one vertex mask."""
+    each d-face holds, for the d-faces with any: for d = n-2 each term on
+    its own face, else the d-faces with n-1 vertices on y's support, found
+    as `touching` is, by one vertex mask."""
     r, rows, index = K.dim - 2, K.rows(d), K._index[K.dim - 2]
+    if d == r:
+        return {i: ((i, c),) for i, c in y.items() if c}
     on_y = np.zeros(len(K.coords), dtype=bool)
     on_y[K.rows(r)[list(y)]] = True
     near = np.flatnonzero(on_y[rows].sum(axis=1) > r)
@@ -650,25 +658,32 @@ def _per_face(K: Complex, y: Dict[int, int], d: int
 
 def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
              lo: Sequence[int], hi: Sequence[int]) -> Dict[int, int]:
-    """An (n-2)-cochain y of (K, dK) with delta(y) = z, the crossing cocycle
-    of the 1-cycle `chain` on K.
+    """An (n-2)-cochain y of (K, dK) with delta(y) = z, z the crossing
+    cocycle of the 1-cycle `chain` on K (`_crossings`): y = h(z), read off
+    the discrete gradient of the loop's sub-box K' = lo..hi by one
+    back-substitution pass (`gradient._descend`), with no elimination over
+    K'.  y lives on the (n-2)-simplices of K' off dK', whose cofaces all lie
+    in K', so delta(y) = z on (K, dK) too."""
+    return _descend(K, _crossings(K, chain, lo, hi), lo, hi)
 
-    K' is the sub-box lo..hi of `_loop_box`: a ball holding the open star
-    of every simplex on the cycle.  Its tops and their signs are the rows
-    of `_kuhn_tops`, and each vertex and edge of the cycle goes to the
-    first of them containing it (`_first_tops`, the top rule of
-    `_resolve`), found in one pass.  An edge u -> v
-    with coefficient c becomes the two halves of its barycentric
-    subdivision: a dual path from the top of u to that of uv through the
-    open star of u, counted +c, and one from the top of v to that of uv
-    through the open star of v, counted -c.  Leaving top t through the
-    facet opposite its vertex i counts eps_t (-1)^(i+1), eps_t = sign(det
-    t) = the sign of t's axis permutation, so the crossings sum to a
-    cocycle z of (K', dK'), where H^{n-1} = 0: y is one sparse solve with
-    a witness over delta_{n-2} on the (n-2)- and (n-1)-simplices of K' off
-    dK' (`_off_walls` of the faces of its tops, `_kuhn_faces`, with the
-    sub-box's walls, the rule `_relative` applies to cl F in the box),
-    whose cofaces all lie in K', so delta(y) = z on (K, dK) too.
+
+def _crossings(K: Complex, chain: Dict[Tuple[int, ...], int],
+               lo: Sequence[int], hi: Sequence[int]) -> Dict[int, int]:
+    """z, the crossing cocycle of the 1-cycle `chain` on the (n-1)-faces
+    of its sub-box K' = lo..hi (`_loop_box`), a ball holding the open star
+    of every simplex on the cycle.
+
+    K''s tops and their signs are the rows of `_kuhn_tops`, and each
+    vertex and edge of the cycle goes to the first of them containing it
+    (`_first_tops`, the top rule of `_resolve`), found in one pass.  An
+    edge u -> v with coefficient c becomes the two halves of its
+    barycentric subdivision: a dual path from the top of u to that of uv
+    through the open star of u, counted +c, and one from the top of v to
+    that of uv through the open star of v, counted -c.  Leaving top t
+    through the facet opposite its vertex i counts eps_t (-1)^(i+1), eps_t
+    = sign(det t) = the sign of t's axis permutation, so the crossings sum
+    to a cocycle z of (K', dK') on facets shared by two tops, which lie
+    off dK'.
     """
     n, shape = K.dim, [b + 1 for b in K.grid.box]
     rows, signs = _kuhn_tops(shape, lo, hi)
@@ -700,10 +715,7 @@ def _cobound(K: Complex, chain: Dict[Tuple[int, ...], int],
             while prev[t1] is not None:
                 t1, f, sign = prev[t1]
                 z[f] = z.get(f, 0) + sign * coeff
-    A = _off_walls(K, _kuhn_faces(shape, lo, hi, range(max(n - 2, 0), n)),
-                   lo, hi)
-    return _hom._snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
-                                     witness=True).witness
+    return z
 
 
 def _reason(rec: _Resolved, model: ComplementModel) -> str:
@@ -717,9 +729,11 @@ def _reason(rec: _Resolved, model: ComplementModel) -> str:
     delta(y') = z on (K, dK) iff y' = y + delta(w), as H^{n-2}(K, dK) = 0,
     so the cycle bounds (some y' is 0 on cl F u dK) iff y|cl F =
     delta(w|cl F).  As y is 0 on dK, y|cl F joins y over the faces of F:
-    empty, the cycle bounds; else one small solve on cl F decides.  A face
-    set that misses the record's `reach` has it empty, so y is solved
-    (`_loop_y`) only for one that meets it.
+    empty, the cycle bounds; else one small solve on cl F decides, the only
+    elimination a loop's verdict makes on a thin sub-box.  A face set that
+    misses the record's `reach` has it empty, so y is computed (`_loop_y`,
+    by back-substitution along the sub-box's gradient) only for one that
+    meets it.
     A g-cycle of higher degree bounds in the complement when its
     barycentric pieces (`_subdivide_simplex`) are the boundary of a
     (g+1)-chain of the subdivision's full subcomplex off cl F: one solve
@@ -961,16 +975,16 @@ def separation_bound(K: Complex, constraints: Sequence[ConstraintCycle],
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned lattice sub-box (inclusive vertex bounds).  `faces` is
-    the one test of which d-faces lie in it, for generators, solves and
-    competitor checks; `contains_face` is its per-face reference."""
+    """Axis-aligned lattice sub-box (inclusive vertex bounds, integers as
+    `ConstraintCycle` points are).  `faces` is the one test of which
+    d-faces lie in it, for generators, solves and competitor checks;
+    `contains_face` is its per-face reference."""
 
     lo: Tuple[int, ...]
     hi: Tuple[int, ...]
 
     def __post_init__(self):
-        lo = tuple(int(c) for c in self.lo)
-        hi = tuple(int(c) for c in self.hi)
+        lo, hi = _lattice_point(self.lo), _lattice_point(self.hi)
         if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
             raise InvalidInputError(f"bad region bounds {lo}..{hi}")
         object.__setattr__(self, "lo", lo)

@@ -46,6 +46,25 @@ def canonical_vertices(vertices: Sequence[int]) -> Tuple[Vertices, int]:
     return tuple(verts), sign
 
 
+def _integer(c) -> int:
+    """c as an int when it is an integer value: a numpy integer or an
+    integral float passes; any other value (1.5, nan, inf) raises
+    `InvalidInputError` rather than being truncated."""
+    try:
+        i = int(c)
+        integral = i == c
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InvalidInputError(f"lattice coordinate {c!r} is not an integer")
+    return i
+
+
+def _lattice_point(point: Sequence) -> Tuple[int, ...]:
+    """A lattice point's coordinates as ints (`_integer`)."""
+    return tuple(c if type(c) is int else _integer(c) for c in point)
+
+
 @dataclass(frozen=True)
 class GridInfo:
     """Lattice metadata attached to grid-built complexes."""
@@ -54,14 +73,24 @@ class GridInfo:
     scale: float
     points: Tuple[Tuple[int, ...], ...]  # vertex id -> lattice point
 
+    @functools.cached_property
+    def _strides(self) -> Tuple[int, ...]:
+        """The row-major strides of the box's points, computed once."""
+        return tuple(math.prod(b + 1 for b in self.box[a + 1:])
+                     for a in range(len(self.box)))
+
     def vertex_at(self, point: Sequence[int]) -> int:
         """The id of a lattice point: its row-major rank in the box."""
-        key = tuple(int(c) for c in point)
-        if len(key) != len(self.box) or not all(
-                0 <= c <= b for c, b in zip(key, self.box)):
-            raise InvalidInputError(f"lattice point {key} outside the box")
-        return sum(c * math.prod(b + 1 for b in self.box[a + 1:])
-                   for a, c in enumerate(key))
+        key = _lattice_point(point)
+        if len(key) == len(self.box):
+            rank = 0
+            for c, b, stride in zip(key, self.box, self._strides):
+                if not 0 <= c <= b:
+                    break
+                rank += c * stride
+            else:
+                return rank
+        raise InvalidInputError(f"lattice point {key} outside the box")
 
 
 class Complex:
@@ -264,6 +293,12 @@ def _boundary_columns(K: Complex, k: int, ids: Optional[Iterable[int]] = None
         s = table[j]
         cols[j] = {lower[s[:i] + s[i + 1:]]: sign for i, sign in signs}
     return cols
+
+
+def _simplex_ids(K: Complex, r: int, rows: np.ndarray) -> List[int]:
+    """The ids in K of the r-simplices given as rows of vertex ids."""
+    index = K._index[r]
+    return [index[s] for s in zip(*rows.T.tolist())]
 
 
 def boundary(c: Chain) -> Chain:

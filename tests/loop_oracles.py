@@ -13,7 +13,10 @@ dual graph, for the least cost of a set that separates one pair.  The per-vertex
 for a loop's sub-box are the references for the one lattice-wall rule of
 the relative cochains, and y restricted to cl F off the boundary,
 taken through both, is the reference for a loop's right-hand side read
-per face.  The dense boundary matrix is the
+per face.  `cobound_by_elimination`, one witness solve over the
+sub-box, and `coboundary_by_cofaces` are the references for a loop's
+cochain y, and `staged_matching_by_points` for the sub-box's gradient
+that computes it.  The dense boundary matrix is the
 `np.linalg.matrix_rank` oracle of the homology tests, and `cofacets`
 serves the whole-box oracles of `relative_cochains`.
 """
@@ -29,8 +32,9 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from spanmin import Complex, FaceSet, InfeasibleError, InvalidInputError
-from spanmin.complement import spanning_predicate
-from spanmin.complexes import canonical_vertices
+from spanmin.complement import _coboundary, _off_walls, spanning_predicate
+from spanmin.complexes import _kuhn_faces, canonical_vertices
+from spanmin.homology import _snf_diagonal_sparse
 
 
 def closure_by_sets(maximal: Iterable[Sequence[int]], coords) -> Complex:
@@ -366,6 +370,90 @@ def subbox_cochains_by_facets(K: Complex, tops: Sequence[Sequence[int]]
         A[n - 2] = {K.index(f[:i] + f[i + 1:]) for f in inner
                     for i in range(n) if f[:i] + f[i + 1:] not in outer}
     return A
+
+
+def cobound_by_elimination(K: Complex, z: Dict[int, int],
+                           lo: Sequence[int], hi: Sequence[int]
+                           ) -> Dict[int, int]:
+    """y with delta(y) = z, z an (n-1)-cocycle of the sub-box lo..hi
+    relative to its walls, by one integer solve with a witness over
+    delta_{n-2} on the sub-box's (n-2)- and (n-1)-simplices off its walls:
+    the loop cochain's elimination, before the sub-box's gradient."""
+    n, shape = K.dim, [b + 1 for b in K.grid.box]
+    A = _off_walls(K, _kuhn_faces(shape, lo, hi, range(max(n - 2, 0), n)),
+                   lo, hi)
+    return _snf_diagonal_sparse(_coboundary(K, A, n - 2), rhs=z,
+                                witness=True).witness
+
+
+def coboundary_by_cofaces(K: Complex, y: Dict[int, int], r: int
+                          ) -> Dict[int, int]:
+    """The nonzero terms of delta(y) for an r-cochain y of K: per
+    (r+1)-simplex with r+1 vertices on y's support, the signed sum of y
+    over its facets."""
+    on = {v for i in y for v in K.simplex(r, i)}
+    out = {}
+    for t, verts in enumerate(K.simplices(r + 1)):
+        if sum(v in on for v in verts) > r:
+            c = sum((-1) ** i * y.get(K.index(verts[:i] + verts[i + 1:]), 0)
+                    for i in range(r + 2))
+            if c:
+                out[t] = c
+    return out
+
+
+def staged_matching_by_points(K: Complex, lo: Sequence[int],
+                              hi: Sequence[int]
+                              ) -> Tuple[Dict[int, int], set, set]:
+    """The staged matching of the sub-box lo..hi, one cell at a time on
+    chains of lattice points: the pairs (n-2)-cell -> (n-1)-cell by K's
+    ids, and the critical (n-2)- and (n-1)-cells.
+
+    Axes by decreasing extent; stage s toggles w along a = a_s, i the
+    first step raising x_a: w = p(i-1) + e_a (or p_k + e_a) when s is
+    odd, w = p_i - e_a (or p_0 - e_a) when s is even.  A stage pairs two
+    cells off the walls that no earlier stage paired."""
+    n = K.dim
+
+    def off(cell):
+        return all(lo[a] <= p[a] <= hi[a] for p in cell for a in range(n)) \
+            and not any(len({p[a] for p in cell}) == 1
+                        and cell[0][a] in (lo[a], hi[a]) for a in range(n))
+
+    cells = set()
+    for k in range(n + 1):
+        for s in K.simplices(k):
+            cell = tuple(K.grid.points[v] for v in s)
+            if off(cell):
+                cells.add(cell)
+    alive, up = set(cells), {}
+    axes = sorted(range(n), key=lambda a: -(hi[a] - lo[a]))
+    for stage, a in enumerate(axes):
+        step = [0] * n
+        step[a] = 1
+        pairs = {}
+        for cell in alive:
+            i = next((j for j in range(1, len(cell))
+                      if cell[j][a] > cell[j - 1][a]), None)
+            if stage % 2 == 0:
+                at = cell[-1] if i is None else cell[i - 1]
+                w = tuple(c + e for c, e in zip(at, step))
+            else:
+                at = cell[0] if i is None else cell[i]
+                w = tuple(c - e for c, e in zip(at, step))
+            other = tuple(sorted(set(cell) ^ {w}))
+            if other in alive and len(other) > len(cell):
+                pairs[cell] = other
+        for cell, other in pairs.items():
+            up[cell] = other
+            alive -= {cell, other}
+
+    def ident(cell):
+        return K.index(tuple(sorted(K.grid.vertex_at(p) for p in cell)))
+
+    return ({ident(c): ident(t) for c, t in up.items() if len(c) == n - 1},
+            {ident(c) for c in alive if len(c) == n - 1},
+            {ident(c) for c in alive if len(c) == n})
 
 
 def boundary_matrix(K: Complex, k: int) -> np.ndarray:

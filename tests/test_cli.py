@@ -13,6 +13,8 @@ import pytest
 from spanmin import build_grid_complex, generate_faceset, linking_loops
 from spanmin.cli import main
 
+from test_homology import counting_eliminations
+
 SEPARATION = """\
 n 2
 d 1
@@ -321,6 +323,33 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_main_builds_its_parser_once(problem_file, capsys, monkeypatch):
+    # the first `main` call builds the parser and later ones reuse it,
+    # through a usage error too; each report is the one of a fresh parser
+    import spanmin.cli as cli
+    built, build = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    path = problem_file(SEPARATION)
+    code, first, _ = run_cli(capsys, ["check", "--input", path])
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", path, "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code2, second, _ = run_cli(capsys, ["check", "--input", path])
+    lemmas = run_cli(capsys, ["lemmas"])
+    assert len(built) == 1
+    assert (code, strip_time(first)) == (code2, strip_time(second))
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run_cli(capsys, ["lemmas"])[0] == lemmas[0] == 0
+    assert len(built) == 2
+
+
 def test_negative_budget_rejected(problem_file, capsys):
     # in the problem file and on the command line alike, before any search
     for text, flags in ((SEPARATION + "budget -5\n", []),
@@ -493,6 +522,21 @@ def test_link4d_check_reports_pinned(stem, problem_file, capsys):
             f"constraint_0: loop degree=1 {first}",
             f"constraint_1: loop degree=1 {second}",
             f"spanning: {spanning}"])
+
+
+def test_check_eliminates_only_on_the_closure(problem_file, capsys,
+                                              monkeypatch):
+    # the clutter file links both loops: each loop's y comes off its
+    # sub-box's gradient with no elimination, so the check eliminates
+    # twice, once per loop on cl F, where the sub-box solves made it four
+    calls = counting_eliminations(monkeypatch)
+    text = ("n 4\nd 2\nbox 2 2 2 2\ninit faces "
+            + LINK4D_FACES["two_planes_clutter"] + "\n" + LINKING_LOOPS_2222)
+    code, out, err = run_cli(capsys, ["check", "--input",
+                                      problem_file(text)])
+    assert (code, err) == (0, "")
+    assert "spanning: yes" in out
+    assert len(calls) == 2
 
 
 def clutter_faces(seed):

@@ -96,6 +96,25 @@ def test_constraint_rejects_fields_its_kind_ignores():
     assert ConstraintCycle(kind="point-pair", points=ends, degree=0) == clean[0]
 
 
+def test_constraint_rejects_coordinates_that_are_not_integers():
+    # (2, 0.9) used to become the pair (2, 0)-(2, 4) and be checked; a nan
+    # raised ValueError; numpy integers and integral floats are points
+    for bad in (0.9, 1.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            ConstraintCycle(kind="point-pair", points=((2, bad), (2, 4)))
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            ConstraintCycle(kind="loop", points=((0, 0), (bad, 0), (1, 1)))
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            ConstraintCycle(kind="cycle", degree=0,
+                            items=((((bad, 0),), 1), (((0, 4),), -1)))
+    pair = ConstraintCycle(kind="point-pair", points=((2, 0), (2, 4)))
+    assert ConstraintCycle(kind="point-pair", points=(
+        np.array([2, 0]), (np.int64(2), 4.0))) == pair
+    assert ConstraintCycle(kind="cycle", degree=0, items=[
+        ([(np.int64(2), 0)], -1), ([(2, 4)], 1)]).items == (
+        (((2, 0),), -1), (((2, 4),), 1))
+
+
 # -- complement model ---------------------------------------------------------
 
 def test_single_interior_edge_does_not_separate():
@@ -643,6 +662,11 @@ def test_region_validation_and_membership():
     R = Region(lo=(0, 0), hi=(2, 1))
     assert R.contains_point((1, 1))
     assert not R.contains_point((1, 2))
+    # bounds are lattice points: (0.5, 0) used to become (0, 0)
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            Region(lo=(bad, 0), hi=(2, 1))
+    assert Region(lo=(np.int64(0), 0.0), hi=(2, 1)) == R
 
 
 def test_competitor_identity():

@@ -150,6 +150,18 @@ def test_vertex_at_is_the_row_major_rank(n, box):
             grid.vertex_at(p)
 
 
+def test_vertex_at_rejects_coordinates_that_are_not_integers():
+    # 1.7 used to be truncated to (1, 0) and nan to raise ValueError; an
+    # integral float and numpy integers keep their point
+    grid = build_grid_complex(2, [3, 2]).grid
+    for c in (1.7, 0.5, float("nan"), float("inf"), "1"):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            grid.vertex_at((c, 0))
+    assert grid.vertex_at((1.0, 0)) == grid.vertex_at((1, 0)) == 3
+    assert grid.vertex_at(np.array([2, 1])) == grid.vertex_at(
+        (np.int32(2), np.int64(1))) == 7
+
+
 KUHN_SUB_BOXES = [
     # (box, lo, hi): the cubes with lower corners in lo..hi-1, among them
     # width-1 axes and sub-boxes against the far walls

@@ -12,16 +12,18 @@ from spanmin import (Complex, ConstraintCycle, FaceSet, PreconditionError,
                      complement_subcomplex, homology_group,
                      is_null_homologous, minimize_exhaustive,
                      spanning_predicate)
-from spanmin.complement import (ComplementModel, _cobound, _loop_box,
-                                _loop_reach, _loop_y, _off_walls,
+from spanmin.complement import (ComplementModel, _cobound, _crossings,
+                                _loop_box, _loop_reach, _loop_y, _off_walls,
                                 _realize_raw, _relative_cohomology, _resolve,
                                 _simplex_ids, _support_vertices)
 from spanmin.complexes import _closure_rows, _kuhn_faces, _kuhn_tops
+from spanmin.gradient import _cell_ids, _gradient
 from spanmin.problems import generate_faceset, linking_loops
 
 import relative_cochains as oracle
-from loop_oracles import (closure_by_combinations, loop_rhs_by_closure,
-                          off_walls_by_vertex_bits,
+from loop_oracles import (closure_by_combinations, cobound_by_elimination,
+                          coboundary_by_cofaces, loop_rhs_by_closure,
+                          off_walls_by_vertex_bits, staged_matching_by_points,
                           subbox_cochains_by_facets)
 from test_complement import (DEG0_CASES, DEG1_CASES, HOMOLOGY_CASES,
                              boundary_items, box_loops, lattice_faces,
@@ -198,6 +200,129 @@ def test_loop_right_hand_side_per_face_matches_the_closure_oracle(case):
                 assert got == loop_rhs_by_closure(K, y, d, faces)
                 seen.add(bool(got))
     assert seen == {True, False}
+
+
+def cochain_loops():
+    """(name, box, loop): the linking loops for m = 2..6, rectangles off
+    the origin in 4D, meridians in 3D, the degree-1 cases' linked loops
+    and seeded lattice rectangles, and a unit square in the middle of
+    4^4, whose sub-box 0..(3, 3, 2, 2) is thick on all four axes."""
+    for m in range(2, 7):
+        for i, loop in enumerate(linking_loops([m] * 4)):
+            yield f"linking-{m}-{i}", (m,) * 4, loop
+    yield "off-origin-thin", (4,) * 4, rectangle_loop(
+        (2, 3), (1, 1), (3, 2), (2, 3, 0, 0))
+    yield "off-origin-wide", (4,) * 4, rectangle_loop(
+        (0, 2), (1, 0), (4, 3), (0, 2, 0, 4))
+    yield "interior-square", (4,) * 4, rectangle_loop(
+        (0, 1), (1, 1), (2, 2), (1, 1, 1, 1))
+    for x in range(4):
+        yield f"3d-meridian-{x}", (3, 4, 3), rectangle_loop(
+            (0, 2), (0, 1), (3, 2), (0, x, 0))
+    rng = np.random.default_rng(79)
+    for case, (box, _, _, linked, _) in sorted(DEG1_CASES.items()):
+        loops = box_loops(box)
+        for i, loop in enumerate(linked + [
+                loops[j] for j in rng.choice(len(loops), size=4,
+                                             replace=False)]):
+            yield f"{case}-{i}", box, loop
+
+
+COCHAIN_LOOPS = {name: (box, loop) for name, box, loop in cochain_loops()}
+
+
+@pytest.mark.parametrize("name", sorted(COCHAIN_LOOPS))
+def test_loop_cochain_meets_its_cocycle_exactly(name):
+    # y of the sub-box's gradient: delta(y) = z on all of K, y off the
+    # sub-box's walls, and nothing solved on a thin sub-box, while the
+    # interior square's takes the solve over its critical cells; the witness
+    # elimination over the sub-box meets z too, so both stand for the
+    # same class (H^{n-2}(K', dK') = 0)
+    box, loop = COCHAIN_LOOPS[name]
+    K = build_grid_complex(len(box), list(box))
+    n, chain = K.dim, _realize_raw(loop, K)
+    lo, hi = _resolve(K, loop, n - 2).box
+    z = {f: c for f, c in _crossings(K, chain, lo, hi).items() if c}
+    y = _cobound(K, chain, lo, hi)
+    assert bool(y) == bool(z)
+    assert coboundary_by_cofaces(K, y, n - 2) == z
+    faces = _kuhn_faces([b + 1 for b in K.grid.box], lo, hi, (n - 2,))
+    assert set(y) <= _off_walls(K, faces, lo, hi)[n - 2]
+    witness = cobound_by_elimination(K, z, lo, hi)
+    assert coboundary_by_cofaces(K, witness, n - 2) == z
+    G = _gradient(tuple(b - a for a, b in zip(lo, hi)))
+    if sum(b - a > 1 for a, b in zip(lo, hi)) <= 2:
+        assert len(G.crit) == 0 and G.kappa == len(G.sig)
+    if name == "interior-square":
+        assert (len(G.crit), G.kappa - len(G.sig)) == (1, 4)
+
+
+@pytest.mark.parametrize("ext,lo", [
+    ((1, 1, 2, 2), (0, 0, 0, 0)), ((2, 2, 1, 1), (1, 0, 1, 2)),
+    ((2, 3, 1, 1), (0, 1, 2, 0)), ((2, 1, 1, 1), (1, 1, 1, 1)),
+    ((2, 2, 2, 2), (1, 0, 0, 1)), ((2, 2, 2), (0, 1, 0)),
+    ((3, 1, 2), (1, 0, 1)), ((2, 3), (1, 0))])
+def test_gradient_matches_the_staged_rule_on_points(ext, lo):
+    # the array matching of a sub-box against the rule applied one chain
+    # of lattice points at a time: the same (n-2) -> (n-1) pairs and
+    # critical cells, the wall rule's (n-1)-cells, and on a thin sub-box
+    # neither critical (n-2)- nor (n-1)-cells and a rising key along the
+    # V-paths; 2^4 keeps one and four
+    n = len(ext)
+    hi = tuple(a + e for a, e in zip(lo, ext))
+    K = build_grid_complex(n, [h + 1 for h in hi])
+    G = _gradient(ext)
+    m = len(G.sig)
+    pairs = dict(zip(_cell_ids(K, lo, ext, G.sig, n - 2),
+                     _cell_ids(K, lo, ext, G.tau[:m], n - 1)))
+    crit = (set(_cell_ids(K, lo, ext, G.crit, n - 2)),
+            set(_cell_ids(K, lo, ext, G.tau[m:G.kappa], n - 1)))
+    assert (pairs,) + crit == staged_matching_by_points(K, lo, hi)
+    faces = _kuhn_faces([b + 1 for b in K.grid.box], lo, hi, (n - 1,))
+    assert set(_cell_ids(K, lo, ext, G.tau, n - 1)) == _off_walls(
+        K, faces, lo, hi)[n - 1]
+    counts = tuple(map(len, crit))
+    if sum(e > 1 for e in ext) <= 2:
+        assert counts == (0, 0)
+        # the docstring's proof of acyclicity: on every V-path step
+        # s -> t -> s' the key (sum of x_a1, minus the sum of x_a2) rises
+        a1, a2 = sorted(range(n), key=lambda a: -ext[a])[:2]
+
+        def key(s):
+            points = [K.grid.points[v] for v in K.simplex(n - 2, s)]
+            return (sum(p[a1] for p in points), -sum(p[a2] for p in points))
+
+        steps = [(s, K.index(f)) for s, t in pairs.items()
+                 for f in itertools.combinations(K.simplex(n - 1, t), n - 1)
+                 if K.index(f) != s and K.index(f) in pairs]
+        assert steps and all(key(s) < key(f) for s, f in steps)
+    elif ext == (2, 2, 2, 2):
+        assert counts == (1, 4)
+
+
+@pytest.mark.parametrize("case", sorted(DEG1_CASES))
+def test_pool_verdicts_same_with_the_elimination_cochain(case, monkeypatch):
+    # the pool predicate on seeded pools and states, once with y from the
+    # sub-box's gradient and once with the witness elimination's y: the
+    # two differ by a coboundary, so every verdict agrees
+    box, d, base_faces, linked, _ = DEG1_CASES[case]
+    verdicts = []
+    for route in ("gradient", "elimination"):
+        rng = np.random.default_rng(83)
+        if route == "elimination":
+            monkeypatch.setattr(
+                spanmin.complement, "_cobound",
+                lambda K, chain, lo, hi: cobound_by_elimination(
+                    K, _crossings(K, chain, lo, hi), lo, hi))
+        K = build_grid_complex(len(box), list(box))
+        base = list(base_faces(K))
+        others = [f for f in range(K.n_simplices(d)) if f not in base]
+        pool = base + rng.choice(others, size=6, replace=False).tolist()
+        spans = spanning_predicate(K, linked, d, pool)
+        states = rng.integers(0, 1 << len(pool), size=40).tolist()
+        verdicts.append([spans(s) for s in states + [(1 << len(base)) - 1]])
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][-1] and not all(verdicts[0])
 
 
 @pytest.mark.parametrize("case", ["3d-tube", "4d-planes"])
